@@ -30,11 +30,6 @@ from .vertex_flow import limit_graph, run_vertex_flow, subdivide
 _FAMILY_ALIASES = {"er": "erdos_renyi"}
 
 
-def _load(path) -> tuple[WeightedGraph, dict | None]:
-    with open(path, encoding="utf-8") as fh:
-        return fileio.parse_graph(fh.read())
-
-
 def _count_sign_edges_tolerant(g: WeightedGraph, psi: np.ndarray) -> int:
     """Sign-change edges among vertices with nonzero entries (reporting
     only; the strict path raises on zeros)."""
@@ -86,7 +81,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_nodal(args) -> int:
-    g, _ = _load(args.graph)
+    g, _ = fileio.load_graph(args.graph)
     spectrum = eigendecompose(laplacian(g))
     row = _row_for_k(g, spectrum, args.k)
     del row["requested_k"]
@@ -95,7 +90,7 @@ def _cmd_nodal(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    g, _ = _load(args.graph)
+    g, _ = fileio.load_graph(args.graph)
     spectrum = eigendecompose(laplacian(g))
     sel = select_eigenpair(spectrum, args.k)
     if not sel.nowhere_zero:
@@ -136,7 +131,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    g, _ = _load(args.graph)
+    g, _ = fileio.load_graph(args.graph)
     spectrum = eigendecompose(laplacian(g))
     rows = [_row_for_k(g, spectrum, k) for k in range(1, g.n + 1)]
     print("k,lambda_k,nu,deficiency,simple,nowhere_zero,group")
@@ -158,7 +153,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    g, _ = _load(args.graph)
+    g, _ = fileio.load_graph(args.graph)
     spectrum = eigendecompose(laplacian(g))
     sel = select_eigenpair(spectrum, args.k)
     if not sel.nowhere_zero:

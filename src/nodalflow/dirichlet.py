@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInterior, NotAComponent
-from .graph_core import Edge, LaplacianMatrix, WeightedGraph, adjacency_lists, laplacian
+from .graph_core import Edge, WeightedGraph, components, laplacian
 from .spectra import SIGN_TOL, Spectrum, eigendecompose
 from .vertex_flow import SubdivisionGraph, limit_graph
 
@@ -71,24 +71,8 @@ def d_connected_components(g: WeightedGraph, interior) -> tuple[tuple[int, ...],
     S = set(int(v) for v in interior)
     if not S:
         raise EmptyInterior("interior vertex set is empty")
-    adj = adjacency_lists(g)
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(S):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v in S and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    inside = [e for e in g.edges if e[0] in S and e[1] in S]
+    return components(g.n, inside, S)
 
 
 def dirichlet_spectrum(dp: DirichletProblem) -> Spectrum:

@@ -12,12 +12,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
+from .errors import FlowConsistencyError
 from .graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from .nodal import EigenSelection, sign_change_edges
 from .spectra import (
     CROSS_TOL_REL,
     FlowResult,
+    derivative_residual,
     eigendecompose,
     multiplicity_of,
     track_branches,
@@ -26,7 +27,8 @@ from .spectra import (
 
 @dataclass(frozen=True)
 class EdgePerturbation:
-    """Per-edge blocks (i, j, w, q_ij, q_ji) and the assembled matrix P.
+    """Per-edge blocks (i, j, w, q_ij, q_ji), the assembled matrix P and
+    the graph Laplacian L, the two fixed terms of the flow L + sigma * P.
 
     q_ij = -psi_i / psi_j is positive exactly because (i, j) is a
     sign-change edge; q_ij * q_ji = 1, so each block is PSD of rank 1 with
@@ -35,15 +37,18 @@ class EdgePerturbation:
 
     blocks: tuple[tuple[int, int, float, float, float], ...]
     matrix: np.ndarray
+    laplacian: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        for name in ("matrix", "laplacian"):
+            m = np.asarray(getattr(self, name), dtype=float)
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
 
 def build_perturbation(g: WeightedGraph, sel: EigenSelection) -> EdgePerturbation:
-    """Assemble P from the sign-change edges of the selected eigenvector."""
+    """Assemble P from the sign-change edges of the selected eigenvector,
+    and L from g."""
     psi = sel.psi
     blocks = []
     P = np.zeros((g.n, g.n))
@@ -55,15 +60,14 @@ def build_perturbation(g: WeightedGraph, sel: EigenSelection) -> EdgePerturbatio
         P[j, j] += w * q_ij
         P[i, j] += w
         P[j, i] += w
-    return EdgePerturbation(tuple(blocks), P)
+    return EdgePerturbation(tuple(blocks), P, laplacian(g).matrix)
 
 
-def flow_matrix(g: WeightedGraph, pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
+def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
     """L + sigma * P for sigma in [0, 1]."""
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"sigma={sigma} outside [0, 1]")
-    L = laplacian(g).matrix
-    return LaplacianMatrix(L + sigma * pert.matrix, f"edge_flow(sigma={sigma:g})")
+    return LaplacianMatrix(pert.laplacian + sigma * pert.matrix)
 
 
 def sign_preserving_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedGraph:
@@ -77,18 +81,6 @@ def sign_preserving_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedG
         diag[i] += (1.0 + q_ji) * w
         diag[j] += (1.0 + q_ij) * w
     return WeightedGraph(g.n, kept, tuple(diag))
-
-
-def _check_assumptions(sel: EigenSelection, allow_degenerate: bool) -> tuple[str, ...]:
-    if not sel.nowhere_zero:
-        raise AssumptionViolated("nowhere_zero", "eigenvector has zero entries")
-    if not sel.simple:
-        if not allow_degenerate:
-            raise AssumptionViolated(
-                "simple", f"lambda_{sel.k} = {sel.lambda_k:.12g} is degenerate"
-            )
-        return ("degenerate_lambda_k",)
-    return ()
 
 
 @dataclass(frozen=True)
@@ -111,9 +103,8 @@ def nodal_count_direct(
     g: WeightedGraph, sel: EigenSelection, *, allow_degenerate: bool = False
 ) -> DirectCount:
     """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed."""
-    _check_assumptions(sel, allow_degenerate)
-    pert = build_perturbation(g, sel)
-    spec1 = eigendecompose(flow_matrix(g, pert, 1.0))
+    sel.check_assumptions(allow_degenerate)
+    spec1 = eigendecompose(flow_matrix(build_perturbation(g, sel), 1.0))
     nu = multiplicity_of(spec1, sel.lambda_k)
     return DirectCount(
         k=sel.k,
@@ -135,25 +126,24 @@ def run_edge_flow(
 ) -> FlowResult:
     """Track all branches of L + sigma * P over sigma in [0, 1].
 
-    converged_count is taken from the exact sigma = 1 spectrum. The branch
-    count identity converged + (crossings from below) = k is asserted; for
-    a degenerate lambda_k (allow_degenerate=True) a failure is recorded as
-    a warning instead of raised, since the identity is only guaranteed for
-    simple eigenvalues.
+    converged_count is read off the last grid point, sigma = 1 exactly,
+    with multiplicity_of's tolerance. The branch count identity
+    converged + (crossings from below) = k is asserted; for a degenerate
+    lambda_k (allow_degenerate=True) a failure is recorded as a warning
+    instead of raised, since the identity is only guaranteed for simple
+    eigenvalues.
     """
-    warnings = _check_assumptions(sel, allow_degenerate)
+    warnings = sel.check_assumptions(allow_degenerate)
     pert = build_perturbation(g, sel)
-    grid = np.linspace(0.0, 1.0, steps)
     fr = track_branches(
-        lambda s: flow_matrix(g, pert, s),
-        grid,
+        lambda s: flow_matrix(pert, s),
+        np.linspace(0.0, 1.0, steps),
         sel.lambda_k,
         bracket_width=bracket_width,
         threads=threads,
         expect_monotone=True,
     )
-    spec1 = eigendecompose(flow_matrix(g, pert, 1.0))
-    nu = multiplicity_of(spec1, sel.lambda_k)
+    nu = fr.converged_count
 
     cross_tol = CROSS_TOL_REL * max(1.0, abs(sel.lambda_k))
     from_below = [
@@ -170,20 +160,11 @@ def run_edge_flow(
             raise FlowConsistencyError(msg)
         warnings = warnings + (msg,)
 
-    return replace(
-        fr,
-        converged_count=nu,
-        warnings=fr.warnings + warnings,
-        count_identity_ok=identity_ok,
-    )
+    return replace(fr, warnings=fr.warnings + warnings, count_identity_ok=identity_ok)
 
 
 def derivative_identity_check(
-    g: WeightedGraph,
-    pert: EdgePerturbation,
-    sigma: float,
-    u: np.ndarray,
-    h: float = 1e-5,
+    pert: EdgePerturbation, sigma: float, u: np.ndarray, h: float = 1e-5
 ) -> float:
     """Relative residual between the finite-difference branch slope of
     L + sigma * P at a simple eigenvalue and the per-edge closed form
@@ -194,26 +175,11 @@ def derivative_identity_check(
     """
     if sigma - h < 0 or sigma + h > 1:
         raise ValueError("sigma must lie in [h, 1 - h] for a central difference")
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
 
-    spec = eigendecompose(flow_matrix(g, pert, sigma))
-    j = int(np.argmax(np.abs(spec.eigenvectors.T @ u)))
-    if len(spec.group_of(j)) != 1:
-        raise DegenerateEigenvalue(
-            f"eigenvalue {spec.eigenvalues[j]:.12g} at sigma={sigma:g} is degenerate"
+    def closed_form(u: np.ndarray) -> float:
+        return sum(
+            w * (np.sqrt(q_ji) * u[i] + np.sqrt(q_ij) * u[j]) ** 2
+            for i, j, w, q_ij, q_ji in pert.blocks
         )
-    u = spec.eigenvectors[:, j]
 
-    def branch_value(s: float) -> float:
-        sp = eigendecompose(flow_matrix(g, pert, s))
-        return float(sp.eigenvalues[np.argmax(np.abs(sp.eigenvectors.T @ u))])
-
-    fd = (branch_value(sigma + h) - branch_value(sigma - h)) / (2.0 * h)
-
-    pred = 0.0
-    for i, j2, w, q_ij, q_ji in pert.blocks:
-        term = np.sqrt(q_ji) * u[i] + np.sqrt(q_ij) * u[j2]
-        pred += w * term * term
-
-    return abs(fd - pred) / max(1.0, abs(fd), abs(pred))
+    return derivative_residual(lambda s: flow_matrix(pert, s), sigma, u, h, closed_form)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .errors import NotConnected
 
@@ -62,11 +64,10 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """Dense symmetric PSD matrix with a provenance tag saying how it was
-    assembled (plain Laplacian, edge flow at sigma, subdivision at sigma...)."""
+    """Dense symmetric PSD matrix: a Laplacian or a flow matrix at some
+    sigma."""
 
     matrix: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -89,7 +90,7 @@ def laplacian(g: WeightedGraph) -> LaplacianMatrix:
         L[j, i] -= w
     for i, d in enumerate(g.diag_extra):
         L[i, i] += d
-    return LaplacianMatrix(L, "laplacian")
+    return LaplacianMatrix(L)
 
 
 def adjacency_lists(g: WeightedGraph) -> list[list[int]]:
@@ -103,27 +104,23 @@ def adjacency_lists(g: WeightedGraph) -> list[list[int]]:
     return adj
 
 
+def components(n: int, edges, vertices=None) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the graph on ``vertices`` (default: all of
+    0..n-1) joined by ``edges`` (tuples starting i, j), each sorted and
+    ordered by smallest member. Edges must join listed vertices."""
+    ij = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2)
+    adj = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n, n))
+    _, labels = _csgraph_components(adj, directed=False)
+    comps: dict[int, list[int]] = {}
+    for v in range(n) if vertices is None else sorted(vertices):
+        comps.setdefault(int(labels[v]), []).append(int(v))
+    return tuple(tuple(c) for c in comps.values())
+
+
 def connected_components(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the connected components, each sorted, ordered by
     smallest member."""
-    adj = adjacency_lists(g)
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    return components(g.n, g.edges)
 
 
 def is_connected(g: WeightedGraph) -> bool:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroVertex
-from .graph_core import Edge, WeightedGraph, betti_1, connected_components, laplacian
+from .errors import AssumptionViolated, ZeroVertex
+from .graph_core import Edge, WeightedGraph, betti_1, components, laplacian
 from .spectra import Spectrum
 
 # Relative threshold under which an eigenvector entry counts as zero.
@@ -41,6 +41,20 @@ class EigenSelection:
         v = np.asarray(self.psi, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "psi", v)
+
+    def check_assumptions(self, allow_degenerate: bool) -> tuple[str, ...]:
+        """Raise AssumptionViolated unless psi is nowhere zero and lambda_k
+        simple; a degenerate lambda_k is let through, as a warning, only
+        when allow_degenerate is set."""
+        if not self.nowhere_zero:
+            raise AssumptionViolated("nowhere_zero", "eigenvector has zero entries")
+        if not self.simple:
+            if not allow_degenerate:
+                raise AssumptionViolated(
+                    "simple", f"lambda_{self.k} = {self.lambda_k:.12g} is degenerate"
+                )
+            return ("degenerate_lambda_k",)
+        return ()
 
 
 def zero_vertices(psi: np.ndarray) -> tuple[int, ...]:
@@ -90,10 +104,6 @@ class NodalDecomposition:
     deficiency: int
 
 
-def _components_from_edges(n: int, edges) -> tuple[tuple[int, ...], ...]:
-    return connected_components(WeightedGraph(n, tuple(edges)))
-
-
 def nodal_decomposition(g: WeightedGraph, sel: EigenSelection) -> NodalDecomposition:
     """Strong and weak nodal domains of the selected eigenvector.
 
@@ -104,8 +114,8 @@ def nodal_decomposition(g: WeightedGraph, sel: EigenSelection) -> NodalDecomposi
     psi = sel.psi
     e_pm = sign_change_edges(g, psi)
     pm = {(i, j) for i, j, _ in e_pm}
-    strong = _components_from_edges(g.n, [e for e in g.edges if (e[0], e[1]) not in pm])
-    weak = _components_from_edges(g.n, [e for e in g.edges if psi[e[0]] * psi[e[1]] >= 0])
+    strong = components(g.n, [e for e in g.edges if (e[0], e[1]) not in pm])
+    weak = components(g.n, [e for e in g.edges if psi[e[0]] * psi[e[1]] >= 0])
     nu = len(strong)
     return NodalDecomposition(
         strong_domains=strong,
@@ -129,30 +139,12 @@ def strong_domains_allowing_zeros(
     psi = np.asarray(psi, dtype=float)
     zeros = zero_vertices(psi)
     zset = set(zeros)
-    adj: dict[int, list[int]] = {i: [] for i in range(g.n) if i not in zset}
-    for i, j, _ in g.edges:
-        if i in zset or j in zset:
-            continue
-        if psi[i] * psi[j] > 0:
-            adj[i].append(j)
-            adj[j].append(i)
-    seen: set[int] = set()
-    domains = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        domains.append(tuple(sorted(comp)))
-    return tuple(domains), zeros
+    same_sign = [
+        e for e in g.edges
+        if e[0] not in zset and e[1] not in zset and psi[e[0]] * psi[e[1]] > 0
+    ]
+    domains = components(g.n, same_sign, set(range(g.n)) - zset)
+    return domains, zeros
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from .errors import EigFailure
+from .errors import DegenerateEigenvalue, EigFailure
 from .graph_core import LaplacianMatrix
 
 # Relative tolerance for clustering eigenvalues into multiplicity groups.
@@ -77,13 +77,9 @@ def _as_matrix(M) -> np.ndarray:
 def _sign_normalize(vecs: np.ndarray) -> np.ndarray:
     """Flip each column so its first entry larger than SIGN_TOL in absolute
     value is positive."""
-    out = vecs.copy()
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        idx = np.flatnonzero(np.abs(col) > SIGN_TOL)
-        if idx.size and col[idx[0]] < 0:
-            out[:, c] = -col
-    return out
+    first = np.argmax(np.abs(vecs) > SIGN_TOL, axis=0)
+    lead = vecs[first, np.arange(vecs.shape[1])]
+    return np.where(lead < -SIGN_TOL, -vecs, vecs)
 
 
 def _cluster(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -146,7 +142,6 @@ class FlowResult:
     crossings: tuple[BranchCrossing, ...]
     converged_count: int
     refinement_exhausted: bool = False
-    block_matches: tuple = ()
     branch_origins: tuple[str, ...] | None = None
     warnings: tuple[str, ...] = ()
     count_identity_ok: bool | None = None
@@ -200,17 +195,16 @@ def _procrustes(Vb_block: np.ndarray, target: np.ndarray) -> np.ndarray:
 def _match_step(a: _Node, b: _Node, overlap_min: float, first: bool):
     """Match branches between adjacent nodes.
 
-    Returns (ok, perm, block_events). perm[i] is the column of b continuing
-    column i of a. Degenerate clusters are compared as subspaces; equal-size
-    full block maps get the arriving basis rotated into alignment. On
-    success, b.vecs (and a.vecs when first) may be updated in place.
+    Returns (ok, perm). perm[i] is the column of b continuing column i of
+    a. Degenerate clusters are compared as subspaces; equal-size full block
+    maps get the arriving basis rotated into alignment. On success, b.vecs
+    (and a.vecs when first) may be updated in place.
     """
     O = np.abs(a.vecs.T @ b.vecs)
     rows, cols = linear_sum_assignment(-O)
     perm = np.empty(len(rows), dtype=int)
     perm[rows] = cols
 
-    block_events = []
     rotations = []  # (Hb sorted tuple, target matrix)
     checked_blocks = set()
     for i in range(len(perm)):
@@ -219,7 +213,7 @@ def _match_step(a: _Node, b: _Node, overlap_min: float, first: bool):
         Ga = a.group_of[i]
         Hb = b.group_of[perm[i]]
         if len(Ga) == 1 and len(Hb) == 1:
-            return False, perm, []
+            return False, perm
         key = (Ga, Hb)
         if key in checked_blocks:
             continue
@@ -227,17 +221,16 @@ def _match_step(a: _Node, b: _Node, overlap_min: float, first: bool):
         images = {int(perm[g]) for g in Ga}
         if len(Ga) <= len(Hb):
             if not images <= set(Hb):
-                return False, perm, []
+                return False, perm
         else:
             preimages = {g for g in Ga if perm[g] in set(Hb)}
             if len(preimages) < len(Hb):
-                return False, perm, []
+                return False, perm
         A = a.vecs[:, list(Ga)].T @ b.vecs[:, list(Hb)]
         s = scipy.linalg.svdvals(A)
         k = min(len(Ga), len(Hb))
         if s[k - 1] < overlap_min:
-            return False, perm, []
-        block_events.append((b.sigma, Ga, Hb))
+            return False, perm
         if len(Ga) == len(Hb) and images == set(Hb):
             # Columns of the target ordered to match Hb's column order.
             order = sorted(range(len(Ga)), key=lambda t: perm[Ga[t]])
@@ -264,11 +257,36 @@ def _match_step(a: _Node, b: _Node, overlap_min: float, first: bool):
     for i in range(len(perm)):
         if a.vecs[:, i] @ b.vecs[:, perm[i]] < 0:
             b.vecs[:, perm[i]] = -b.vecs[:, perm[i]]
-    return True, perm, block_events
+    return True, perm
 
 
 def _locate_branch(spec: Spectrum, v: np.ndarray) -> int:
     return int(np.argmax(np.abs(spec.eigenvectors.T @ v)))
+
+
+def derivative_residual(family, sigma: float, u, h: float, closed_form) -> float:
+    """Relative residual between the central-difference slope at sigma of
+    the branch of ``family`` whose eigenvector best matches u and
+    ``closed_form(v)``, v being that branch's eigenvector at sigma.
+
+    DegenerateEigenvalue is raised when the matched eigenvalue is not
+    simple, since the branch slope is then undefined.
+    """
+    spec = eigendecompose(family(sigma))
+    j = _locate_branch(spec, np.asarray(u, dtype=float))
+    if len(spec.group_of(j)) != 1:
+        raise DegenerateEigenvalue(
+            f"eigenvalue {spec.eigenvalues[j]:.12g} at sigma={sigma:g} is degenerate"
+        )
+    v = spec.eigenvectors[:, j]
+
+    def branch_value(s: float) -> float:
+        sp = eigendecompose(family(s))
+        return float(sp.eigenvalues[_locate_branch(sp, v)])
+
+    fd = (branch_value(sigma + h) - branch_value(sigma - h)) / (2.0 * h)
+    pred = closed_form(v)
+    return abs(fd - pred) / max(1.0, abs(fd), abs(pred))
 
 
 def _bracket_crossing(flow, lo, hi, v_lo, sign_lo, reference, width):
@@ -341,12 +359,11 @@ def track_branches(
         nodes = [evaluate(s) for s in sigmas]
 
     perms: list[np.ndarray] = []
-    block_matches: list = []
     refinement_exhausted = False
     t = 0
     while t < len(nodes) - 1:
         a, b = nodes[t], nodes[t + 1]
-        ok, perm, events = _match_step(a, b, overlap_min, first=(t == 0))
+        ok, perm = _match_step(a, b, overlap_min, first=(t == 0))
         if ok and expect_monotone:
             scale = max(1.0, abs(reference_value), float(np.max(np.abs(a.vals))))
             ok = float(np.min(b.vals[perm] - a.vals)) >= -1e-11 * scale
@@ -357,7 +374,6 @@ def track_branches(
         if not ok:
             refinement_exhausted = True
         perms.append(perm)
-        block_matches.extend(events)
         t += 1
 
     B = nodes[0].vals.shape[0]
@@ -378,9 +394,12 @@ def track_branches(
     crossings = []
     for bidx in range(B):
         d = branch_values[bidx] - reference_value
-        for t in range(T - 1):
-            if d[t] * d[t + 1] < 0 and abs(d[t]) > cross_tol and abs(d[t + 1]) > cross_tol:
-                lo, hi = grid[t], grid[t + 1]
+        # Pair each point clear of the reference with the next one, so a
+        # crossing that lands on a grid point is still bracketed.
+        clear = np.flatnonzero(np.abs(d) > cross_tol)
+        for t, t_next in zip(clear, clear[1:]):
+            if d[t] * d[t_next] < 0:
+                lo, hi = grid[t], grid[t_next]
                 if bracket_width is not None and hi - lo > bracket_width:
                     lo, hi = _bracket_crossing(
                         flow_matrix, lo, hi, branch_vectors[bidx, t],
@@ -401,5 +420,4 @@ def track_branches(
         crossings=tuple(crossings),
         converged_count=converged,
         refinement_exhausted=refinement_exhausted,
-        block_matches=tuple(block_matches),
     )

@@ -17,10 +17,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateEigenvalue
 from .graph_core import Edge, LaplacianMatrix, WeightedGraph, laplacian
 from .nodal import EigenSelection, sign_change_edges
-from .spectra import FlowResult, eigendecompose, group_tolerance, track_branches
+from .spectra import (
+    FlowResult,
+    derivative_residual,
+    eigendecompose,
+    group_tolerance,
+    track_branches,
+)
 
 
 @dataclass(frozen=True)
@@ -28,18 +33,29 @@ class SubdivisionGraph:
     """Base graph plus one ghost vertex per sign-change edge.
 
     sign_edges[p] = (i, j, w) gets ghost vertex n_base + p; q[p] holds
-    (q_ij, q_ji) with q_ij = -psi_i / psi_j.
+    (q_ij, q_ji) with q_ij = -psi_i / psi_j. kept_edges are the other base
+    edges; ghost_edges are the half-edges (i, ghost, w (1 + q_ji)) and
+    (j, ghost, w (1 + q_ij)) at full weight. The flow matrix is a fixed
+    combination of three Laplacians on all n_total vertices: ``kept``
+    (kept edges plus the base diagonal), ``cut`` (sign-change edges) and
+    ``ghost`` (ghost half-edges).
     """
 
     base: WeightedGraph
     sign_edges: tuple[Edge, ...]
     q: tuple[tuple[float, float], ...]
     psi: np.ndarray
+    kept_edges: tuple[Edge, ...]
+    ghost_edges: tuple[Edge, ...]
+    kept: np.ndarray
+    cut: np.ndarray
+    ghost: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.psi, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "psi", v)
+        for name in ("psi", "kept", "cut", "ghost"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
     @property
     def n_base(self) -> int:
@@ -53,6 +69,10 @@ class SubdivisionGraph:
     def n_total(self) -> int:
         return self.base.n + len(self.sign_edges)
 
+    @property
+    def diag_extra(self) -> tuple[float, ...]:
+        return tuple(self.base.diag_extra) + (0.0,) * self.n_ghost
+
     def ghost_index(self, position: int) -> int:
         return self.base.n + position
 
@@ -62,56 +82,61 @@ def subdivide(g: WeightedGraph, sel: EigenSelection) -> SubdivisionGraph:
     psi = sel.psi
     edges = sign_change_edges(g, psi)
     q = tuple((float(-psi[i] / psi[j]), float(-psi[j] / psi[i])) for i, j, _ in edges)
-    return SubdivisionGraph(base=g, sign_edges=edges, q=q, psi=psi)
+    pm = {(i, j) for i, j, _ in edges}
+    kept_edges = tuple(e for e in g.edges if (e[0], e[1]) not in pm)
+    ghost_edges = []
+    for p, ((i, j, w), (q_ij, q_ji)) in enumerate(zip(edges, q)):
+        ghost_edges.append((i, g.n + p, w * (1.0 + q_ji)))
+        ghost_edges.append((j, g.n + p, w * (1.0 + q_ij)))
+    n_total = g.n + len(edges)
+    diag = tuple(g.diag_extra) + (0.0,) * len(edges)
+    return SubdivisionGraph(
+        base=g,
+        sign_edges=edges,
+        q=q,
+        psi=psi,
+        kept_edges=kept_edges,
+        ghost_edges=tuple(ghost_edges),
+        kept=laplacian(WeightedGraph(n_total, kept_edges, diag)).matrix,
+        cut=laplacian(WeightedGraph(n_total, edges)).matrix,
+        ghost=laplacian(WeightedGraph(n_total, tuple(ghost_edges))).matrix,
+    )
 
 
 def graph_at(sg: SubdivisionGraph, sigma: float) -> WeightedGraph:
     """The weighted subdivision graph at flow parameter sigma >= 0.
 
     Sign-change edges keep weight w / (1 + sigma); their ghost half-edges
-    carry (sigma / (1 + sigma)) * w * (1 + q) with q = q_ji on the i side
-    and q_ij on the j side. At sigma = 0 the ghost edges vanish (zero
-    weight means absence) and the base graph is recovered on the first
-    n_base vertices.
+    carry sigma / (1 + sigma) of their full weight. At sigma = 0 the ghost
+    edges vanish (zero weight means absence) and the base graph is
+    recovered on the first n_base vertices.
     """
     if sigma < 0:
         raise ValueError(f"sigma={sigma} must be nonnegative")
-    pm = {(i, j) for i, j, _ in sg.sign_edges}
-    edges = [e for e in sg.base.edges if (e[0], e[1]) not in pm]
     s = sigma / (1.0 + sigma)
-    for p, (i, j, w) in enumerate(sg.sign_edges):
-        q_ij, q_ji = sg.q[p]
-        gh = sg.ghost_index(p)
-        edges.append((i, j, w / (1.0 + sigma)))
-        if s > 0:
-            edges.append((i, gh, s * w * (1.0 + q_ji)))
-            edges.append((j, gh, s * w * (1.0 + q_ij)))
-    diag = tuple(sg.base.diag_extra) + (0.0,) * sg.n_ghost
-    return WeightedGraph(sg.n_total, tuple(edges), diag)
+    edges = sg.kept_edges + tuple((i, j, w / (1.0 + sigma)) for i, j, w in sg.sign_edges)
+    if s > 0:
+        edges += tuple((i, gh, s * w) for i, gh, w in sg.ghost_edges)
+    return WeightedGraph(sg.n_total, edges, sg.diag_extra)
 
 
 def limit_graph(sg: SubdivisionGraph) -> WeightedGraph:
     """The sigma -> infinity subdivision graph: sign-change edges are gone
     and the ghost half-edges carry their full weight w * (1 + q)."""
-    pm = {(i, j) for i, j, _ in sg.sign_edges}
-    edges = [e for e in sg.base.edges if (e[0], e[1]) not in pm]
-    for p, (i, j, w) in enumerate(sg.sign_edges):
-        q_ij, q_ji = sg.q[p]
-        gh = sg.ghost_index(p)
-        edges.append((i, gh, w * (1.0 + q_ji)))
-        edges.append((j, gh, w * (1.0 + q_ij)))
-    diag = tuple(sg.base.diag_extra) + (0.0,) * sg.n_ghost
-    return WeightedGraph(sg.n_total, tuple(edges), diag)
+    return WeightedGraph(sg.n_total, sg.kept_edges + sg.ghost_edges, sg.diag_extra)
 
 
 def bilinear_matrix(sg: SubdivisionGraph, sigma: float) -> LaplacianMatrix:
-    """Matrix of B_sigma: the subdivision Laplacian plus sigma on the ghost
-    diagonal. PSD for every sigma >= 0."""
-    M = laplacian(graph_at(sg, sigma)).matrix.copy()
-    for p in range(sg.n_ghost):
-        gh = sg.ghost_index(p)
-        M[gh, gh] += sigma
-    return LaplacianMatrix(M, f"subdivision(sigma={sigma:g})")
+    """Matrix of B_sigma: kept + cut / (1 + sigma) + (sigma / (1 + sigma))
+    ghost, plus sigma on the ghost diagonal. This is the Laplacian of
+    graph_at(sg, sigma) plus the ghost mass, PSD for every sigma >= 0."""
+    if sigma < 0:
+        raise ValueError(f"sigma={sigma} must be nonnegative")
+    M = sg.kept + sg.cut / (1.0 + sigma)
+    M += (sigma / (1.0 + sigma)) * sg.ghost
+    ghosts = np.arange(sg.n_base, sg.n_total)
+    M[ghosts, ghosts] += sigma
+    return LaplacianMatrix(M)
 
 
 def extension_coefficients(sg: SubdivisionGraph) -> tuple[tuple[float, float], ...]:
@@ -150,17 +175,6 @@ def _dirichlet_values(sg: SubdivisionGraph) -> np.ndarray:
 
     dp = dirichlet_problem(limit_graph(sg), tuple(range(sg.n_base)))
     return eigendecompose(dp.matrix).eigenvalues
-
-
-def _dirichlet_gap(sg: SubdivisionGraph, lambda_k: float) -> float:
-    """Distance from lambda_k to the nearest other distinct eigenvalue of
-    the exact sigma = infinity Dirichlet spectrum. Falls back to
-    max(lambda_k, 1) if every Dirichlet eigenvalue equals lambda_k."""
-    vals = _dirichlet_values(sg)
-    others = vals[np.abs(vals - lambda_k) > group_tolerance(lambda_k)]
-    if len(others) == 0:
-        return max(lambda_k, 1.0)
-    return float(np.min(np.abs(others - lambda_k)))
 
 
 def _classify_origins(
@@ -216,12 +230,10 @@ def run_vertex_flow(
     branch values are paired in sorted order with the Dirichlet
     eigenvalues, and a branch counts as converged to lambda_k when its
     paired limit equals lambda_k and the residual is below
-    max(conv_tol, gap/2), conv_tol = max(1e-6, gap/100). branch_origins
+    max(1e-6, gap/2). branch_origins
     labels every branch 'ghost' or 'spectrum'.
     """
-    from .edge_flow import _check_assumptions
-
-    warnings = _check_assumptions(sel, allow_degenerate)
+    warnings = sel.check_assumptions(allow_degenerate)
     sg = subdivide(g, sel)
     grid = _vertex_grid(sigma_max, steps)
     fr = track_branches(
@@ -238,7 +250,7 @@ def run_vertex_flow(
     gap = float(np.min(np.abs(others - sel.lambda_k))) if others.size else max(
         sel.lambda_k, 1.0
     )
-    accept = max(max(1e-6, gap / 100.0), gap / 2.0)
+    accept = max(1e-6, gap / 2.0)
     finals = fr.branch_values[:, -1]
     lowest = np.argsort(finals)[: len(dvals)]
     converging = set()
@@ -301,30 +313,15 @@ def derivative_identity_check(
     """
     if sigma - h < 0:
         raise ValueError("sigma must be at least h for a central difference")
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
 
-    spec = eigendecompose(bilinear_matrix(sg, sigma))
-    j = int(np.argmax(np.abs(spec.eigenvectors.T @ u)))
-    if len(spec.group_of(j)) != 1:
-        raise DegenerateEigenvalue(
-            f"eigenvalue {spec.eigenvalues[j]:.12g} at sigma={sigma:g} is degenerate"
-        )
-    u = spec.eigenvectors[:, j]
+    def closed_form(u: np.ndarray) -> float:
+        s2 = (1.0 + sigma) ** 2
+        pred = 0.0
+        for p, (i, j, w) in enumerate(sg.sign_edges):
+            q_ij, q_ji = sg.q[p]
+            gh = sg.ghost_index(p)
+            term = u[gh] + q_ji * u[gh] - q_ji * u[i] - u[j]
+            pred += (w / s2) * q_ij * term * term
+        return pred + float(np.sum(u[sg.n_base:] ** 2))
 
-    def branch_value(s: float) -> float:
-        sp = eigendecompose(bilinear_matrix(sg, s))
-        return float(sp.eigenvalues[np.argmax(np.abs(sp.eigenvectors.T @ u))])
-
-    fd = (branch_value(sigma + h) - branch_value(sigma - h)) / (2.0 * h)
-
-    s2 = (1.0 + sigma) ** 2
-    pred = 0.0
-    for p, (i, j2, w) in enumerate(sg.sign_edges):
-        q_ij, q_ji = sg.q[p]
-        gh = sg.ghost_index(p)
-        term = u[gh] + q_ji * u[gh] - q_ji * u[i] - u[j2]
-        pred += (w / s2) * q_ij * term * term
-    pred += float(np.sum(u[sg.n_base:] ** 2))
-
-    return abs(fd - pred) / max(1.0, abs(fd), abs(pred))
+    return derivative_residual(lambda s: bilinear_matrix(sg, s), sigma, u, h, closed_form)

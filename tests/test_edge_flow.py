@@ -11,7 +11,7 @@ from nodalflow.edge_flow import (
     sign_preserving_graph,
 )
 from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue
-from nodalflow.families import complete, grid, interval, petersen
+from nodalflow.families import complete, generate_connected_er, grid, interval, petersen
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import perturb_to_nonzero, select_eigenpair
 from nodalflow.spectra import eigendecompose
@@ -58,11 +58,11 @@ def test_flow_matrix_endpoints_and_range():
     g = interval(4)
     pert = build_perturbation(g, select(g, 2))
     L = laplacian(g).matrix
-    np.testing.assert_allclose(flow_matrix(g, pert, 0.0).matrix, L)
-    np.testing.assert_allclose(flow_matrix(g, pert, 1.0).matrix, L + pert.matrix)
+    np.testing.assert_allclose(flow_matrix(pert, 0.0).matrix, L)
+    np.testing.assert_allclose(flow_matrix(pert, 1.0).matrix, L + pert.matrix)
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError):
-            flow_matrix(g, pert, bad)
+            flow_matrix(pert, bad)
 
 
 @pytest.mark.parametrize(
@@ -76,7 +76,7 @@ def test_sign_preserving_graph_matches_sigma_one(g, k):
     sg = sign_preserving_graph(g, pert)
     assert sg.m == g.m - len(pert.blocks)
     np.testing.assert_allclose(
-        laplacian(sg).matrix, flow_matrix(g, pert, 1.0).matrix, atol=1e-12
+        laplacian(sg).matrix, flow_matrix(pert, 1.0).matrix, atol=1e-12
     )
 
 
@@ -149,6 +149,25 @@ def test_run_edge_flow_petersen_crossings():
     assert top == pytest.approx(0.990, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "g, k, steps, at",
+    [(grid(4, 3), 5, steps, (0.25, 0.5)) for steps in (9, 17, 33)]
+    + [(generate_connected_er(20, 0.7, 1003).graph, 19, 33, (0.8125,))],
+    ids=["grid4x3-9", "grid4x3-17", "grid4x3-33", "er20-1003-33"],
+)
+def test_run_edge_flow_crossing_on_grid_point(g, k, steps, at):
+    # These crossings land exactly on grid points, where the branch sits
+    # within the crossing tolerance of lambda_k.
+    sel = select(g, k)
+    fr = run_edge_flow(g, sel, steps=steps)
+    assert fr.count_identity_ok
+    assert fr.converged_count + len(fr.crossings) == sel.k
+    for c in fr.crossings:
+        assert 0 < c.sigma_hi - c.sigma_lo <= 1e-6
+    for s in at:
+        assert any(c.sigma_lo <= s <= c.sigma_hi for c in fr.crossings)
+
+
 def test_run_edge_flow_psi_branch_constant():
     g = petersen(7, 3)
     sel = select(g, 7)
@@ -188,12 +207,12 @@ def test_run_edge_flow_rejects_degenerate_without_flag():
 def test_derivative_identity_on_flow_eigenvectors():
     g = interval(4)
     pert = build_perturbation(g, select(g, 2))
-    spec = eigendecompose(flow_matrix(g, pert, 0.5))
+    spec = eigendecompose(flow_matrix(pert, 0.5))
     checked = 0
     for j in range(spec.n):
         if len(spec.group_of(j)) != 1:
             continue
-        res = derivative_identity_check(g, pert, 0.5, spec.eigenvectors[:, j])
+        res = derivative_identity_check(pert, 0.5, spec.eigenvectors[:, j])
         assert res < 1e-5
         checked += 1
     assert checked >= 3
@@ -204,15 +223,15 @@ def test_derivative_identity_sigma_range():
     pert = build_perturbation(g, select(g, 2))
     u = np.ones(4)
     with pytest.raises(ValueError):
-        derivative_identity_check(g, pert, 0.0, u)
+        derivative_identity_check(pert, 0.0, u)
     with pytest.raises(ValueError):
-        derivative_identity_check(g, pert, 1.0, u)
+        derivative_identity_check(pert, 1.0, u)
 
 
 def test_derivative_identity_rejects_degenerate():
     # Two disjoint unit edges give eigenvalue 2 with multiplicity 2.
     g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
-    pert = EdgePerturbation((), np.zeros((4, 4)))
+    pert = EdgePerturbation((), np.zeros((4, 4)), laplacian(g).matrix)
     u = np.array([1.0, -1.0, 0.0, 0.0])
     with pytest.raises(DegenerateEigenvalue):
-        derivative_identity_check(g, pert, 0.5, u)
+        derivative_identity_check(pert, 0.5, u)

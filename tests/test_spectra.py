@@ -5,6 +5,8 @@ import pytest
 
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.spectra import (
+    SIGN_TOL,
+    _sign_normalize,
     eigendecompose,
     group_tolerance,
     multiplicity_of,
@@ -46,6 +48,11 @@ def test_sign_convention_first_large_entry_positive():
         v = spec.eigenvectors[:, j]
         lead = v[np.abs(v) > 1e-12][0]
         assert lead > 0
+    # Leading entries that are zero or below SIGN_TOL do not decide the sign.
+    t = SIGN_TOL / 10
+    vecs = np.array([[0.0, t, -t], [-t, -0.6, t], [-0.8, 0.8, -t]])
+    expected = np.array([[0.0, -t, -t], [t, 0.6, t], [0.8, -0.8, -t]])
+    np.testing.assert_array_equal(_sign_normalize(vecs), expected)
 
 
 def test_eigenvectors_orthonormal():

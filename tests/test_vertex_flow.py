@@ -107,6 +107,18 @@ def test_extended_eigenvector_invariant_along_flow(sigma):
     assert resid < 1e-10
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, 1.0, 552.0, 1e4])
+def test_bilinear_matrix_matches_graph_at(sigma):
+    g = petersen(7, 3)
+    sg = subdivide(g, select(g, 7))
+    B = bilinear_matrix(sg, sigma).matrix
+    ref = laplacian(graph_at(sg, sigma)).matrix.copy()
+    ghosts = np.arange(sg.n_base, sg.n_total)
+    ref[ghosts, ghosts] += sigma
+    assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(B, B.T)
+
+
 def test_bilinear_matrix_is_psd():
     g = interval(4)
     sg = subdivide(g, select(g, 2))
