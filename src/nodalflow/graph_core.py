@@ -82,14 +82,14 @@ class LaplacianMatrix:
 def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     """Assemble L = D - A plus any diagonal additions. Exactly symmetric by
     construction."""
+    e = np.array(g.edges, dtype=float).reshape(-1, 3)
+    i, j, w = e[:, 0].astype(np.intp), e[:, 1].astype(np.intp), e[:, 2]
     L = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        L[i, i] += w
-        L[j, j] += w
-        L[i, j] -= w
-        L[j, i] -= w
-    for i, d in enumerate(g.diag_extra):
-        L[i, i] += d
+    L[i, j] = L[j, i] = -w
+    # Degrees are summed in edge order, i before j, as a loop over the edges
+    # would sum them, so every bit of the result is reproducible.
+    deg = np.bincount(np.column_stack((i, j)).ravel(), np.repeat(w, 2), g.n)
+    L[np.diag_indices(g.n)] = deg + np.array(g.diag_extra)
     return LaplacianMatrix(L)
 
 

@@ -5,7 +5,7 @@ across a grid by maximum-weight bipartite matching on eigenvector overlaps.
 Intervals where the best matching is ambiguous (overlap below ``OVERLAP_MIN``)
 are bisected adaptively down to a minimum step; degenerate eigenvalue
 clusters are matched as whole subspaces and re-aligned by orthogonal
-Procrustes so stored branch vectors stay continuous through them.
+Procrustes so branch vectors stay continuous through them.
 """
 
 from __future__ import annotations
@@ -130,14 +130,15 @@ class BranchCrossing:
 class FlowResult:
     """Tracked eigenvalue branches of a matrix family over a sigma grid.
 
-    branch_values[b, t] is branch b at sigma_grid[t]; branch_vectors[b, t]
-    is its (sign-aligned) eigenvector there. The branch index b is the
-    eigenvalue position at the first grid point.
+    branch_values[b, t] is branch b at sigma_grid[t]. The branch index b
+    is the eigenvalue position at the first grid point, and
+    start_vectors[:, b] is branch b's eigenvector there, with degenerate
+    clusters rotated into alignment with where their branches go.
     """
 
     sigma_grid: np.ndarray
     branch_values: np.ndarray
-    branch_vectors: np.ndarray
+    start_vectors: np.ndarray
     reference_value: float
     crossings: tuple[BranchCrossing, ...]
     converged_count: int
@@ -147,7 +148,7 @@ class FlowResult:
     count_identity_ok: bool | None = None
 
     def __post_init__(self):
-        for name in ("sigma_grid", "branch_values", "branch_vectors"):
+        for name in ("sigma_grid", "branch_values", "start_vectors"):
             a = np.asarray(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -179,10 +180,7 @@ class _Node:
         self.vals = spec.eigenvalues
         self.vecs = spec.eigenvectors.copy()
         self.groups = spec.groups
-        self.group_of = {}
-        for g in spec.groups:
-            for i in g:
-                self.group_of[i] = g
+        self.group_of = {i: g for g in spec.groups for i in g}
 
 
 def _procrustes(Vb_block: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -253,7 +251,7 @@ def _match_step(a: _Node, b: _Node, overlap_min: float, first: bool):
             R = _procrustes(a.vecs[:, cols_a], target)
             a.vecs[:, cols_a] = a.vecs[:, cols_a] @ R
 
-    # Sign-align the continuation for smooth stored branch vectors.
+    # Sign-align the continuation for smooth branch vectors.
     for i in range(len(perm)):
         if a.vecs[:, i] @ b.vecs[:, perm[i]] < 0:
             b.vecs[:, perm[i]] = -b.vecs[:, perm[i]]
@@ -298,14 +296,12 @@ def _bracket_crossing(flow, lo, hi, v_lo, sign_lo, reference, width):
         spec = eigendecompose(flow(mid))
         j = _locate_branch(spec, v)
         d = spec.eigenvalues[j] - reference
-        if d == 0.0 or (d > 0) == (sign_lo > 0):
-            if d != 0.0:
-                lo = mid
-                v = spec.eigenvectors[:, j]
-            else:
-                lo = mid
-        else:
+        if d != 0.0 and (d > 0) != (sign_lo > 0):
             hi = mid
+        else:
+            lo = mid
+            if d != 0.0:
+                v = spec.eigenvectors[:, j]
     return lo, hi
 
 
@@ -332,15 +328,17 @@ def track_branches(
         at the final sigma (default: relative group tolerance)
     bracket_width : when set, each crossing bracket is narrowed to this
         width by bisection
-    threads : grid eigendecompositions run in a thread pool of this size
-        (None reads NODALFLOW_THREADS; 0 means auto)
+    threads : with more than one, a thread pool of this size solves grid
+        points at most ``threads`` ahead of the walk (None reads
+        NODALFLOW_THREADS; 0 means auto)
     expect_monotone : when the family is known non-decreasing, a matched
         step where some branch value drops is treated as an unresolved
         avoided crossing (the eigenvectors exchanged across the step) and
         the interval is refined like a matching failure
 
-    Refinement floors out at 1e-6 * max(min(1, span), sigma), so
-    log-spaced grids stay refinable near the origin; an interval at the
+    The grid is walked once; a crossing is bracketed as soon as the walk
+    passes it. Refinement floors out at 1e-6 * max(min(1, span), sigma),
+    so log-spaced grids stay refinable near the origin; an interval at the
     floor that still fails sets refinement_exhausted instead.
     """
     sigmas = [float(s) for s in sigma_grid]
@@ -352,72 +350,75 @@ def track_branches(
     def evaluate(sigma: float) -> _Node:
         return _Node(sigma, eigendecompose(flow_matrix(sigma)))
 
-    if nthreads > 1 and len(sigmas) > 8:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            nodes = list(pool.map(evaluate, sigmas))
-    else:
-        nodes = [evaluate(s) for s in sigmas]
+    def solved():
+        if nthreads > 1 and len(sigmas) > 8:
+            with ThreadPoolExecutor(max_workers=nthreads) as pool:
+                for i in range(0, len(sigmas), nthreads):
+                    yield from pool.map(evaluate, sigmas[i : i + nthreads])
+        else:
+            yield from map(evaluate, sigmas)
 
-    perms: list[np.ndarray] = []
+    nodes = solved()
+    a = next(nodes)
+    cross_tol = CROSS_TOL_REL * max(1.0, abs(reference_value))
+    # Each branch's offset from the reference, sigma and vector at its last
+    # point clear of the reference (offset 0 until it has one). Pairing clear
+    # points brackets even a crossing that lands on a grid point.
+    last_d = np.zeros(len(a.vals))
+    last_sigma = np.empty(len(a.vals))
+    last_vec = np.empty((len(a.vals), a.vecs.shape[0]))
+    grid, values, crossings = [], [], []
+
+    def record(node: _Node, cols: np.ndarray) -> None:
+        grid.append(node.sigma)
+        values.append(node.vals[cols])
+        d = values[-1] - reference_value
+        clear = np.abs(d) > cross_tol
+        for br in np.flatnonzero(clear & (last_d * d < 0)):
+            lo, hi = last_sigma[br], node.sigma
+            if bracket_width is not None and hi - lo > bracket_width:
+                lo, hi = _bracket_crossing(
+                    flow_matrix, lo, hi, last_vec[br], np.sign(last_d[br]),
+                    reference_value, bracket_width,
+                )
+            crossings.append(BranchCrossing(int(br), float(lo), float(hi), reference_value))
+        last_d[clear] = d[clear]
+        last_sigma[clear] = node.sigma
+        last_vec[clear] = node.vecs[:, cols[clear]].T
+
+    cols = np.arange(len(a.vals))
+    pending: list[_Node] = []  # refinement midpoints, nearest to a on top
+    start_vectors = None
     refinement_exhausted = False
-    t = 0
-    while t < len(nodes) - 1:
-        a, b = nodes[t], nodes[t + 1]
-        ok, perm = _match_step(a, b, overlap_min, first=(t == 0))
+    while (b := pending.pop() if pending else next(nodes, None)) is not None:
+        first = start_vectors is None
+        ok, perm = _match_step(a, b, overlap_min, first)
         if ok and expect_monotone:
             scale = max(1.0, abs(reference_value), float(np.max(np.abs(a.vals))))
             ok = float(np.min(b.vals[perm] - a.vals)) >= -1e-11 * scale
         floor = 1e-6 * max(min(1.0, span), abs(a.sigma))
         if not ok and (b.sigma - a.sigma) > 2 * floor:
-            nodes.insert(t + 1, evaluate(0.5 * (a.sigma + b.sigma)))
+            pending += [b, evaluate(0.5 * (a.sigma + b.sigma))]
             continue
         if not ok:
             refinement_exhausted = True
-        perms.append(perm)
-        t += 1
+        if first:
+            start_vectors = a.vecs
+            record(a, cols)
+        cols = perm[cols]
+        record(b, cols)
+        a = b
 
-    B = nodes[0].vals.shape[0]
-    T = len(nodes)
-    dim = nodes[0].vecs.shape[0]
-    cols = np.arange(B)
-    branch_values = np.empty((B, T))
-    branch_vectors = np.empty((B, T, dim))
-    branch_values[:, 0] = nodes[0].vals[cols]
-    branch_vectors[:, 0, :] = nodes[0].vecs[:, cols].T
-    for t in range(T - 1):
-        cols = perms[t][cols]
-        branch_values[:, t + 1] = nodes[t + 1].vals[cols]
-        branch_vectors[:, t + 1, :] = nodes[t + 1].vecs[:, cols].T
-
-    grid = np.array([nd.sigma for nd in nodes])
-    cross_tol = CROSS_TOL_REL * max(1.0, abs(reference_value))
-    crossings = []
-    for bidx in range(B):
-        d = branch_values[bidx] - reference_value
-        # Pair each point clear of the reference with the next one, so a
-        # crossing that lands on a grid point is still bracketed.
-        clear = np.flatnonzero(np.abs(d) > cross_tol)
-        for t, t_next in zip(clear, clear[1:]):
-            if d[t] * d[t_next] < 0:
-                lo, hi = grid[t], grid[t_next]
-                if bracket_width is not None and hi - lo > bracket_width:
-                    lo, hi = _bracket_crossing(
-                        flow_matrix, lo, hi, branch_vectors[bidx, t],
-                        np.sign(d[t]), reference_value, bracket_width,
-                    )
-                crossings.append(
-                    BranchCrossing(bidx, float(lo), float(hi), reference_value)
-                )
-
+    branch_values = np.stack(values, axis=1)
     tol = converged_tol if converged_tol is not None else group_tolerance(reference_value)
     converged = int(np.sum(np.abs(branch_values[:, -1] - reference_value) <= tol))
 
     return FlowResult(
-        sigma_grid=grid,
+        sigma_grid=np.array(grid),
         branch_values=branch_values,
-        branch_vectors=branch_vectors,
+        start_vectors=start_vectors,
         reference_value=float(reference_value),
-        crossings=tuple(crossings),
+        crossings=tuple(sorted(crossings, key=lambda c: (c.branch, c.sigma_lo))),
         converged_count=converged,
         refinement_exhausted=refinement_exhausted,
     )

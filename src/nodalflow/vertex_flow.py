@@ -194,13 +194,12 @@ def _classify_origins(
     start_vals = fr.branch_values[:, 0]
     tol0 = group_tolerance(0.0)
     zero_cluster = [b for b in range(fr.n_branches) if abs(start_vals[b]) <= tol0]
-    dim = fr.branch_vectors.shape[2]
-    const = np.zeros(dim)
+    const = np.zeros(fr.start_vectors.shape[0])
     const[:n_base] = 1.0 / np.sqrt(n_base)
     origins = ["spectrum"] * fr.n_branches
     if zero_cluster:
         overlaps = {
-            b: abs(float(fr.branch_vectors[b, 0] @ const)) for b in zero_cluster
+            b: abs(float(fr.start_vectors[:, b] @ const)) for b in zero_cluster
         }
         pool = [b for b in zero_cluster if b not in converging] or zero_cluster
         kernel_branch = max(pool, key=lambda b: overlaps[b])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,17 @@ def test_derivative_identity_rejects_degenerate():
     u = np.array([1.0, -1.0, 0.0, 0.0])
     with pytest.raises(DegenerateEigenvalue):
         derivative_identity_check(pert, 0.5, u)
+
+
+def test_run_edge_flow_memory_stays_per_node():
+    # The walk holds a few eigenvector matrices, not one per grid point
+    # (200 of 100 x 100 floats, 16 MB, for this flow).
+    g = grid(10, 10)
+    sel = select(g, 20)
+    tracemalloc.start()
+    try:
+        run_edge_flow(g, sel, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

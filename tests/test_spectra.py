@@ -165,3 +165,31 @@ def test_threads_env_does_not_change_values(monkeypatch):
     four = track_branches(fam, grid, 2.0)
     np.testing.assert_array_equal(one.branch_values, four.branch_values)
     assert os.environ["NODALFLOW_THREADS"] == "4"
+
+    # A block whose eigenvectors turn by 90 degrees near sigma = 0.45 looks
+    # like an exchange of its two constant branches on the coarse grid, so
+    # the monotone check refines there; the third branch crosses the
+    # reference at sigma = 0.7. Fourteen points leave a short last chunk
+    # for three threads.
+    def turning(s):
+        angle = (np.pi / 2) / (1.0 + np.exp(-(s - 0.45) / 0.01))
+        c, t = np.cos(angle), np.sin(angle)
+        R = np.array([[c, -t], [t, c]])
+        M = np.zeros((3, 3))
+        M[:2, :2] = R @ np.diag([3.0, 4.0]) @ R.T
+        M[2, 2] = 0.5 + s
+        return M
+
+    grid = np.linspace(0.0, 1.0, 14)
+    runs = []
+    for n in ("1", "3", "4"):
+        monkeypatch.setenv("NODALFLOW_THREADS", n)
+        runs.append(
+            track_branches(turning, grid, 1.2, bracket_width=1e-6, expect_monotone=True)
+        )
+    assert len(runs[0].sigma_grid) > len(grid)
+    assert len(runs[0].crossings) == 1
+    for fr in runs[1:]:
+        np.testing.assert_array_equal(fr.sigma_grid, runs[0].sigma_grid)
+        np.testing.assert_array_equal(fr.branch_values, runs[0].branch_values)
+        assert fr.crossings == runs[0].crossings

@@ -136,6 +136,9 @@ def test_run_vertex_flow_interval_golden():
     assert fr.sigma_grid[0] == 0.0
     assert fr.sigma_grid[-1] == 1e4
     assert fr.branch_origins.count("ghost") == 2
+    V = fr.start_vectors
+    assert V.shape == (subdivide(g, sel).n_total, fr.n_branches)
+    np.testing.assert_allclose(V.T @ V, np.eye(fr.n_branches), atol=1e-12)
     # Exactly two of the branches closing on lambda_3 come from ghosts; the
     # third is the invariant extended eigenvector.
     finals = fr.branch_values[:, -1]
