@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInterior, NotAComponent
+from .errors import EmptyInterior
 from .graph_core import Edge, WeightedGraph, components, laplacian
 from .spectra import SIGN_TOL, Spectrum, eigendecompose
-from .vertex_flow import SubdivisionGraph, limit_graph
 
 
 @dataclass(frozen=True)
@@ -122,29 +121,3 @@ def component_first_eigenpairs(
             )
         )
     return tuple(reports)
-
-
-def restrict_eigenvector(
-    sg: SubdivisionGraph, psi: np.ndarray, component
-) -> np.ndarray:
-    """Restrict a base eigenvector to one strong nodal domain, zero-extended
-    over the rest of the subdivision (ghosts included).
-
-    ``component`` must be one of the D-connected components of the base
-    vertex set inside the sigma = infinity subdivision graph (these are
-    exactly the strong nodal domains); otherwise NotAComponent is raised.
-    The result satisfies the Dirichlet eigenvalue equation at psi's
-    Rayleigh quotient on the component's interior rows.
-    """
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (sg.n_base,):
-        raise ValueError(f"expected base vector of length {sg.n_base}")
-    comp = tuple(sorted(int(v) for v in component))
-    lim = limit_graph(sg)
-    comps = d_connected_components(lim, tuple(range(sg.n_base)))
-    if comp not in comps:
-        raise NotAComponent(f"{comp} is not a D-connected component")
-    out = np.zeros(sg.n_total)
-    idx = np.array(comp, dtype=int)
-    out[idx] = psi[idx]
-    return out

@@ -131,7 +131,8 @@ def run_edge_flow(
     converged + (crossings from below) = k is asserted; for a degenerate
     lambda_k (allow_degenerate=True) a failure is recorded as a warning
     instead of raised, since the identity is only guaranteed for simple
-    eigenvalues.
+    eigenvalues. ``threads`` is accepted and ignored: every sigma is solved
+    in the calling thread.
     """
     warnings = sel.check_assumptions(allow_degenerate)
     pert = build_perturbation(g, sel)
@@ -140,7 +141,6 @@ def run_edge_flow(
         np.linspace(0.0, 1.0, steps),
         sel.lambda_k,
         bracket_width=bracket_width,
-        threads=threads,
         expect_monotone=True,
     )
     nu = fr.converged_count

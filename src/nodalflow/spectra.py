@@ -10,9 +10,7 @@ Procrustes so branch vectors stay continuous through them.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -158,18 +156,6 @@ class FlowResult:
         return self.branch_values.shape[0]
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("NODALFLOW_THREADS", "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 1
-    if threads == 0:
-        threads = min(os.cpu_count() or 1, 8)
-    return max(1, threads)
-
-
 class _Node:
     """Mutable per-grid-point record used while walking the grid."""
 
@@ -313,7 +299,6 @@ def track_branches(
     overlap_min: float = OVERLAP_MIN,
     converged_tol: float | None = None,
     bracket_width: float | None = None,
-    threads: int | None = None,
     expect_monotone: bool = False,
 ) -> FlowResult:
     """Track all eigenvalue branches of ``flow_matrix(sigma)`` over a grid.
@@ -328,37 +313,26 @@ def track_branches(
         at the final sigma (default: relative group tolerance)
     bracket_width : when set, each crossing bracket is narrowed to this
         width by bisection
-    threads : with more than one, a thread pool of this size solves grid
-        points at most ``threads`` ahead of the walk (None reads
-        NODALFLOW_THREADS; 0 means auto)
     expect_monotone : when the family is known non-decreasing, a matched
         step where some branch value drops is treated as an unresolved
         avoided crossing (the eigenvectors exchanged across the step) and
         the interval is refined like a matching failure
 
-    The grid is walked once; a crossing is bracketed as soon as the walk
-    passes it. Refinement floors out at 1e-6 * max(min(1, span), sigma),
-    so log-spaced grids stay refinable near the origin; an interval at the
+    The grid is walked once, one eigensolve per point in the calling
+    thread; a crossing is bracketed as soon as the walk passes it.
+    Refinement floors out at 1e-6 * max(min(1, span), sigma), so
+    log-spaced grids stay refinable near the origin; an interval at the
     floor that still fails sets refinement_exhausted instead.
     """
     sigmas = [float(s) for s in sigma_grid]
     if len(sigmas) < 2 or any(s1 >= s2 for s1, s2 in zip(sigmas, sigmas[1:])):
         raise ValueError("sigma grid must be strictly increasing with >= 2 points")
     span = sigmas[-1] - sigmas[0]
-    nthreads = _resolve_threads(threads)
 
     def evaluate(sigma: float) -> _Node:
         return _Node(sigma, eigendecompose(flow_matrix(sigma)))
 
-    def solved():
-        if nthreads > 1 and len(sigmas) > 8:
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                for i in range(0, len(sigmas), nthreads):
-                    yield from pool.map(evaluate, sigmas[i : i + nthreads])
-        else:
-            yield from map(evaluate, sigmas)
-
-    nodes = solved()
+    nodes = map(evaluate, sigmas)
     a = next(nodes)
     cross_tol = CROSS_TOL_REL * max(1.0, abs(reference_value))
     # Each branch's offset from the reference, sigma and vector at its last

@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dirichlet import d_connected_components, dirichlet_problem
+from .errors import NotAComponent
 from .graph_core import Edge, LaplacianMatrix, WeightedGraph, laplacian
 from .nodal import EigenSelection, sign_change_edges
 from .spectra import (
@@ -162,6 +164,32 @@ def extend(sg: SubdivisionGraph, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def restrict_eigenvector(
+    sg: SubdivisionGraph, psi: np.ndarray, component
+) -> np.ndarray:
+    """Restrict a base eigenvector to one strong nodal domain, zero-extended
+    over the rest of the subdivision (ghosts included).
+
+    ``component`` must be one of the D-connected components of the base
+    vertex set inside the sigma = infinity subdivision graph (these are
+    exactly the strong nodal domains); otherwise NotAComponent is raised.
+    The result satisfies the Dirichlet eigenvalue equation at psi's
+    Rayleigh quotient on the component's interior rows.
+    """
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape != (sg.n_base,):
+        raise ValueError(f"expected base vector of length {sg.n_base}")
+    comp = tuple(sorted(int(v) for v in component))
+    lim = limit_graph(sg)
+    comps = d_connected_components(lim, tuple(range(sg.n_base)))
+    if comp not in comps:
+        raise NotAComponent(f"{comp} is not a D-connected component")
+    out = np.zeros(sg.n_total)
+    idx = np.array(comp, dtype=int)
+    out[idx] = psi[idx]
+    return out
+
+
 def _vertex_grid(sigma_max: float, steps: int) -> np.ndarray:
     return np.concatenate(
         [[0.0], np.logspace(-3.0, np.log10(sigma_max), steps)]
@@ -171,8 +199,6 @@ def _vertex_grid(sigma_max: float, steps: int) -> np.ndarray:
 def _dirichlet_values(sg: SubdivisionGraph) -> np.ndarray:
     """Sorted eigenvalues of the exact sigma = infinity Dirichlet problem
     on the base vertex set."""
-    from .dirichlet import dirichlet_problem
-
     dp = dirichlet_problem(limit_graph(sg), tuple(range(sg.n_base)))
     return eigendecompose(dp.matrix).eigenvalues
 
@@ -217,7 +243,6 @@ def run_vertex_flow(
     steps: int = 200,
     allow_degenerate: bool = False,
     bracket_width: float = 1e-6,
-    threads: int | None = None,
 ) -> FlowResult:
     """Track all branches of B_sigma from sigma = 0 toward the Dirichlet
     limit.
@@ -240,7 +265,6 @@ def run_vertex_flow(
         grid,
         sel.lambda_k,
         bracket_width=bracket_width,
-        threads=threads,
         expect_monotone=True,
     )
     dvals = _dirichlet_values(sg)

@@ -5,9 +5,6 @@ reports) and asserts the same condition, so `pytest -v tests/test_acceptance.py`
 reads as a checklist of the package's quantitative claims.
 """
 
-import subprocess
-import sys
-
 import numpy as np
 
 from nodalflow.dirichlet import (
@@ -15,7 +12,6 @@ from nodalflow.dirichlet import (
     d_connected_components,
     dirichlet_problem,
     dirichlet_spectrum,
-    restrict_eigenvector,
 )
 from nodalflow.edge_flow import (
     build_perturbation,
@@ -46,11 +42,13 @@ from nodalflow.vertex_flow import (
     check_edge_equivalence,
     derivative_identity_check,
     limit_graph,
+    restrict_eigenvector,
     run_vertex_flow,
     subdivide,
 )
 
 from _oracles import flood_fill_nodal_count
+from test_cli_io import run_cli
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -375,33 +373,26 @@ def test_criterion_09_flood_fill_oracle_equivalence():
 
 
 def test_criterion_10_cli_reproducibility(tmp_path):
-    def run(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "nodalflow", *argv],
-            capture_output=True,
-            text=True,
-        )
-
     ok = True
     details = []
 
     gen_outputs = []
     for tag in ("a", "b"):
         path = tmp_path / f"er_{tag}.json"
-        r = run("generate", "--family", "erdos_renyi", "--params", "18,0.4",
-                "--seed", "11", "-o", str(path))
+        r = run_cli("generate", "--family", "erdos_renyi", "--params", "18,0.4",
+                    "--seed", "11", "-o", str(path))
         ok = ok and r.returncode == 0
         gen_outputs.append(path.read_bytes())
     ok = ok and gen_outputs[0] == gen_outputs[1]
     details.append("generate" + ("=" if gen_outputs[0] == gen_outputs[1] else "!"))
 
     graph = tmp_path / "gp.json"
-    run("generate", "--family", "petersen", "--params", "7,3", "-o", str(graph))
+    run_cli("generate", "--family", "petersen", "--params", "7,3", "-o", str(graph))
     flow_outputs = []
     for tag in ("a", "b"):
         out = tmp_path / f"flow_{tag}"
-        r = run("flow", "--method", "edge", "--graph", str(graph), "--k", "7",
-                "--steps", "60", "--out", str(out), "--svg")
+        r = run_cli("flow", "--method", "edge", "--graph", str(graph), "--k", "7",
+                    "--steps", "60", "--out", str(out), "--svg")
         ok = ok and r.returncode == 3  # degenerate pair, computed anyway
         flow_outputs.append(
             tuple((tmp_path / f"flow_{tag}{ext}").read_bytes()
@@ -410,7 +401,7 @@ def test_criterion_10_cli_reproducibility(tmp_path):
     ok = ok and flow_outputs[0] == flow_outputs[1]
     details.append("flow" + ("=" if flow_outputs[0] == flow_outputs[1] else "!"))
 
-    scans = [run("scan", "--graph", str(tmp_path / "er_a.json")) for _ in range(2)]
+    scans = [run_cli("scan", "--graph", str(tmp_path / "er_a.json")) for _ in range(2)]
     ok = ok and all(s.returncode == 0 for s in scans)
     ok = ok and scans[0].stdout == scans[1].stdout and scans[0].stdout.startswith("k,")
     details.append("scan" + ("=" if scans[0].stdout == scans[1].stdout else "!"))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,18 @@ from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import eigendecompose
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*argv):
+    """Run ``python -m nodalflow`` in a child interpreter that imports the
+    package from this checkout's src, installed or not."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "nodalflow", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

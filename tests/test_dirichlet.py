@@ -7,7 +7,6 @@ from nodalflow.dirichlet import (
     dirichlet_problem,
     dirichlet_spectrum,
     is_signed,
-    restrict_eigenvector,
 )
 from nodalflow.edge_flow import build_perturbation, sign_preserving_graph
 from nodalflow.errors import EmptyInterior, NotAComponent
@@ -15,7 +14,7 @@ from nodalflow.families import interval, petersen
 from nodalflow.graph_core import laplacian
 from nodalflow.nodal import nodal_decomposition, select_eigenpair
 from nodalflow.spectra import eigendecompose, multiplicity_of
-from nodalflow.vertex_flow import limit_graph, subdivide
+from nodalflow.vertex_flow import limit_graph, restrict_eigenvector, subdivide
 
 
 def select(g, k):

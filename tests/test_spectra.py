@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -150,27 +148,12 @@ def test_persistent_degenerate_pair_is_tracked():
     np.testing.assert_allclose(got[2], 1.0, atol=1e-12)
 
 
-def test_threads_env_does_not_change_values(monkeypatch):
-    g = c4()
-
-    def fam(s):
-        base = laplacian(g).matrix.copy()
-        base[0, 0] += s
-        return base
-
-    grid = np.linspace(0.0, 1.0, 12)
-    monkeypatch.setenv("NODALFLOW_THREADS", "1")
-    one = track_branches(fam, grid, 2.0)
-    monkeypatch.setenv("NODALFLOW_THREADS", "4")
-    four = track_branches(fam, grid, 2.0)
-    np.testing.assert_array_equal(one.branch_values, four.branch_values)
-    assert os.environ["NODALFLOW_THREADS"] == "4"
-
+def test_refinement_and_crossing_in_one_walk():
     # A block whose eigenvectors turn by 90 degrees near sigma = 0.45 looks
     # like an exchange of its two constant branches on the coarse grid, so
-    # the monotone check refines there; the third branch crosses the
-    # reference at sigma = 0.7. Fourteen points leave a short last chunk
-    # for three threads.
+    # the monotone check refines there (14 -> 16 points). The third
+    # diagonal entry, branch 0 at sigma = 0, crosses the reference at
+    # sigma = 0.7.
     def turning(s):
         angle = (np.pi / 2) / (1.0 + np.exp(-(s - 0.45) / 0.01))
         c, t = np.cos(angle), np.sin(angle)
@@ -180,16 +163,14 @@ def test_threads_env_does_not_change_values(monkeypatch):
         M[2, 2] = 0.5 + s
         return M
 
-    grid = np.linspace(0.0, 1.0, 14)
-    runs = []
-    for n in ("1", "3", "4"):
-        monkeypatch.setenv("NODALFLOW_THREADS", n)
-        runs.append(
-            track_branches(turning, grid, 1.2, bracket_width=1e-6, expect_monotone=True)
-        )
-    assert len(runs[0].sigma_grid) > len(grid)
-    assert len(runs[0].crossings) == 1
-    for fr in runs[1:]:
-        np.testing.assert_array_equal(fr.sigma_grid, runs[0].sigma_grid)
-        np.testing.assert_array_equal(fr.branch_values, runs[0].branch_values)
-        assert fr.crossings == runs[0].crossings
+    fr = track_branches(
+        turning, np.linspace(0.0, 1.0, 14), 1.2, bracket_width=1e-6, expect_monotone=True
+    )
+    assert len(fr.sigma_grid) == 16
+    assert not fr.refinement_exhausted
+    assert len(fr.crossings) == 1
+    c = fr.crossings[0]
+    assert c.branch == 0
+    assert c.sigma_hi - c.sigma_lo <= 1e-6
+    assert c.sigma_lo <= 0.7 <= c.sigma_hi
+    assert np.diff(fr.branch_values, axis=1).min() > -1e-10
