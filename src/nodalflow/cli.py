@@ -18,12 +18,7 @@ from .edge_flow import nodal_count_direct, run_edge_flow
 from .errors import AssumptionViolated, NodalFlowError
 from .families import FamilySpec, generate
 from .graph_core import WeightedGraph, laplacian
-from .nodal import (
-    select_eigenpair,
-    sign_change_edges,
-    strong_domains_allowing_zeros,
-    zero_vertices,
-)
+from .nodal import select_eigenpair, strong_domains_allowing_zeros, zero_vertices
 from .spectra import eigendecompose, multiplicity_of
 from .vertex_flow import limit_graph, run_vertex_flow, subdivide
 
@@ -31,8 +26,8 @@ _FAMILY_ALIASES = {"er": "erdos_renyi"}
 
 
 def _count_sign_edges_tolerant(g: WeightedGraph, psi: np.ndarray) -> int:
-    """Sign-change edges among vertices with nonzero entries (reporting
-    only; the strict path raises on zeros)."""
+    """Sign-change edges among vertices with nonzero entries; for a
+    nowhere-zero psi, len(sign_change_edges(g, psi))."""
     zset = set(zero_vertices(psi))
     return sum(
         1 for i, j, _ in g.edges
@@ -47,18 +42,15 @@ def _row_for_k(g: WeightedGraph, spectrum, k: int) -> dict:
     sel = select_eigenpair(spectrum, k)
     if sel.nowhere_zero:
         nu = nodal_count_direct(g, sel, allow_degenerate=True).nu
-        n_sign = len(sign_change_edges(g, sel.psi))
     else:
-        domains, _ = strong_domains_allowing_zeros(g, sel.psi)
-        nu = len(domains)
-        n_sign = _count_sign_edges_tolerant(g, sel.psi)
+        nu = len(strong_domains_allowing_zeros(g, sel.psi)[0])
     return {
         "k": sel.k,
         "requested_k": k,
         "lambda_k": sel.lambda_k,
         "nu": nu,
         "deficiency": sel.k - nu,
-        "n_sign_change_edges": n_sign,
+        "n_sign_change_edges": _count_sign_edges_tolerant(g, sel.psi),
         "simple": sel.simple,
         "nowhere_zero": sel.nowhere_zero,
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInterior
-from .graph_core import Edge, WeightedGraph, components, laplacian
+from .graph_core import Edge, WeightedGraph, components, freeze_arrays, laplacian
 from .spectra import SIGN_TOL, Spectrum, eigendecompose
 
 
@@ -26,16 +26,13 @@ class DirichletProblem:
     interior[p].
     """
 
-    host: WeightedGraph
     interior: tuple[int, ...]
     boundary_vertices: tuple[int, ...]
     boundary_edges: tuple[Edge, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        freeze_arrays(self, "matrix")
 
 
 def dirichlet_problem(g: WeightedGraph, interior) -> DirichletProblem:
@@ -56,7 +53,6 @@ def dirichlet_problem(g: WeightedGraph, interior) -> DirichletProblem:
     L = laplacian(g).matrix
     idx = np.array(S, dtype=int)
     return DirichletProblem(
-        host=g,
         interior=tuple(S),
         boundary_vertices=tuple(boundary),
         boundary_edges=b_edges,
@@ -99,9 +95,7 @@ class ComponentEigenReport:
     eigenvector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.eigenvector, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvector", v)
+        freeze_arrays(self, "eigenvector")
 
 
 def component_first_eigenpairs(

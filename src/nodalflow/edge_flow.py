@@ -13,10 +13,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FlowConsistencyError
-from .graph_core import LaplacianMatrix, WeightedGraph, laplacian
+from .graph_core import LaplacianMatrix, WeightedGraph, freeze_arrays, laplacian
 from .nodal import EigenSelection, sign_change_edges
 from .spectra import (
     CROSS_TOL_REL,
+    FD_STEP,
     FlowResult,
     derivative_residual,
     eigendecompose,
@@ -40,10 +41,7 @@ class EdgePerturbation:
     laplacian: np.ndarray
 
     def __post_init__(self):
-        for name in ("matrix", "laplacian"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+        freeze_arrays(self, "matrix", "laplacian")
 
 
 def build_perturbation(g: WeightedGraph, sel: EigenSelection) -> EdgePerturbation:
@@ -121,7 +119,6 @@ def run_edge_flow(
     *,
     steps: int = 200,
     allow_degenerate: bool = False,
-    bracket_width: float = 1e-6,
     threads: int | None = None,
 ) -> FlowResult:
     """Track all branches of L + sigma * P over sigma in [0, 1].
@@ -140,7 +137,6 @@ def run_edge_flow(
         lambda s: flow_matrix(pert, s),
         np.linspace(0.0, 1.0, steps),
         sel.lambda_k,
-        bracket_width=bracket_width,
         expect_monotone=True,
     )
     nu = fr.converged_count
@@ -163,9 +159,7 @@ def run_edge_flow(
     return replace(fr, warnings=fr.warnings + warnings, count_identity_ok=identity_ok)
 
 
-def derivative_identity_check(
-    pert: EdgePerturbation, sigma: float, u: np.ndarray, h: float = 1e-5
-) -> float:
+def derivative_identity_check(pert: EdgePerturbation, sigma: float, u: np.ndarray) -> float:
     """Relative residual between the finite-difference branch slope of
     L + sigma * P at a simple eigenvalue and the per-edge closed form
     sum w * (sqrt(q_ji) u_i + sqrt(q_ij) u_j)^2.
@@ -173,8 +167,8 @@ def derivative_identity_check(
     u must be (close to) an eigenvector of L + sigma * P;
     DegenerateEigenvalue is raised when its eigenvalue is not simple there.
     """
-    if sigma - h < 0 or sigma + h > 1:
-        raise ValueError("sigma must lie in [h, 1 - h] for a central difference")
+    if sigma - FD_STEP < 0 or sigma + FD_STEP > 1:
+        raise ValueError(f"a central difference needs sigma in [{FD_STEP}, 1 - {FD_STEP}]")
 
     def closed_form(u: np.ndarray) -> float:
         return sum(
@@ -182,4 +176,4 @@ def derivative_identity_check(
             for i, j, w, q_ij, q_ji in pert.blocks
         )
 
-    return derivative_residual(lambda s: flow_matrix(pert, s), sigma, u, h, closed_form)
+    return derivative_residual(lambda s: flow_matrix(pert, s), sigma, u, closed_form)

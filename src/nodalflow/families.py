@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConnectivityExhausted, InvalidFamilyParams
-from .graph_core import WeightedGraph, is_connected, laplacian
+from .graph_core import WeightedGraph, freeze_arrays, is_connected, laplacian
 
 
 def complete(n: int) -> WeightedGraph:
@@ -175,9 +175,7 @@ class GridEigenOracle:
     residual: float
 
     def __post_init__(self):
-        v = np.asarray(self.eigenvector, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvector", v)
+        freeze_arrays(self, "eigenvector")
 
 
 def grid_eigenvector_oracle(n: int, m: int, k1: int, j1: int) -> GridEigenOracle:

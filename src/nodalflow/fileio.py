@@ -61,6 +61,18 @@ def serialize_graph(g: WeightedGraph, meta: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_field(data: dict, key: str, convert):
+    """convert(data.get(key)); a failure is raised as a ValueError naming key."""
+    try:
+        return convert(data.get(key))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"graph file has a malformed {key!r}: {exc}") from exc
+
+
+def _edges(rows) -> tuple:
+    return tuple((int(i), int(j), float(w)) for i, j, w in rows)
+
+
 def parse_graph(text: str) -> tuple[WeightedGraph, dict | None]:
     """Parse a graph file; unknown keys are rejected."""
     data = json.loads(text)
@@ -71,10 +83,10 @@ def parse_graph(text: str) -> tuple[WeightedGraph, dict | None]:
         raise ValueError(f"unknown graph file keys: {sorted(unknown)}")
     if "n" not in data or "edges" not in data:
         raise ValueError("graph file needs 'n' and 'edges'")
-    n = int(data["n"])
-    edges = tuple((int(e[0]), int(e[1]), float(e[2])) for e in data["edges"])
-    diag = data.get("diag")
-    g = WeightedGraph(n, edges, tuple(diag) if diag is not None else ())
+    n = _parse_field(data, "n", int)
+    edges = _parse_field(data, "edges", _edges)
+    diag = _parse_field(data, "diag", lambda d: () if d is None else tuple(map(float, d)))
+    g = WeightedGraph(n, edges, diag)
     meta = data.get("meta")
     return g, meta
 

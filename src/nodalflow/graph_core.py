@@ -62,6 +62,15 @@ class WeightedGraph:
         return len(self.edges)
 
 
+def freeze_arrays(record, *names: str) -> None:
+    """Store each named field of a frozen dataclass as a read-only float
+    array."""
+    for name in names:
+        a = np.asarray(getattr(record, name), dtype=float)
+        a.setflags(write=False)
+        object.__setattr__(record, name, a)
+
+
 @dataclass(frozen=True)
 class LaplacianMatrix:
     """Dense symmetric PSD matrix: a Laplacian or a flow matrix at some
@@ -70,13 +79,7 @@ class LaplacianMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def shape(self):
-        return self.matrix.shape
+        freeze_arrays(self, "matrix")
 
 
 def laplacian(g: WeightedGraph) -> LaplacianMatrix:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolated, ZeroVertex
-from .graph_core import Edge, WeightedGraph, betti_1, components, laplacian
+from .graph_core import Edge, WeightedGraph, betti_1, components, freeze_arrays, laplacian
 from .spectra import Spectrum
 
 # Relative threshold under which an eigenvector entry counts as zero.
@@ -38,9 +38,7 @@ class EigenSelection:
     first_index: bool
 
     def __post_init__(self):
-        v = np.asarray(self.psi, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "psi", v)
+        freeze_arrays(self, "psi")
 
     def check_assumptions(self, allow_degenerate: bool) -> tuple[str, ...]:
         """Raise AssumptionViolated unless psi is nowhere zero and lambda_k
@@ -113,8 +111,7 @@ def nodal_decomposition(g: WeightedGraph, sel: EigenSelection) -> NodalDecomposi
     """
     psi = sel.psi
     e_pm = sign_change_edges(g, psi)
-    pm = {(i, j) for i, j, _ in e_pm}
-    strong = components(g.n, [e for e in g.edges if (e[0], e[1]) not in pm])
+    strong, _ = strong_domains_allowing_zeros(g, psi)
     weak = components(g.n, [e for e in g.edges if psi[e[0]] * psi[e[1]] >= 0])
     nu = len(strong)
     return NodalDecomposition(
@@ -129,12 +126,12 @@ def nodal_decomposition(g: WeightedGraph, sel: EigenSelection) -> NodalDecomposi
 def strong_domains_allowing_zeros(
     g: WeightedGraph, psi: np.ndarray
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reporting-path variant of the strong domain count.
+    """Strong nodal domains, allowing zero entries.
 
     Vertices with (relatively) zero eigenvector entries belong to no domain;
     the remaining vertices are grouped by edges with strictly positive
-    endpoint product. Returns (domains, zero_vertices). The strict
-    operations refuse zero vertices instead of using this.
+    endpoint product. Returns (domains, zero_vertices). For a nowhere-zero
+    psi these are the strong domains nodal_decomposition reports.
     """
     psi = np.asarray(psi, dtype=float)
     zeros = zero_vertices(psi)

@@ -17,7 +17,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateEigenvalue, EigFailure
-from .graph_core import LaplacianMatrix
+from .graph_core import LaplacianMatrix, freeze_arrays
 
 # Relative tolerance for clustering eigenvalues into multiplicity groups.
 GROUP_TOL_REL = 1e-8
@@ -26,6 +26,10 @@ OVERLAP_MIN = 0.5
 # Relative margin required on both sides of a reference value before a sign
 # change counts as a crossing (keeps tangencies out).
 CROSS_TOL_REL = 1e-7
+# Width in sigma to which every crossing bracket is narrowed by bisection.
+BRACKET_WIDTH = 1e-6
+# Step of the central differences that check closed-form branch slopes.
+FD_STEP = 1e-5
 # Entries smaller than this are skipped by the sign-normalization convention.
 SIGN_TOL = 1e-12
 
@@ -44,10 +48,7 @@ class Spectrum:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for name in ("eigenvalues", "eigenvectors"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        freeze_arrays(self, "eigenvalues", "eigenvectors")
 
     @property
     def n(self) -> int:
@@ -121,7 +122,6 @@ class BranchCrossing:
     branch: int
     sigma_lo: float
     sigma_hi: float
-    reference: float
 
 
 @dataclass(frozen=True)
@@ -146,10 +146,7 @@ class FlowResult:
     count_identity_ok: bool | None = None
 
     def __post_init__(self):
-        for name in ("sigma_grid", "branch_values", "start_vectors"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        freeze_arrays(self, "sigma_grid", "branch_values", "start_vectors")
 
     @property
     def n_branches(self) -> int:
@@ -176,7 +173,7 @@ def _procrustes(Vb_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def _match_step(a: _Node, b: _Node, overlap_min: float, first: bool):
+def _match_step(a: _Node, b: _Node, first: bool):
     """Match branches between adjacent nodes.
 
     Returns (ok, perm). perm[i] is the column of b continuing column i of
@@ -192,7 +189,7 @@ def _match_step(a: _Node, b: _Node, overlap_min: float, first: bool):
     rotations = []  # (Hb sorted tuple, target matrix)
     checked_blocks = set()
     for i in range(len(perm)):
-        if O[i, perm[i]] >= overlap_min:
+        if O[i, perm[i]] >= OVERLAP_MIN:
             continue
         Ga = a.group_of[i]
         Hb = b.group_of[perm[i]]
@@ -213,7 +210,7 @@ def _match_step(a: _Node, b: _Node, overlap_min: float, first: bool):
         A = a.vecs[:, list(Ga)].T @ b.vecs[:, list(Hb)]
         s = scipy.linalg.svdvals(A)
         k = min(len(Ga), len(Hb))
-        if s[k - 1] < overlap_min:
+        if s[k - 1] < OVERLAP_MIN:
             return False, perm
         if len(Ga) == len(Hb) and images == set(Hb):
             # Columns of the target ordered to match Hb's column order.
@@ -248,10 +245,10 @@ def _locate_branch(spec: Spectrum, v: np.ndarray) -> int:
     return int(np.argmax(np.abs(spec.eigenvectors.T @ v)))
 
 
-def derivative_residual(family, sigma: float, u, h: float, closed_form) -> float:
-    """Relative residual between the central-difference slope at sigma of
-    the branch of ``family`` whose eigenvector best matches u and
-    ``closed_form(v)``, v being that branch's eigenvector at sigma.
+def derivative_residual(family, sigma: float, u, closed_form) -> float:
+    """Relative residual between the central-difference slope (step FD_STEP)
+    at sigma of the branch of ``family`` whose eigenvector best matches u
+    and ``closed_form(v)``, v being that branch's eigenvector at sigma.
 
     DegenerateEigenvalue is raised when the matched eigenvalue is not
     simple, since the branch slope is then undefined.
@@ -268,16 +265,16 @@ def derivative_residual(family, sigma: float, u, h: float, closed_form) -> float
         sp = eigendecompose(family(s))
         return float(sp.eigenvalues[_locate_branch(sp, v)])
 
-    fd = (branch_value(sigma + h) - branch_value(sigma - h)) / (2.0 * h)
+    fd = (branch_value(sigma + FD_STEP) - branch_value(sigma - FD_STEP)) / (2.0 * FD_STEP)
     pred = closed_form(v)
     return abs(fd - pred) / max(1.0, abs(fd), abs(pred))
 
 
-def _bracket_crossing(flow, lo, hi, v_lo, sign_lo, reference, width):
-    """Narrow a crossing bracket by bisection, following the branch by
-    eigenvector continuation from the left end."""
+def _bracket_crossing(flow, lo, hi, v_lo, sign_lo, reference):
+    """Narrow a crossing bracket to BRACKET_WIDTH by bisection, following
+    the branch by eigenvector continuation from the left end."""
     v = v_lo
-    while hi - lo > width:
+    while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         spec = eigendecompose(flow(mid))
         j = _locate_branch(spec, v)
@@ -296,9 +293,6 @@ def track_branches(
     sigma_grid,
     reference_value: float,
     *,
-    overlap_min: float = OVERLAP_MIN,
-    converged_tol: float | None = None,
-    bracket_width: float | None = None,
     expect_monotone: bool = False,
 ) -> FlowResult:
     """Track all eigenvalue branches of ``flow_matrix(sigma)`` over a grid.
@@ -306,13 +300,12 @@ def track_branches(
     Parameters
     ----------
     flow_matrix : callable sigma -> LaplacianMatrix (or ndarray)
-    sigma_grid : strictly increasing grid; refined adaptively where needed
-    reference_value : horizontal line whose crossings are detected
-    overlap_min : minimum eigenvector overlap for an unambiguous match
-    converged_tol : tolerance for counting branches at the reference value
-        at the final sigma (default: relative group tolerance)
-    bracket_width : when set, each crossing bracket is narrowed to this
-        width by bisection
+    sigma_grid : finite, strictly increasing grid; refined adaptively where
+        needed
+    reference_value : horizontal line whose crossings are detected; each
+        crossing bracket is narrowed to BRACKET_WIDTH by bisection, and
+        converged_count counts the final branch values within the relative
+        group tolerance of it
     expect_monotone : when the family is known non-decreasing, a matched
         step where some branch value drops is treated as an unresolved
         avoided crossing (the eigenvectors exchanged across the step) and
@@ -325,8 +318,8 @@ def track_branches(
     floor that still fails sets refinement_exhausted instead.
     """
     sigmas = [float(s) for s in sigma_grid]
-    if len(sigmas) < 2 or any(s1 >= s2 for s1, s2 in zip(sigmas, sigmas[1:])):
-        raise ValueError("sigma grid must be strictly increasing with >= 2 points")
+    if len(sigmas) < 2 or not (np.isfinite(sigmas).all() and (np.diff(sigmas) > 0).all()):
+        raise ValueError("sigma grid must be finite and strictly increasing with >= 2 points")
     span = sigmas[-1] - sigmas[0]
 
     def evaluate(sigma: float) -> _Node:
@@ -349,13 +342,11 @@ def track_branches(
         d = values[-1] - reference_value
         clear = np.abs(d) > cross_tol
         for br in np.flatnonzero(clear & (last_d * d < 0)):
-            lo, hi = last_sigma[br], node.sigma
-            if bracket_width is not None and hi - lo > bracket_width:
-                lo, hi = _bracket_crossing(
-                    flow_matrix, lo, hi, last_vec[br], np.sign(last_d[br]),
-                    reference_value, bracket_width,
-                )
-            crossings.append(BranchCrossing(int(br), float(lo), float(hi), reference_value))
+            lo, hi = _bracket_crossing(
+                flow_matrix, last_sigma[br], node.sigma, last_vec[br],
+                np.sign(last_d[br]), reference_value,
+            )
+            crossings.append(BranchCrossing(int(br), float(lo), float(hi)))
         last_d[clear] = d[clear]
         last_sigma[clear] = node.sigma
         last_vec[clear] = node.vecs[:, cols[clear]].T
@@ -366,7 +357,7 @@ def track_branches(
     refinement_exhausted = False
     while (b := pending.pop() if pending else next(nodes, None)) is not None:
         first = start_vectors is None
-        ok, perm = _match_step(a, b, overlap_min, first)
+        ok, perm = _match_step(a, b, first)
         if ok and expect_monotone:
             scale = max(1.0, abs(reference_value), float(np.max(np.abs(a.vals))))
             ok = float(np.min(b.vals[perm] - a.vals)) >= -1e-11 * scale
@@ -384,7 +375,7 @@ def track_branches(
         a = b
 
     branch_values = np.stack(values, axis=1)
-    tol = converged_tol if converged_tol is not None else group_tolerance(reference_value)
+    tol = group_tolerance(reference_value)
     converged = int(np.sum(np.abs(branch_values[:, -1] - reference_value) <= tol))
 
     return FlowResult(

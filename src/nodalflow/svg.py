@@ -142,7 +142,7 @@ def branch_chart_svg(fr: FlowResult, *, log_x: bool = False, title: str = "") ->
     return canvas.render()
 
 
-def scan_scatter_svg(rows, title: str = "nodal counts") -> str:
+def scan_scatter_svg(rows) -> str:
     """Scatter of (k, nu) with the y = x guide. rows are dicts with keys
     k, nu, simple, nowhere_zero; rows violating an assumption are drawn
     hollow."""
@@ -156,7 +156,7 @@ def scan_scatter_svg(rows, title: str = "nodal counts") -> str:
     def to_y(v):
         return _H - _MB - (v - lo) / (hi - lo) * (_H - _MT - _MB)
 
-    canvas = _Canvas(title)
+    canvas = _Canvas("nodal counts")
     ticks = [t for t in _ticks(lo, hi) if t == int(t)]
     _frame(canvas, ticks, ticks, to_x, to_y, "index k", "strong domains nu")
     canvas.add(

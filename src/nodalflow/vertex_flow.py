@@ -19,9 +19,10 @@ import numpy as np
 
 from .dirichlet import d_connected_components, dirichlet_problem
 from .errors import NotAComponent
-from .graph_core import Edge, LaplacianMatrix, WeightedGraph, laplacian
+from .graph_core import Edge, LaplacianMatrix, WeightedGraph, freeze_arrays, laplacian
 from .nodal import EigenSelection, sign_change_edges
 from .spectra import (
+    FD_STEP,
     FlowResult,
     derivative_residual,
     eigendecompose,
@@ -46,7 +47,6 @@ class SubdivisionGraph:
     base: WeightedGraph
     sign_edges: tuple[Edge, ...]
     q: tuple[tuple[float, float], ...]
-    psi: np.ndarray
     kept_edges: tuple[Edge, ...]
     ghost_edges: tuple[Edge, ...]
     kept: np.ndarray
@@ -54,10 +54,7 @@ class SubdivisionGraph:
     ghost: np.ndarray
 
     def __post_init__(self):
-        for name in ("psi", "kept", "cut", "ghost"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+        freeze_arrays(self, "kept", "cut", "ghost")
 
     @property
     def n_base(self) -> int:
@@ -96,7 +93,6 @@ def subdivide(g: WeightedGraph, sel: EigenSelection) -> SubdivisionGraph:
         base=g,
         sign_edges=edges,
         q=q,
-        psi=psi,
         kept_edges=kept_edges,
         ghost_edges=tuple(ghost_edges),
         kept=laplacian(WeightedGraph(n_total, kept_edges, diag)).matrix,
@@ -242,7 +238,6 @@ def run_vertex_flow(
     sigma_max: float = 1e4,
     steps: int = 200,
     allow_degenerate: bool = False,
-    bracket_width: float = 1e-6,
 ) -> FlowResult:
     """Track all branches of B_sigma from sigma = 0 toward the Dirichlet
     limit.
@@ -264,7 +259,6 @@ def run_vertex_flow(
         lambda s: bilinear_matrix(sg, s),
         grid,
         sel.lambda_k,
-        bracket_width=bracket_width,
         expect_monotone=True,
     )
     dvals = _dirichlet_values(sg)
@@ -324,9 +318,7 @@ def check_edge_equivalence(
     return worst
 
 
-def derivative_identity_check(
-    sg: SubdivisionGraph, sigma: float, u: np.ndarray, h: float = 1e-5
-) -> float:
+def derivative_identity_check(sg: SubdivisionGraph, sigma: float, u: np.ndarray) -> float:
     """Relative residual between the finite-difference branch slope at a
     simple eigenvalue and the closed-form derivative (sign-change edge sum
     plus ghost mass).
@@ -334,8 +326,8 @@ def derivative_identity_check(
     u must be (close to) an eigenvector of B_sigma; DegenerateEigenvalue is
     raised when its eigenvalue is not simple there.
     """
-    if sigma - h < 0:
-        raise ValueError("sigma must be at least h for a central difference")
+    if sigma - FD_STEP < 0:
+        raise ValueError(f"a central difference needs sigma >= {FD_STEP}")
 
     def closed_form(u: np.ndarray) -> float:
         s2 = (1.0 + sigma) ** 2
@@ -347,4 +339,4 @@ def derivative_identity_check(
             pred += (w / s2) * q_ij * term * term
         return pred + float(np.sum(u[sg.n_base:] ** 2))
 
-    return derivative_residual(lambda s: bilinear_matrix(sg, s), sigma, u, h, closed_form)
+    return derivative_residual(lambda s: bilinear_matrix(sg, s), sigma, u, closed_form)

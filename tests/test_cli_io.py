@@ -80,6 +80,14 @@ def test_parse_graph_rejects_malformed():
         fileio.parse_graph('[1, 2]')
     with pytest.raises(ValueError):
         fileio.parse_graph('{"n": 3}')
+    for text, part in [
+        ('{"n": 3, "edges": [[0, 1]]}', "'edges'"),
+        ('{"n": 3, "edges": 5}', "'edges'"),
+        ('{"n": [3], "edges": []}', "'n'"),
+        ('{"n": 3, "edges": [], "diag": 5}', "'diag'"),
+    ]:
+        with pytest.raises(ValueError, match=part):
+            fileio.parse_graph(text)
 
 
 def test_branch_table_csv_shape():
@@ -163,6 +171,9 @@ def test_cli_input_error_exit_codes(tmp_path, capsys):
     path = tmp_path / "i4.json"
     main(["generate", "--family", "interval", "--params", "4", "-o", str(path)])
     assert main(["nodal", "--graph", str(path), "--k", "9"]) == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3, "edges": [[0, 1]]}')
+    assert main(["nodal", "--graph", str(bad), "--k", "1"]) == 2
     capsys.readouterr()
 
 

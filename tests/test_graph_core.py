@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalflow.dirichlet import component_first_eigenpairs, dirichlet_problem
+from nodalflow.edge_flow import build_perturbation, run_edge_flow
 from nodalflow.errors import NotConnected
+from nodalflow.families import grid_eigenvector_oracle, interval
 from nodalflow.graph_core import (
     WeightedGraph,
     adjacency_lists,
@@ -12,6 +17,9 @@ from nodalflow.graph_core import (
     is_connected,
     laplacian,
 )
+from nodalflow.nodal import select_eigenpair
+from nodalflow.spectra import eigendecompose
+from nodalflow.vertex_flow import limit_graph, subdivide
 
 from _oracles import dense_laplacian
 
@@ -71,6 +79,47 @@ def test_laplacian_matrix_is_read_only():
     L = laplacian(g).matrix
     with pytest.raises(ValueError):
         L[0, 0] = 7.0
+
+
+# Every record that stores arrays, with its array fields in field order.
+ARRAY_FIELDS = {
+    "LaplacianMatrix": ("matrix",),
+    "Spectrum": ("eigenvalues", "eigenvectors"),
+    "EigenSelection": ("psi",),
+    "EdgePerturbation": ("matrix", "laplacian"),
+    "FlowResult": ("sigma_grid", "branch_values", "start_vectors"),
+    "SubdivisionGraph": ("kept", "cut", "ghost"),
+    "DirichletProblem": ("matrix",),
+    "ComponentEigenReport": ("eigenvector",),
+    "GridEigenOracle": ("eigenvector",),
+}
+
+
+@pytest.fixture(scope="module")
+def records():
+    g = interval(4)
+    spec = eigendecompose(laplacian(g))
+    sel = select_eigenpair(spec, 2)
+    sg = subdivide(g, sel)
+    lim, base = limit_graph(sg), range(g.n)
+    made = (
+        laplacian(g), spec, sel, build_perturbation(g, sel), run_edge_flow(g, sel, steps=5),
+        sg, dirichlet_problem(lim, base), component_first_eigenpairs(lim, base)[0],
+        grid_eigenvector_oracle(3, 2, 2, 1),
+    )
+    return {type(r).__name__: r for r in made}
+
+
+@pytest.mark.parametrize("name", ARRAY_FIELDS)
+def test_record_arrays_are_read_only(records, name):
+    record = records[name]
+    arrays = tuple(
+        f.name for f in dataclasses.fields(record)
+        if isinstance(getattr(record, f.name), np.ndarray)
+    )
+    assert arrays == ARRAY_FIELDS[name]
+    for field in arrays:
+        assert getattr(record, field).flags.writeable is False
 
 
 def test_laplacian_row_sums_vanish_without_diag_extra():

@@ -71,6 +71,8 @@ def test_track_branches_rejects_bad_grid():
         track_branches(lambda s: np.diag([s]), [0.0], 0.5)
     with pytest.raises(ValueError):
         track_branches(lambda s: np.diag([s]), [0.0, 0.0], 0.5)
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        track_branches(lambda s: np.diag([s]), [0.0, np.nan, 1.0], 0.5)
 
 
 def test_track_diagonal_true_crossing():
@@ -79,7 +81,7 @@ def test_track_diagonal_true_crossing():
     def fam(s):
         return np.diag([0.2 + s, 1.0 - s])
 
-    fr = track_branches(fam, np.linspace(0.0, 1.0, 21), 0.737, bracket_width=1e-6)
+    fr = track_branches(fam, np.linspace(0.0, 1.0, 21), 0.737)
     start = fr.branch_values[:, 0]
     lo = int(np.argmin(start))
     np.testing.assert_allclose(fr.branch_values[lo], 0.2 + fr.sigma_grid, atol=1e-12)
@@ -163,9 +165,7 @@ def test_refinement_and_crossing_in_one_walk():
         M[2, 2] = 0.5 + s
         return M
 
-    fr = track_branches(
-        turning, np.linspace(0.0, 1.0, 14), 1.2, bracket_width=1e-6, expect_monotone=True
-    )
+    fr = track_branches(turning, np.linspace(0.0, 1.0, 14), 1.2, expect_monotone=True)
     assert len(fr.sigma_grid) == 16
     assert not fr.refinement_exhausted
     assert len(fr.crossings) == 1
