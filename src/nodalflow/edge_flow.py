@@ -16,7 +16,6 @@ from .errors import FlowConsistencyError
 from .graph_core import LaplacianMatrix, WeightedGraph, freeze_arrays, laplacian
 from .nodal import EigenSelection, sign_change_edges
 from .spectra import (
-    CROSS_TOL_REL,
     FD_STEP,
     FlowResult,
     derivative_residual,
@@ -125,31 +124,23 @@ def run_edge_flow(
 
     converged_count is read off the last grid point, sigma = 1 exactly,
     with multiplicity_of's tolerance. The branch count identity
-    converged + (crossings from below) = k is asserted; for a degenerate
-    lambda_k (allow_degenerate=True) a failure is recorded as a warning
-    instead of raised, since the identity is only guaranteed for simple
-    eigenvalues. ``threads`` is accepted and ignored: every sigma is solved
-    in the calling thread.
+    converged + crossings = k is asserted, crossings being those of the
+    branches that start below lambda_k; for a degenerate lambda_k
+    (allow_degenerate=True) a failure is recorded as a warning instead of
+    raised, since the identity is only guaranteed for simple eigenvalues.
+    ``threads`` is accepted and ignored: every sigma is solved in the
+    calling thread.
     """
     warnings = sel.check_assumptions(allow_degenerate)
     pert = build_perturbation(g, sel)
     fr = track_branches(
-        lambda s: flow_matrix(pert, s),
-        np.linspace(0.0, 1.0, steps),
-        sel.lambda_k,
-        expect_monotone=True,
+        lambda s: flow_matrix(pert, s), np.linspace(0.0, 1.0, steps), sel.lambda_k
     )
     nu = fr.converged_count
-
-    cross_tol = CROSS_TOL_REL * max(1.0, abs(sel.lambda_k))
-    from_below = [
-        c for c in fr.crossings
-        if fr.branch_values[c.branch, 0] < sel.lambda_k - cross_tol
-    ]
-    identity_ok = (nu + len(from_below)) == sel.k
+    identity_ok = (nu + len(fr.crossings)) == sel.k
     if not identity_ok:
         msg = (
-            f"count identity failed: converged {nu} + crossings {len(from_below)}"
+            f"count identity failed: converged {nu} + crossings {len(fr.crossings)}"
             f" != k {sel.k}"
         )
         if sel.simple:

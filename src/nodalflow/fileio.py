@@ -65,12 +65,34 @@ def _parse_field(data: dict, key: str, convert):
     """convert(data.get(key)); a failure is raised as a ValueError naming key."""
     try:
         return convert(data.get(key))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"graph file has a malformed {key!r}: {exc}") from exc
 
 
+def _checked(x, types, what: str):
+    """x itself if it is an instance of types other than bool, else a TypeError."""
+    if isinstance(x, bool) or not isinstance(x, types):
+        raise TypeError(f"expected {what}, got {x!r}")
+    return x
+
+
+def _int(x) -> int:
+    return _checked(x, int, "an integer")
+
+
+def _real(x) -> float:
+    x = float(_checked(x, (int, float), "a number"))
+    if not np.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x}")
+    return x
+
+
+def _list(x) -> list:
+    return _checked(x, list, "a list")
+
+
 def _edges(rows) -> tuple:
-    return tuple((int(i), int(j), float(w)) for i, j, w in rows)
+    return tuple((_int(i), _int(j), _real(w)) for i, j, w in map(_list, _list(rows)))
 
 
 def parse_graph(text: str) -> tuple[WeightedGraph, dict | None]:
@@ -83,9 +105,9 @@ def parse_graph(text: str) -> tuple[WeightedGraph, dict | None]:
         raise ValueError(f"unknown graph file keys: {sorted(unknown)}")
     if "n" not in data or "edges" not in data:
         raise ValueError("graph file needs 'n' and 'edges'")
-    n = _parse_field(data, "n", int)
+    n = _parse_field(data, "n", _int)
     edges = _parse_field(data, "edges", _edges)
-    diag = _parse_field(data, "diag", lambda d: () if d is None else tuple(map(float, d)))
+    diag = _parse_field(data, "diag", lambda d: () if d is None else tuple(map(_real, _list(d))))
     g = WeightedGraph(n, edges, diag)
     meta = data.get("meta")
     return g, meta

@@ -1,11 +1,14 @@
 """Dense symmetric eigendecomposition and eigenvalue branch tracking.
 
-Branches of a one-parameter matrix family sigma -> M(sigma) are followed
-across a grid by maximum-weight bipartite matching on eigenvector overlaps.
-Intervals where the best matching is ambiguous (overlap below ``OVERLAP_MIN``)
-are bisected adaptively down to a minimum step; degenerate eigenvalue
-clusters are matched as whole subspaces and re-aligned by orthogonal
-Procrustes so branch vectors stay continuous through them.
+Branches of a non-decreasing one-parameter matrix family sigma -> M(sigma)
+are followed across a grid by maximum-weight bipartite matching on
+eigenvector overlaps. Intervals where the best matching is ambiguous
+(overlap below ``OVERLAP_MIN``) or not monotone are bisected adaptively down
+to a minimum step; degenerate eigenvalue clusters are matched as whole
+subspaces and re-aligned by orthogonal Procrustes so branch vectors stay
+continuous through them. Crossings of a reference value are bracketed by
+bisection on the number of eigenvalues at or below it, which needs no
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from .graph_core import LaplacianMatrix, freeze_arrays
 GROUP_TOL_REL = 1e-8
 # Minimum eigenvector overlap for an unambiguous branch match.
 OVERLAP_MIN = 0.5
-# Relative margin required on both sides of a reference value before a sign
-# change counts as a crossing (keeps tangencies out).
-CROSS_TOL_REL = 1e-7
+# Relative margin above the reference value of the threshold t whose upward
+# passages are the crossings (keeps branches that only reach it out).
+COUNT_TOL_REL = 1e-12
 # Width in sigma to which every crossing bracket is narrowed by bisection.
 BRACKET_WIDTH = 1e-6
 # Step of the central differences that check closed-form branch slopes.
@@ -116,8 +119,9 @@ def multiplicity_of(spectrum: Spectrum, value: float) -> int:
 
 @dataclass(frozen=True)
 class BranchCrossing:
-    """One strict transversal crossing of the reference value, bracketed in
-    sigma."""
+    """One upward crossing of the reference value by a branch that starts
+    below it, bracketed in sigma by a cell across which the number of
+    eigenvalues at or below the reference falls."""
 
     branch: int
     sigma_lo: float
@@ -270,50 +274,47 @@ def derivative_residual(family, sigma: float, u, closed_form) -> float:
     return abs(fd - pred) / max(1.0, abs(fd), abs(pred))
 
 
-def _bracket_crossing(flow, lo, hi, v_lo, sign_lo, reference):
-    """Narrow a crossing bracket to BRACKET_WIDTH by bisection, following
-    the branch by eigenvector continuation from the left end."""
-    v = v_lo
-    while hi - lo > BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        spec = eigendecompose(flow(mid))
-        j = _locate_branch(spec, v)
-        d = spec.eigenvalues[j] - reference
-        if d != 0.0 and (d > 0) != (sign_lo > 0):
-            hi = mid
-        else:
-            lo = mid
-            if d != 0.0:
-                v = spec.eigenvectors[:, j]
-    return lo, hi
+def _falls(flow, lo, hi, n_lo, n_hi, t):
+    """Cells of width <= BRACKET_WIDTH, in sigma order, one per unit fall of
+    the number of eigenvalues <= t over [lo, hi], found by bisecting on that
+    count; n_lo and n_hi are the counts at the ends."""
+    if n_lo <= n_hi:
+        return []
+    if hi - lo <= BRACKET_WIDTH:
+        return [(lo, hi)] * (n_lo - n_hi)
+    mid = 0.5 * (lo + hi)
+    n_mid = int(np.sum(eigendecompose(flow(mid)).eigenvalues <= t))
+    return _falls(flow, lo, mid, n_lo, n_mid, t) + _falls(flow, mid, hi, n_mid, n_hi, t)
 
 
-def track_branches(
-    flow_matrix,
-    sigma_grid,
-    reference_value: float,
-    *,
-    expect_monotone: bool = False,
-) -> FlowResult:
-    """Track all eigenvalue branches of ``flow_matrix(sigma)`` over a grid.
+def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResult:
+    """Track all eigenvalue branches of a non-decreasing family
+    ``flow_matrix(sigma)`` over a grid.
 
     Parameters
     ----------
-    flow_matrix : callable sigma -> LaplacianMatrix (or ndarray)
+    flow_matrix : callable sigma -> LaplacianMatrix (or ndarray) whose
+        eigenvalues do not decrease in sigma
     sigma_grid : finite, strictly increasing grid; refined adaptively where
         needed
-    reference_value : horizontal line whose crossings are detected; each
-        crossing bracket is narrowed to BRACKET_WIDTH by bisection, and
-        converged_count counts the final branch values within the relative
-        group tolerance of it
-    expect_monotone : when the family is known non-decreasing, a matched
-        step where some branch value drops is treated as an unresolved
-        avoided crossing (the eigenvectors exchanged across the step) and
-        the interval is refined like a matching failure
+    reference_value : lambda_k; converged_count counts the final branch
+        values within the relative group tolerance of it
+
+    A matched step where some branch value drops, or falls from above
+    t = lambda_k + COUNT_TOL_REL * max(1, |lambda_k|, max |eigenvalue at the
+    first point|) to <= t, is an unresolved avoided crossing (the
+    eigenvectors exchanged across the step) and the interval is refined
+    like a matching failure. In a step a -> b, the branches that go from
+    <= t to > t are the risers. Since the family is monotone, the number
+    of eigenvalues <= t falls by exactly one at each rise, so [a, b] is
+    bisected on that count into one BRACKET_WIDTH cell per unit fall, and
+    the cells go to the risers in the order of their linearly interpolated
+    crossings of t (at the refinement floor, where a step may be accepted
+    with a fall, the risers left without a cell are not recorded). Only
+    branches that start below 2 lambda_k - t are recorded as crossings.
 
     The grid is walked once, one eigensolve per point in the calling
-    thread; a crossing is bracketed as soon as the walk passes it.
-    Refinement floors out at 1e-6 * max(min(1, span), sigma), so
+    thread. Refinement floors out at 1e-6 * max(min(1, span), sigma), so
     log-spaced grids stay refinable near the origin; an interval at the
     floor that still fails sets refinement_exhausted instead.
     """
@@ -327,51 +328,37 @@ def track_branches(
 
     nodes = map(evaluate, sigmas)
     a = next(nodes)
-    cross_tol = CROSS_TOL_REL * max(1.0, abs(reference_value))
-    # Each branch's offset from the reference, sigma and vector at its last
-    # point clear of the reference (offset 0 until it has one). Pairing clear
-    # points brackets even a crossing that lands on a grid point.
-    last_d = np.zeros(len(a.vals))
-    last_sigma = np.empty(len(a.vals))
-    last_vec = np.empty((len(a.vals), a.vecs.shape[0]))
-    grid, values, crossings = [], [], []
-
-    def record(node: _Node, cols: np.ndarray) -> None:
-        grid.append(node.sigma)
-        values.append(node.vals[cols])
-        d = values[-1] - reference_value
-        clear = np.abs(d) > cross_tol
-        for br in np.flatnonzero(clear & (last_d * d < 0)):
-            lo, hi = _bracket_crossing(
-                flow_matrix, last_sigma[br], node.sigma, last_vec[br],
-                np.sign(last_d[br]), reference_value,
-            )
-            crossings.append(BranchCrossing(int(br), float(lo), float(hi)))
-        last_d[clear] = d[clear]
-        last_sigma[clear] = node.sigma
-        last_vec[clear] = node.vecs[:, cols[clear]].T
-
+    t = reference_value + COUNT_TOL_REL * max(
+        1.0, abs(reference_value), float(np.max(np.abs(a.vals)))
+    )
+    grid, values, crossings = [a.sigma], [a.vals], []
+    below = a.vals < 2 * reference_value - t  # branches whose crossings count
     cols = np.arange(len(a.vals))
     pending: list[_Node] = []  # refinement midpoints, nearest to a on top
     start_vectors = None
     refinement_exhausted = False
     while (b := pending.pop() if pending else next(nodes, None)) is not None:
-        first = start_vectors is None
-        ok, perm = _match_step(a, b, first)
-        if ok and expect_monotone:
-            scale = max(1.0, abs(reference_value), float(np.max(np.abs(a.vals))))
-            ok = float(np.min(b.vals[perm] - a.vals)) >= -1e-11 * scale
+        ok, perm = _match_step(a, b, start_vectors is None)
+        va, vb = values[-1], b.vals[perm[cols]]  # per branch, at a and at b
+        if ok:
+            scale = max(1.0, abs(reference_value), float(np.max(np.abs(va))))
+            ok = float(np.min(vb - va)) >= -1e-11 * scale and not np.any((va > t) & (vb <= t))
         floor = 1e-6 * max(min(1.0, span), abs(a.sigma))
         if not ok and (b.sigma - a.sigma) > 2 * floor:
             pending += [b, evaluate(0.5 * (a.sigma + b.sigma))]
             continue
-        if not ok:
-            refinement_exhausted = True
-        if first:
+        refinement_exhausted |= not ok
+        if start_vectors is None:
             start_vectors = a.vecs
-            record(a, cols)
+        risers = np.flatnonzero((va <= t) & (vb > t))
+        at = (t - va[risers]) / (vb[risers] - va[risers])
+        cells = _falls(flow_matrix, a.sigma, b.sigma, np.sum(va <= t), np.sum(vb <= t), t)
+        for br, (lo, hi) in zip(risers[np.argsort(at, kind="stable")], cells):
+            if below[br]:
+                crossings.append(BranchCrossing(int(br), float(lo), float(hi)))
         cols = perm[cols]
-        record(b, cols)
+        grid.append(b.sigma)
+        values.append(vb)
         a = b
 
     branch_values = np.stack(values, axis=1)

@@ -243,24 +243,21 @@ def run_vertex_flow(
     limit.
 
     The grid is [0] followed by ``steps`` log-spaced points on
-    [1e-3, sigma_max]. Because convergence in sigma is only O(1/sigma),
-    converged_count is certified against the exact sigma = infinity
-    Dirichlet spectrum rather than by tightening sigma: the lowest final
-    branch values are paired in sorted order with the Dirichlet
-    eigenvalues, and a branch counts as converged to lambda_k when its
-    paired limit equals lambda_k and the residual is below
-    max(1e-6, gap/2). branch_origins
-    labels every branch 'ghost' or 'spectrum'.
+    [1e-3, sigma_max], so sigma_max must be finite and > 1e-3. Because
+    convergence in sigma is only O(1/sigma), converged_count is certified
+    against the exact sigma = infinity Dirichlet spectrum rather than by
+    tightening sigma: the lowest final branch values are paired in sorted
+    order with the Dirichlet eigenvalues, and a branch counts as converged
+    to lambda_k when its paired limit equals lambda_k and the residual is
+    below max(1e-6, gap/2). branch_origins labels every branch 'ghost' or
+    'spectrum'.
     """
+    if not 1e-3 < sigma_max < np.inf:
+        raise ValueError(f"sigma_max must be finite and > 1e-3, got {sigma_max}")
     warnings = sel.check_assumptions(allow_degenerate)
     sg = subdivide(g, sel)
     grid = _vertex_grid(sigma_max, steps)
-    fr = track_branches(
-        lambda s: bilinear_matrix(sg, s),
-        grid,
-        sel.lambda_k,
-        expect_monotone=True,
-    )
+    fr = track_branches(lambda s: bilinear_matrix(sg, s), grid, sel.lambda_k)
     dvals = _dirichlet_values(sg)
     gtol = group_tolerance(sel.lambda_k)
     others = dvals[np.abs(dvals - sel.lambda_k) > gtol]

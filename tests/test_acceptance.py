@@ -5,6 +5,8 @@ reports) and asserts the same condition, so `pytest -v tests/test_acceptance.py`
 reads as a checklist of the package's quantitative claims.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from nodalflow.dirichlet import (
@@ -159,7 +161,7 @@ def test_criterion_03_crossing_localization():
 
 def test_criterion_04_monotonicity_and_constancy_suite():
     violations = []
-    flows = 0
+    flows = brackets = 0
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
         for s in range(10):
             seed = int(p * 10) * 100 + s
@@ -191,11 +193,28 @@ def test_criterion_04_monotonicity_and_constancy_suite():
                     violations.append(f"{tag}: nu {nu} outside [k-b1, k]")
                 if not fr.count_identity_ok:
                     violations.append(f"{tag}: count identity failed")
+                # Matching-free certificate: across every reported bracket,
+                # the number of eigenvalues at or below lambda_k falls by at
+                # least the number of crossings reported in it.
+                pert = build_perturbation(g, sel)
+                cells = Counter((c.sigma_lo, c.sigma_hi) for c in fr.crossings)
+                for (lo, hi), shared in cells.items():
+                    at_lo, at_hi = (
+                        int(np.sum(np.linalg.eigvalsh(flow_matrix(pert, s).matrix)
+                                   <= sel.lambda_k + 1e-11))
+                        for s in (lo, hi)
+                    )
+                    brackets += shared
+                    if at_lo - at_hi < shared:
+                        violations.append(
+                            f"{tag}: [{lo:.9g}, {hi:.9g}] holds {shared} crossings"
+                            f" but the count falls by {at_lo - at_hi}"
+                        )
     _report(
         4,
         "monotonicity and constancy suite",
         not violations,
-        f"{flows} flows over 50 graphs, {len(violations)} violations"
+        f"{flows} flows over 50 graphs, {brackets} brackets, {len(violations)} violations"
         + ("; " + "; ".join(violations[:3]) if violations else ""),
     )
 

@@ -85,6 +85,14 @@ def test_parse_graph_rejects_malformed():
         ('{"n": 3, "edges": 5}', "'edges'"),
         ('{"n": [3], "edges": []}', "'n'"),
         ('{"n": 3, "edges": [], "diag": 5}', "'diag'"),
+        ('{"n": "3", "edges": []}', "'n'"),
+        ('{"n": 3, "edges": ["011"]}', "'edges'"),
+        ('{"n": 3, "edges": [[1, 2, "1.5"]]}', "'edges'"),
+        ('{"n": 3, "edges": [[0, true, 1.0]]}', "'edges'"),
+        ('{"n": 3, "edges": [], "diag": ["1", 0, 0]}', "'diag'"),
+        ('{"n": 3, "edges": [[0, 1, Infinity]]}', "'edges'"),
+        ('{"n": 3, "edges": [], "diag": [NaN, 0, 0]}', "'diag'"),
+        ('{"n": 3, "edges": [[0, 1, 1' + "0" * 400 + "]]}", "'edges'"),
     ]:
         with pytest.raises(ValueError, match=part):
             fileio.parse_graph(text)
@@ -174,6 +182,12 @@ def test_cli_input_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "edges": [[0, 1]]}')
     assert main(["nodal", "--graph", str(bad), "--k", "1"]) == 2
+    bad.write_text('{"n": "3", "edges": ["011", [1, 2, "1.5"]]}')
+    assert main(["nodal", "--graph", str(bad), "--k", "1"]) == 2
+    for sigma_max in ("1e-4", "-1"):
+        assert main(["flow", "--method", "vertex", "--graph", str(path), "--k", "2",
+                     "--sigma-max", sigma_max, "--out", str(tmp_path / "v")]) == 2
+        assert "sigma_max" in capsys.readouterr().err
     capsys.readouterr()
 
 

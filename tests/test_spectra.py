@@ -76,39 +76,44 @@ def test_track_branches_rejects_bad_grid():
 
 
 def test_track_diagonal_true_crossing():
-    # branches sigma and 1 - sigma cross at 0.5; eigenvectors are the axes,
-    # so tracking must follow the analytic lines through the crossing.
+    # branches 0.2 + sigma and 0.6 + 0.2 sigma cross at 0.5; eigenvectors are
+    # the axes, so tracking must follow the analytic lines through the
+    # crossing. Only the steeper one reaches the reference, at 0.737.
     def fam(s):
-        return np.diag([0.2 + s, 1.0 - s])
+        return np.diag([0.2 + s, 0.6 + 0.2 * s])
 
-    fr = track_branches(fam, np.linspace(0.0, 1.0, 21), 0.737)
-    start = fr.branch_values[:, 0]
-    lo = int(np.argmin(start))
-    np.testing.assert_allclose(fr.branch_values[lo], 0.2 + fr.sigma_grid, atol=1e-12)
-    np.testing.assert_allclose(
-        fr.branch_values[1 - lo], 1.0 - fr.sigma_grid, atol=1e-12
-    )
-    ups = [c for c in fr.crossings if c.branch == lo]
-    assert len(ups) == 1
-    assert ups[0].sigma_hi - ups[0].sigma_lo <= 1e-6
-    assert ups[0].sigma_lo <= 0.537 <= ups[0].sigma_hi
+    fr = track_branches(fam, np.linspace(0.0, 1.0, 21), 0.937)
+    assert not fr.refinement_exhausted
+    np.testing.assert_allclose(fr.branch_values[0], 0.2 + fr.sigma_grid, atol=1e-12)
+    np.testing.assert_allclose(fr.branch_values[1], 0.6 + 0.2 * fr.sigma_grid, atol=1e-12)
+    assert len(fr.crossings) == 1
+    c = fr.crossings[0]
+    assert c.branch == 0
+    assert c.sigma_hi - c.sigma_lo <= 1e-6
+    assert c.sigma_lo <= 0.737 <= c.sigma_hi
 
 
 def test_track_avoided_crossing_follows_analytic_branches():
+    # The diagonal lines 2 sigma and 0.5 + sigma would cross at sigma = 0.5;
+    # the coupling eps opens a gap there, and each tracked branch must stay
+    # on its own adiabatic curve: the upper one passes the reference 1.0 at
+    # 0.5 - eps / sqrt(2), the lower one at 0.5 + eps / sqrt(2).
     eps = 1e-3
 
     def fam(s):
-        return np.array([[s, eps], [eps, 1.0 - s]])
+        return np.array([[2.0 * s, eps], [eps, 0.5 + s]])
 
-    fr = track_branches(fam, np.linspace(0.0, 1.0, 81), 0.5)
-    disc = np.sqrt((2.0 * fr.sigma_grid - 1.0) ** 2 + 4.0 * eps * eps)
-    upper = 0.5 * (1.0 + disc)
-    lower = 0.5 * (1.0 - disc)
-    got = np.sort(fr.branch_values, axis=0)
-    np.testing.assert_allclose(got[0], lower, atol=1e-10)
-    np.testing.assert_allclose(got[1], upper, atol=1e-10)
-    # neither analytic branch crosses the midline
-    assert len(fr.crossings) == 0
+    fr = track_branches(fam, np.linspace(0.0, 1.0, 81), 1.0)
+    assert not fr.refinement_exhausted
+    disc = np.sqrt((fr.sigma_grid - 0.5) ** 2 + 4.0 * eps * eps)
+    lower = 0.5 * (3.0 * fr.sigma_grid + 0.5 - disc)
+    upper = 0.5 * (3.0 * fr.sigma_grid + 0.5 + disc)
+    np.testing.assert_allclose(fr.branch_values[0], lower, atol=1e-10)
+    np.testing.assert_allclose(fr.branch_values[1], upper, atol=1e-10)
+    assert [c.branch for c in fr.crossings] == [0, 1]
+    for c, at in zip(fr.crossings, (0.5 + eps / np.sqrt(2), 0.5 - eps / np.sqrt(2))):
+        assert c.sigma_hi - c.sigma_lo <= 1e-6
+        assert c.sigma_lo <= at <= c.sigma_hi
 
 
 def test_expect_monotone_resolves_narrow_exchange():
@@ -117,9 +122,7 @@ def test_expect_monotone_resolves_narrow_exchange():
     def fam(s):
         return np.array([[2.0 * s, eps], [eps, s]])
 
-    fr = track_branches(
-        fam, np.linspace(0.0, 1.0, 5), 0.5, expect_monotone=True
-    )
+    fr = track_branches(fam, np.linspace(0.0, 1.0, 5), 0.5)
     assert not fr.refinement_exhausted
     assert np.diff(fr.branch_values, axis=1).min() > -1e-10
     finals = np.sort(fr.branch_values[:, -1])
@@ -133,9 +136,7 @@ def test_discontinuous_family_sets_exhausted_under_monotone():
             return np.diag([1.0, 2.0])
         return np.diag([2.0, 3.0])[::-1, ::-1] * 0 + np.diag([3.0, 0.5])
 
-    fr = track_branches(
-        fam, np.linspace(0.0, 1.0, 5), 10.0, expect_monotone=True
-    )
+    fr = track_branches(fam, np.linspace(0.0, 1.0, 5), 10.0)
     assert fr.refinement_exhausted
 
 
@@ -165,7 +166,7 @@ def test_refinement_and_crossing_in_one_walk():
         M[2, 2] = 0.5 + s
         return M
 
-    fr = track_branches(turning, np.linspace(0.0, 1.0, 14), 1.2, expect_monotone=True)
+    fr = track_branches(turning, np.linspace(0.0, 1.0, 14), 1.2)
     assert len(fr.sigma_grid) == 16
     assert not fr.refinement_exhausted
     assert len(fr.crossings) == 1
