@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 bad input, 3 assumption violations (output is
-still produced where computable), 4 partial result (branch tracking hit its
-refinement floor; files are still written, flagged).
+Exit codes: 0 success, 2 bad input or a failed flow certificate, 3
+assumption violations (output still produced where computable), 4 partial
+result (branch tracking hit its refinement floor; files written, flagged).
 """
 
 from __future__ import annotations

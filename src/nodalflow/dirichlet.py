@@ -14,21 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInterior
-from .graph_core import Edge, WeightedGraph, components, freeze_arrays, laplacian
+from .graph_core import WeightedGraph, components, freeze_arrays, laplacian
 from .spectra import SIGN_TOL, Spectrum, eigendecompose
 
 
 @dataclass(frozen=True)
 class DirichletProblem:
-    """Interior set, its boundary, and the reduced matrix.
+    """Interior set and the reduced matrix.
 
     ``interior`` is sorted ascending; matrix row p corresponds to
     interior[p].
     """
 
     interior: tuple[int, ...]
-    boundary_vertices: tuple[int, ...]
-    boundary_edges: tuple[Edge, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -42,22 +40,9 @@ def dirichlet_problem(g: WeightedGraph, interior) -> DirichletProblem:
         raise EmptyInterior("interior vertex set is empty")
     if S[0] < 0 or S[-1] >= g.n:
         raise ValueError(f"interior vertices out of range for n={g.n}")
-    in_S = np.zeros(g.n, dtype=bool)
-    in_S[S] = True
-    boundary = sorted(
-        {v for i, j, _ in g.edges for v, u in ((i, j), (j, i)) if in_S[u] and not in_S[v]}
-    )
-    b_edges = tuple(
-        e for e in g.edges if in_S[e[0]] != in_S[e[1]]
-    )
     L = laplacian(g).matrix
     idx = np.array(S, dtype=int)
-    return DirichletProblem(
-        interior=tuple(S),
-        boundary_vertices=tuple(boundary),
-        boundary_edges=b_edges,
-        matrix=L[np.ix_(idx, idx)],
-    )
+    return DirichletProblem(tuple(S), L[np.ix_(idx, idx)])
 
 
 def d_connected_components(g: WeightedGraph, interior) -> tuple[tuple[int, ...], ...]:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FlowConsistencyError
 from .graph_core import LaplacianMatrix, WeightedGraph, freeze_arrays, laplacian
 from .nodal import EigenSelection, sign_change_edges
 from .spectra import (
@@ -123,13 +122,11 @@ def run_edge_flow(
     """Track all branches of L + sigma * P over sigma in [0, 1].
 
     converged_count is read off the last grid point, sigma = 1 exactly,
-    with multiplicity_of's tolerance. The branch count identity
-    converged + crossings = k is asserted, crossings being those of the
-    branches that start below lambda_k; for a degenerate lambda_k
-    (allow_degenerate=True) a failure is recorded as a warning instead of
-    raised, since the identity is only guaranteed for simple eigenvalues.
-    ``threads`` is accepted and ignored: every sigma is solved in the
-    calling thread.
+    where lambda_k is the lowest eigenvalue, so it is lambda_k's
+    multiplicity there. The branch count identity converged + crossings = k
+    is certified (EigenSelection.certify), crossings being those of the
+    branches that start below lambda_k. ``threads`` is accepted and
+    ignored: every sigma is solved in the calling thread.
     """
     warnings = sel.check_assumptions(allow_degenerate)
     pert = build_perturbation(g, sel)
@@ -138,15 +135,11 @@ def run_edge_flow(
     )
     nu = fr.converged_count
     identity_ok = (nu + len(fr.crossings)) == sel.k
-    if not identity_ok:
-        msg = (
-            f"count identity failed: converged {nu} + crossings {len(fr.crossings)}"
-            f" != k {sel.k}"
-        )
-        if sel.simple:
-            raise FlowConsistencyError(msg)
-        warnings = warnings + (msg,)
-
+    warnings += sel.certify(
+        identity_ok,
+        f"count identity failed: converged {nu} + crossings {len(fr.crossings)}"
+        f" != k {sel.k}",
+    )
     return replace(fr, warnings=fr.warnings + warnings, count_identity_ok=identity_ok)
 
 

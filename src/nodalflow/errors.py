@@ -57,5 +57,5 @@ class ConnectivityExhausted(NodalFlowError):
 
 
 class FlowConsistencyError(NodalFlowError):
-    """The branch count identity (converged + crossings from below = k)
-    failed on input that satisfies every working assumption."""
+    """A flow's branch count certificate (for the edge flow, converged +
+    crossings from below = k) failed for a simple lambda_k."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolated, ZeroVertex
+from .errors import AssumptionViolated, FlowConsistencyError, ZeroVertex
 from .graph_core import Edge, WeightedGraph, betti_1, components, freeze_arrays, laplacian
 from .spectra import Spectrum
 
@@ -53,6 +53,16 @@ class EigenSelection:
                 )
             return ("degenerate_lambda_k",)
         return ()
+
+    def certify(self, ok: bool, msg: str) -> tuple[str, ...]:
+        """Raise FlowConsistencyError(msg) when a flow certificate fails for
+        a simple lambda_k; for a degenerate one, where the certificate is
+        not guaranteed, return msg as a warning instead."""
+        if ok:
+            return ()
+        if self.simple:
+            raise FlowConsistencyError(msg)
+        return (msg,)
 
 
 def zero_vertices(psi: np.ndarray) -> tuple[int, ...]:

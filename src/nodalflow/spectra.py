@@ -237,11 +237,6 @@ def _match_step(a: _Node, b: _Node, first: bool):
             target = b.vecs[:, [int(perm[g]) for g in cols_a]]
             R = _procrustes(a.vecs[:, cols_a], target)
             a.vecs[:, cols_a] = a.vecs[:, cols_a] @ R
-
-    # Sign-align the continuation for smooth branch vectors.
-    for i in range(len(perm)):
-        if a.vecs[:, i] @ b.vecs[:, perm[i]] < 0:
-            b.vecs[:, perm[i]] = -b.vecs[:, perm[i]]
     return True, perm
 
 
@@ -298,7 +293,7 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
     sigma_grid : finite, strictly increasing grid; refined adaptively where
         needed
     reference_value : lambda_k; converged_count counts the final branch
-        values within the relative group tolerance of it
+        values at or below it plus its group tolerance
 
     A matched step where some branch value drops, or falls from above
     t = lambda_k + COUNT_TOL_REL * max(1, |lambda_k|, max |eigenvalue at the
@@ -362,8 +357,8 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
         a = b
 
     branch_values = np.stack(values, axis=1)
-    tol = group_tolerance(reference_value)
-    converged = int(np.sum(np.abs(branch_values[:, -1] - reference_value) <= tol))
+    top = reference_value + group_tolerance(reference_value)
+    converged = int(np.sum(branch_values[:, -1] <= top))
 
     return FlowResult(
         sigma_grid=np.array(grid),

@@ -27,6 +27,7 @@ from .spectra import (
     derivative_residual,
     eigendecompose,
     group_tolerance,
+    multiplicity_of,
     track_branches,
 )
 
@@ -192,16 +193,7 @@ def _vertex_grid(sigma_max: float, steps: int) -> np.ndarray:
     )
 
 
-def _dirichlet_values(sg: SubdivisionGraph) -> np.ndarray:
-    """Sorted eigenvalues of the exact sigma = infinity Dirichlet problem
-    on the base vertex set."""
-    dp = dirichlet_problem(limit_graph(sg), tuple(range(sg.n_base)))
-    return eigendecompose(dp.matrix).eigenvalues
-
-
-def _classify_origins(
-    fr: FlowResult, n_base: int, converging: frozenset[int]
-) -> tuple[str, ...]:
+def _classify_origins(fr: FlowResult, n_base: int) -> tuple[str, ...]:
     """Label each branch by where it started: 'ghost' for the zero-cluster
     branches that are not L's kernel, 'spectrum' otherwise.
 
@@ -210,12 +202,13 @@ def _classify_origins(
     directions, so the kernel continuation is not readable from support
     alone. The kernel label goes to the cluster branch whose start vector
     best matches the constant vector on the base, chosen among the
-    branches that do not converge to the reference value: the limits that
-    survive at lambda_k exist only because ghosts were inserted, so they
-    are ghost-attributed."""
+    branches that end above the reference value plus its group tolerance:
+    the limits that survive at lambda_k exist only because ghosts were
+    inserted, so they are ghost-attributed."""
     start_vals = fr.branch_values[:, 0]
     tol0 = group_tolerance(0.0)
     zero_cluster = [b for b in range(fr.n_branches) if abs(start_vals[b]) <= tol0]
+    top = fr.reference_value + group_tolerance(fr.reference_value)
     const = np.zeros(fr.start_vectors.shape[0])
     const[:n_base] = 1.0 / np.sqrt(n_base)
     origins = ["spectrum"] * fr.n_branches
@@ -223,7 +216,7 @@ def _classify_origins(
         overlaps = {
             b: abs(float(fr.start_vectors[:, b] @ const)) for b in zero_cluster
         }
-        pool = [b for b in zero_cluster if b not in converging] or zero_cluster
+        pool = [b for b in zero_cluster if fr.branch_values[b, -1] > top] or zero_cluster
         kernel_branch = max(pool, key=lambda b: overlaps[b])
         for b in zero_cluster:
             if b != kernel_branch:
@@ -243,14 +236,16 @@ def run_vertex_flow(
     limit.
 
     The grid is [0] followed by ``steps`` log-spaced points on
-    [1e-3, sigma_max], so sigma_max must be finite and > 1e-3. Because
-    convergence in sigma is only O(1/sigma), converged_count is certified
-    against the exact sigma = infinity Dirichlet spectrum rather than by
-    tightening sigma: the lowest final branch values are paired in sorted
-    order with the Dirichlet eigenvalues, and a branch counts as converged
-    to lambda_k when its paired limit equals lambda_k and the residual is
-    below max(1e-6, gap/2). branch_origins labels every branch 'ghost' or
-    'spectrum'.
+    [1e-3, sigma_max], so sigma_max must be finite and > 1e-3. Branches
+    never decrease and lambda_k is the lowest eigenvalue of the sigma =
+    infinity Dirichlet problem, of multiplicity nu, so converged_count
+    counts the branches still at or below lambda_k at sigma_max. The
+    certificate (count_identity_ok, EigenSelection.certify) asks that it
+    equal the exact Dirichlet multiplicity and that converged + crossings
+    = k + n_ghost (the k lowest of L and one zero per ghost start at or
+    below lambda_k, and each crosses it or converges to it); a sigma_max
+    too small for the branches bound higher to pass lambda_k fails it.
+    branch_origins labels every branch 'ghost' or 'spectrum'.
     """
     if not 1e-3 < sigma_max < np.inf:
         raise ValueError(f"sigma_max must be finite and > 1e-3, got {sigma_max}")
@@ -258,25 +253,20 @@ def run_vertex_flow(
     sg = subdivide(g, sel)
     grid = _vertex_grid(sigma_max, steps)
     fr = track_branches(lambda s: bilinear_matrix(sg, s), grid, sel.lambda_k)
-    dvals = _dirichlet_values(sg)
-    gtol = group_tolerance(sel.lambda_k)
-    others = dvals[np.abs(dvals - sel.lambda_k) > gtol]
-    gap = float(np.min(np.abs(others - sel.lambda_k))) if others.size else max(
-        sel.lambda_k, 1.0
+    dp = dirichlet_problem(limit_graph(sg), tuple(range(sg.n_base)))
+    nu_d = multiplicity_of(eigendecompose(dp.matrix), sel.lambda_k)
+    nu, total = fr.converged_count, fr.converged_count + len(fr.crossings)
+    ok = nu == nu_d and total == sel.k + sg.n_ghost
+    warnings += sel.certify(
+        ok,
+        f"vertex certificate failed: converged {nu} vs Dirichlet multiplicity {nu_d},"
+        f" converged + crossings {total} vs k + ghosts {sel.k + sg.n_ghost}",
     )
-    accept = max(1e-6, gap / 2.0)
-    finals = fr.branch_values[:, -1]
-    lowest = np.argsort(finals)[: len(dvals)]
-    converging = set()
-    for rank, b in enumerate(lowest):
-        mu = dvals[rank]
-        if abs(mu - sel.lambda_k) <= gtol and abs(finals[b] - mu) <= accept:
-            converging.add(int(b))
     return replace(
         fr,
-        converged_count=len(converging),
-        branch_origins=_classify_origins(fr, sg.n_base, frozenset(converging)),
+        branch_origins=_classify_origins(fr, sg.n_base),
         warnings=fr.warnings + warnings,
+        count_identity_ok=ok,
     )
 
 

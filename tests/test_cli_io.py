@@ -188,7 +188,16 @@ def test_cli_input_error_exit_codes(tmp_path, capsys):
         assert main(["flow", "--method", "vertex", "--graph", str(path), "--k", "2",
                      "--sigma-max", sigma_max, "--out", str(tmp_path / "v")]) == 2
         assert "sigma_max" in capsys.readouterr().err
+    # At sigma_max = 1 two branches bound for higher Dirichlet eigenvalues
+    # are still below lambda_5: the vertex certificate fails before any
+    # file is written.
+    g75 = tmp_path / "g75.json"
+    main(["generate", "--family", "grid", "--params", "7,5", "-o", str(g75)])
     capsys.readouterr()
+    assert main(["flow", "--method", "vertex", "--graph", str(g75), "--k", "5",
+                 "--sigma-max", "1", "--steps", "60", "--out", str(tmp_path / "g")]) == 2
+    assert "vertex certificate failed" in capsys.readouterr().err
+    assert not list(tmp_path.glob("g.*"))
 
 
 def test_cli_flow_writes_files(tmp_path, capsys):

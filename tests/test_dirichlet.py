@@ -25,8 +25,6 @@ def test_dirichlet_problem_path_interior():
     g = interval(5)
     dp = dirichlet_problem(g, (3, 1, 2, 2))
     assert dp.interior == (1, 2, 3)
-    assert dp.boundary_vertices == (0, 4)
-    assert [(i, j) for i, j, _ in dp.boundary_edges] == [(0, 1), (3, 4)]
     L = laplacian(g).matrix
     np.testing.assert_allclose(dp.matrix, L[1:4, 1:4])
     # Full degrees survive the reduction: corner entries keep weight from
@@ -37,8 +35,6 @@ def test_dirichlet_problem_path_interior():
 def test_dirichlet_problem_full_interior_is_laplacian():
     g = interval(5)
     dp = dirichlet_problem(g, range(5))
-    assert dp.boundary_vertices == ()
-    assert dp.boundary_edges == ()
     np.testing.assert_allclose(dp.matrix, laplacian(g).matrix)
 
 

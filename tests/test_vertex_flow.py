@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue
-from nodalflow.families import complete, cycle, interval, petersen
+from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
+from nodalflow.families import complete, cycle, grid, interval, petersen
 from nodalflow.graph_core import laplacian
-from nodalflow.nodal import select_eigenpair
+from nodalflow.nodal import nodal_decomposition, select_eigenpair
 from nodalflow.spectra import eigendecompose
 from nodalflow.vertex_flow import (
     bilinear_matrix,
@@ -132,6 +132,7 @@ def test_run_vertex_flow_interval_golden():
     sel = select(g, 3)
     fr = run_vertex_flow(g, sel, steps=60)
     assert fr.converged_count == 3
+    assert fr.count_identity_ok is True
     assert not fr.refinement_exhausted
     assert fr.sigma_grid[0] == 0.0
     assert fr.sigma_grid[-1] == 1e4
@@ -171,6 +172,37 @@ def test_run_vertex_flow_complete_degenerate():
     converging = [b for b in range(fr.n_branches) if abs(finals[b] - 5.0) < 0.05]
     assert len(converging) == 2
     assert sorted(fr.branch_origins[b] for b in converging) == ["ghost", "spectrum"]
+
+
+@pytest.mark.parametrize(
+    "g, k, sigma_max, nu",
+    [
+        # Two branches bound for higher Dirichlet eigenvalues are still
+        # below lambda_5 at sigma = 1: a simple lambda_k fails loudly.
+        (grid(7, 5), 5, 1.0, None),
+        (interval(7), 7, 1.0, 7),
+        # Petersen's lambda_7 is degenerate: at 1e3 the count is right, at
+        # 1e2 a fourth branch has not yet passed it and a warning says so.
+        (petersen(7, 3), 7, 1e3, 3),
+        (petersen(7, 3), 7, 1e2, None),
+    ],
+    ids=["grid7x5-k5-1", "interval7-k7-1", "petersen-k7-1e3", "petersen-k7-1e2"],
+)
+def test_run_vertex_flow_certificate_at_small_sigma_max(g, k, sigma_max, nu):
+    sel = select(g, k)
+    if sel.simple and nu is None:
+        with pytest.raises(FlowConsistencyError, match="vertex certificate failed"):
+            run_vertex_flow(g, sel, sigma_max=sigma_max, steps=60)
+        return
+    fr = run_vertex_flow(g, sel, sigma_max=sigma_max, steps=60, allow_degenerate=True)
+    if nu is None:
+        assert fr.count_identity_ok is False
+        assert any(w.startswith("vertex certificate failed") for w in fr.warnings)
+    else:
+        assert nu == nodal_decomposition(g, sel).nu
+        assert fr.converged_count == nu
+        assert fr.count_identity_ok is True
+        assert not any(w.startswith("vertex certificate") for w in fr.warnings)
 
 
 def test_run_vertex_flow_rejects_zero_vertices():
