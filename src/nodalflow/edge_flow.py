@@ -42,9 +42,11 @@ class EdgePerturbation:
         freeze_arrays(self, "matrix", "laplacian")
 
 
-def build_perturbation(g: WeightedGraph, sel: EigenSelection) -> EdgePerturbation:
-    """Assemble P from the sign-change edges of the selected eigenvector,
-    and L from g."""
+def build_perturbation(
+    g: WeightedGraph, sel: EigenSelection, L: LaplacianMatrix | None = None
+) -> EdgePerturbation:
+    """Assemble P from the sign-change edges of the selected eigenvector;
+    L is g's Laplacian, assembled here unless the caller passes it."""
     psi = sel.psi
     blocks = []
     P = np.zeros((g.n, g.n))
@@ -56,7 +58,7 @@ def build_perturbation(g: WeightedGraph, sel: EigenSelection) -> EdgePerturbatio
         P[j, j] += w * q_ij
         P[i, j] += w
         P[j, i] += w
-    return EdgePerturbation(tuple(blocks), P, laplacian(g).matrix)
+    return EdgePerturbation(tuple(blocks), P, (laplacian(g) if L is None else L).matrix)
 
 
 def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
@@ -96,11 +98,19 @@ class DirectCount:
 
 
 def nodal_count_direct(
-    g: WeightedGraph, sel: EigenSelection, *, allow_degenerate: bool = False
+    g: WeightedGraph,
+    sel: EigenSelection,
+    *,
+    allow_degenerate: bool = False,
+    L: LaplacianMatrix | None = None,
 ) -> DirectCount:
-    """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed."""
+    """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed.
+
+    One values-only eigensolve; L is g's Laplacian, for callers that count
+    many eigenpairs of one graph and have it already.
+    """
     sel.check_assumptions(allow_degenerate)
-    spec1 = eigendecompose(flow_matrix(build_perturbation(g, sel), 1.0))
+    spec1 = eigendecompose(flow_matrix(build_perturbation(g, sel, L), 1.0), vectors=False)
     nu = multiplicity_of(spec1, sel.lambda_k)
     return DirectCount(
         k=sel.k,

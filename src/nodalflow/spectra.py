@@ -97,19 +97,23 @@ def _cluster(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def eigendecompose(M) -> Spectrum:
-    """Full eigendecomposition of a dense symmetric matrix.
+def eigendecompose(M, *, vectors: bool = True) -> Spectrum:
+    """Eigendecomposition of a dense symmetric matrix.
 
     Eigenvalues come back ascending; eigenvectors are orthonormal columns
-    with a deterministic sign convention.
+    with a deterministic sign convention. With ``vectors=False`` only the
+    eigenvalues are computed, several times faster, and eigenvectors is an
+    n x 0 array: for callers that read only values (counts, multiplicities).
     """
     A = _as_matrix(M)
     try:
-        vals, vecs = scipy.linalg.eigh(A)
+        out = scipy.linalg.eigh(A, eigvals_only=not vectors)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigFailure(str(exc)) from exc
-    vecs = _sign_normalize(vecs)
-    return Spectrum(vals, vecs, _cluster(vals))
+    if not vectors:
+        return Spectrum(out, np.empty((len(out), 0)), _cluster(out))
+    vals, vecs = out
+    return Spectrum(vals, _sign_normalize(vecs), _cluster(vals))
 
 
 def multiplicity_of(spectrum: Spectrum, value: float) -> int:
@@ -272,13 +276,14 @@ def derivative_residual(family, sigma: float, u, closed_form) -> float:
 def _falls(flow, lo, hi, n_lo, n_hi, t):
     """Cells of width <= BRACKET_WIDTH, in sigma order, one per unit fall of
     the number of eigenvalues <= t over [lo, hi], found by bisecting on that
-    count; n_lo and n_hi are the counts at the ends."""
+    count; n_lo and n_hi are the counts at the ends. Each midpoint is one
+    values-only eigendecompose."""
     if n_lo <= n_hi:
         return []
     if hi - lo <= BRACKET_WIDTH:
         return [(lo, hi)] * (n_lo - n_hi)
     mid = 0.5 * (lo + hi)
-    n_mid = int(np.sum(eigendecompose(flow(mid)).eigenvalues <= t))
+    n_mid = int(np.sum(eigendecompose(flow(mid), vectors=False).eigenvalues <= t))
     return _falls(flow, lo, mid, n_lo, n_mid, t) + _falls(flow, mid, hi, n_mid, n_hi, t)
 
 
@@ -308,10 +313,11 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
     with a fall, the risers left without a cell are not recorded). Only
     branches that start below 2 lambda_k - t are recorded as crossings.
 
-    The grid is walked once, one eigensolve per point in the calling
-    thread. Refinement floors out at 1e-6 * max(min(1, span), sigma), so
-    log-spaced grids stay refinable near the origin; an interval at the
-    floor that still fails sets refinement_exhausted instead.
+    The grid is walked once, one eigensolve with eigenvectors per point in
+    the calling thread; the bisection solves compute eigenvalues only.
+    Refinement floors out at 1e-6 * max(min(1, span), sigma), so log-spaced
+    grids stay refinable near the origin; an interval at the floor that
+    still fails sets refinement_exhausted instead.
     """
     sigmas = [float(s) for s in sigma_grid]
     if len(sigmas) < 2 or not (np.isfinite(sigmas).all() and (np.diff(sigmas) > 0).all()):

@@ -241,7 +241,8 @@ def run_vertex_flow(
     infinity Dirichlet problem, of multiplicity nu, so converged_count
     counts the branches still at or below lambda_k at sigma_max. The
     certificate (count_identity_ok, EigenSelection.certify) asks that it
-    equal the exact Dirichlet multiplicity and that converged + crossings
+    equal the exact Dirichlet multiplicity (read off one values-only
+    solve of the limit's Dirichlet problem) and that converged + crossings
     = k + n_ghost (the k lowest of L and one zero per ghost start at or
     below lambda_k, and each crosses it or converges to it); a sigma_max
     too small for the branches bound higher to pass lambda_k fails it.
@@ -254,7 +255,7 @@ def run_vertex_flow(
     grid = _vertex_grid(sigma_max, steps)
     fr = track_branches(lambda s: bilinear_matrix(sg, s), grid, sel.lambda_k)
     dp = dirichlet_problem(limit_graph(sg), tuple(range(sg.n_base)))
-    nu_d = multiplicity_of(eigendecompose(dp.matrix), sel.lambda_k)
+    nu_d = multiplicity_of(eigendecompose(dp.matrix, vectors=False), sel.lambda_k)
     nu, total = fr.converged_count, fr.converged_count + len(fr.crossings)
     ok = nu == nu_d and total == sel.k + sg.n_ghost
     warnings += sel.certify(

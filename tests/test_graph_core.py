@@ -85,6 +85,7 @@ def test_laplacian_matrix_is_read_only():
 ARRAY_FIELDS = {
     "LaplacianMatrix": ("matrix",),
     "Spectrum": ("eigenvalues", "eigenvectors"),
+    "Spectrum(vectors=False)": ("eigenvalues", "eigenvectors"),
     "EigenSelection": ("psi",),
     "EdgePerturbation": ("matrix", "laplacian"),
     "FlowResult": ("sigma_grid", "branch_values", "start_vectors"),
@@ -107,7 +108,10 @@ def records():
         sg, dirichlet_problem(lim, base), component_first_eigenpairs(lim, base)[0],
         grid_eigenvector_oracle(3, 2, 2, 1),
     )
-    return {type(r).__name__: r for r in made}
+    return {
+        **{type(r).__name__: r for r in made},
+        "Spectrum(vectors=False)": eigendecompose(laplacian(g), vectors=False),
+    }
 
 
 @pytest.mark.parametrize("name", ARRAY_FIELDS)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from nodalflow import edge_flow, spectra, vertex_flow
+from nodalflow.edge_flow import build_perturbation, flow_matrix, nodal_count_direct
+from nodalflow.families import grid
 from nodalflow.graph_core import WeightedGraph, laplacian
+from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import (
     SIGN_TOL,
     _sign_normalize,
@@ -10,6 +14,7 @@ from nodalflow.spectra import (
     multiplicity_of,
     track_branches,
 )
+from nodalflow.vertex_flow import bilinear_matrix, run_vertex_flow, subdivide
 
 
 def c4():
@@ -151,21 +156,23 @@ def test_persistent_degenerate_pair_is_tracked():
     np.testing.assert_allclose(got[2], 1.0, atol=1e-12)
 
 
-def test_refinement_and_crossing_in_one_walk():
-    # A block whose eigenvectors turn by 90 degrees near sigma = 0.45 looks
-    # like an exchange of its two constant branches on the coarse grid, so
-    # the monotone check refines there (14 -> 16 points). The third
-    # diagonal entry, branch 0 at sigma = 0, crosses the reference at
-    # sigma = 0.7.
-    def turning(s):
-        angle = (np.pi / 2) / (1.0 + np.exp(-(s - 0.45) / 0.01))
-        c, t = np.cos(angle), np.sin(angle)
-        R = np.array([[c, -t], [t, c]])
-        M = np.zeros((3, 3))
-        M[:2, :2] = R @ np.diag([3.0, 4.0]) @ R.T
-        M[2, 2] = 0.5 + s
-        return M
+def turning(s):
+    # A block whose eigenvectors turn by 90 degrees near sigma = 0.45, plus
+    # a diagonal entry 0.5 + sigma.
+    angle = (np.pi / 2) / (1.0 + np.exp(-(s - 0.45) / 0.01))
+    c, t = np.cos(angle), np.sin(angle)
+    R = np.array([[c, -t], [t, c]])
+    M = np.zeros((3, 3))
+    M[:2, :2] = R @ np.diag([3.0, 4.0]) @ R.T
+    M[2, 2] = 0.5 + s
+    return M
 
+
+def test_refinement_and_crossing_in_one_walk():
+    # The turning block looks like an exchange of its two constant branches
+    # on the coarse grid, so the monotone check refines there (14 -> 16
+    # points). The third diagonal entry, branch 0 at sigma = 0, crosses the
+    # reference at sigma = 0.7.
     fr = track_branches(turning, np.linspace(0.0, 1.0, 14), 1.2)
     assert len(fr.sigma_grid) == 16
     assert not fr.refinement_exhausted
@@ -175,3 +182,79 @@ def test_refinement_and_crossing_in_one_walk():
     assert c.sigma_hi - c.sigma_lo <= 1e-6
     assert c.sigma_lo <= 0.7 <= c.sigma_hi
     assert np.diff(fr.branch_values, axis=1).min() > -1e-10
+
+
+@pytest.fixture(scope="module")
+def benchmark_flows():
+    """The benchmark's two flow families: the vertex flow of grid 10x10 at
+    k=20 and the edge flow of grid 15x15 at k=9."""
+    g = grid(10, 10)
+    sg = subdivide(g, select_eigenpair(eigendecompose(laplacian(g)), 20))
+    h = grid(15, 15)
+    pert = build_perturbation(h, select_eigenpair(eigendecompose(laplacian(h)), 9))
+    return {
+        "vertex": lambda s: bilinear_matrix(sg, s).matrix,
+        "edge": lambda s: flow_matrix(pert, s).matrix,
+    }
+
+
+@pytest.mark.parametrize(
+    "flow, sigma",
+    [("vertex", s) for s in (0.0, 1e-3, 1.0, 552.0, 1e4)]
+    + [("edge", s) for s in (0.0, 0.3, 1.0)],
+)
+def test_values_only_solve_matches_full_solve(benchmark_flows, flow, sigma):
+    M = benchmark_flows[flow](sigma)
+    full = eigendecompose(M)
+    values = eigendecompose(M, vectors=False)
+    scale = max(1.0, float(np.max(np.abs(full.eigenvalues))))
+    np.testing.assert_allclose(values.eigenvalues, full.eigenvalues, rtol=0, atol=1e-12 * scale)
+    assert values.groups == full.groups
+    assert values.eigenvectors.shape == (M.shape[0], 0)
+    assert values.eigenvectors.flags.writeable is False
+
+
+def _record_solves(monkeypatch, *modules):
+    """Wrap eigendecompose where each module calls it. Each solve appends
+    (module name, vectors, inside the crossing bisection) to the list
+    returned."""
+    solves, depth = [], [0]
+    solve, falls = spectra.eigendecompose, spectra._falls
+
+    def bisect(*args):
+        depth[0] += 1
+        try:
+            return falls(*args)
+        finally:
+            depth[0] -= 1
+
+    for module in modules:
+        def recorded(M, *, _name=module.__name__, **kwargs):
+            solves.append((_name, kwargs.get("vectors", True), depth[0] > 0))
+            return solve(M, **kwargs)
+
+        monkeypatch.setattr(module, "eigendecompose", recorded)
+    monkeypatch.setattr(spectra, "_falls", bisect)
+    return solves
+
+
+def test_only_value_reads_solve_without_vectors(monkeypatch):
+    g = grid(4, 3)
+    sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
+    solves = _record_solves(monkeypatch, spectra, vertex_flow, edge_flow)
+
+    fr = track_branches(turning, np.linspace(0.0, 1.0, 14), 1.2)
+    assert sum(vectors for _, vectors, _ in solves) == len(fr.sigma_grid)
+    assert sum(not vectors for _, vectors, _ in solves) >= 1
+    assert all(vectors != bisection for _, vectors, bisection in solves)
+
+    solves.clear()
+    run_vertex_flow(g, sel, steps=20)
+    tracked = [s for s in solves if s[0] == spectra.__name__]
+    assert any(bisection for _, _, bisection in tracked)
+    assert all(vectors != bisection for _, vectors, bisection in tracked)
+    assert [s for s in solves if s not in tracked] == [(vertex_flow.__name__, False, False)]
+
+    solves.clear()
+    nodal_count_direct(g, sel)
+    assert solves == [(edge_flow.__name__, False, False)]
