@@ -28,11 +28,10 @@ _FAMILY_ALIASES = {"er": "erdos_renyi"}
 def _count_sign_edges_tolerant(g: WeightedGraph, psi: np.ndarray) -> int:
     """Sign-change edges among vertices with nonzero entries; for a
     nowhere-zero psi, len(sign_change_edges(g, psi))."""
-    zset = set(zero_vertices(psi))
-    return sum(
-        1 for i, j, _ in g.edges
-        if i not in zset and j not in zset and psi[i] * psi[j] < 0
-    )
+    nonzero = np.ones(g.n, dtype=bool)
+    nonzero[list(zero_vertices(psi))] = False
+    i, j, _ = g.edge_arrays
+    return int(np.count_nonzero(nonzero[i] & nonzero[j] & (psi[i] * psi[j] < 0)))
 
 
 def _row_for_k(g: WeightedGraph, L, spectrum, k: int) -> dict:

@@ -9,6 +9,7 @@ the multiplicity of lambda_k equals the strong nodal domain count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .spectra import (
     FlowResult,
     derivative_residual,
     eigendecompose,
+    group_tolerance,
     multiplicity_of,
     track_branches,
 )
@@ -48,17 +50,18 @@ def build_perturbation(
     """Assemble P from the sign-change edges of the selected eigenvector;
     L is g's Laplacian, assembled here unless the caller passes it."""
     psi = sel.psi
-    blocks = []
+    edges = sign_change_edges(g, psi)
+    i, j, w = np.fromiter(chain.from_iterable(edges), float, 3 * len(edges)).reshape(-1, 3).T
+    i, j = i.astype(np.intp), j.astype(np.intp)
+    q_ij, q_ji = -psi[i] / psi[j], -psi[j] / psi[i]
     P = np.zeros((g.n, g.n))
-    for i, j, w in sign_change_edges(g, psi):
-        q_ij = -psi[i] / psi[j]
-        q_ji = -psi[j] / psi[i]
-        blocks.append((i, j, w, float(q_ij), float(q_ji)))
-        P[i, i] += w * q_ji
-        P[j, j] += w * q_ij
-        P[i, j] += w
-        P[j, i] += w
-    return EdgePerturbation(tuple(blocks), P, (laplacian(g) if L is None else L).matrix)
+    P[i, j] = P[j, i] = w
+    # Diagonal terms are summed in edge order, i before j, as a loop over the
+    # edges would sum them, so every bit of the result is reproducible.
+    diag = np.column_stack((w * q_ji, w * q_ij)).ravel()
+    P[np.diag_indices(g.n)] = np.bincount(np.column_stack((i, j)).ravel(), diag, g.n)
+    blocks = tuple(zip(i.tolist(), j.tolist(), w.tolist(), q_ij.tolist(), q_ji.tolist()))
+    return EdgePerturbation(blocks, P, (laplacian(g) if L is None else L).matrix)
 
 
 def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
@@ -133,10 +136,14 @@ def run_edge_flow(
 
     converged_count is read off the last grid point, sigma = 1 exactly,
     where lambda_k is the lowest eigenvalue, so it is lambda_k's
-    multiplicity there. The branch count identity converged + crossings = k
-    is certified (EigenSelection.certify), crossings being those of the
-    branches that start below lambda_k. ``threads`` is accepted and
-    ignored: every sigma is solved in the calling thread.
+    multiplicity there. The certificate (count_identity_ok,
+    EigenSelection.certify) asks for the branch count identity converged +
+    crossings = k, crossings being those of the branches that start below
+    lambda_k, and for the flow's ends, read off the grid values: exactly
+    k - 1 eigenvalues below lambda_k - tol at sigma = 0 and none at
+    sigma = 1 (tol its group tolerance), so a flow that stops short of the
+    sigma = 1 matrix fails it. ``threads`` is accepted and ignored: every
+    sigma is solved in the calling thread.
     """
     warnings = sel.check_assumptions(allow_degenerate)
     pert = build_perturbation(g, sel)
@@ -144,11 +151,14 @@ def run_edge_flow(
         lambda s: flow_matrix(pert, s), np.linspace(0.0, 1.0, steps), sel.lambda_k
     )
     nu = fr.converged_count
-    identity_ok = (nu + len(fr.crossings)) == sel.k
+    below = fr.branch_values < sel.lambda_k - group_tolerance(sel.lambda_k)
+    at_0, at_1 = int(np.sum(below[:, 0])), int(np.sum(below[:, -1]))
+    identity_ok = nu + len(fr.crossings) == sel.k and at_0 == sel.k - 1 and at_1 == 0
     warnings += sel.certify(
         identity_ok,
-        f"count identity failed: converged {nu} + crossings {len(fr.crossings)}"
-        f" != k {sel.k}",
+        f"edge certificate failed: converged {nu} + crossings {len(fr.crossings)}"
+        f" vs k {sel.k}, below lambda_k {at_0} at sigma=0 vs k - 1 = {sel.k - 1}"
+        f" and {at_1} at sigma=1 vs 0",
     )
     return replace(fr, warnings=fr.warnings + warnings, count_identity_ok=identity_ok)
 

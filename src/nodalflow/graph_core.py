@@ -9,6 +9,7 @@ to the Laplacian diagonal without creating off-diagonal entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -61,6 +62,16 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Endpoints i, j and weights w of the edges, in edge order, as
+        read-only arrays (built once per graph)."""
+        e = np.array(self.edges, dtype=float).reshape(-1, 3)
+        arrays = (e[:, 0].astype(np.intp), e[:, 1].astype(np.intp), e[:, 2].copy())
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
 
 def freeze_arrays(record, *names: str) -> None:
     """Store each named field of a frozen dataclass as a read-only float
@@ -85,8 +96,7 @@ class LaplacianMatrix:
 def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     """Assemble L = D - A plus any diagonal additions. Exactly symmetric by
     construction."""
-    e = np.array(g.edges, dtype=float).reshape(-1, 3)
-    i, j, w = e[:, 0].astype(np.intp), e[:, 1].astype(np.intp), e[:, 2]
+    i, j, w = g.edge_arrays
     L = np.zeros((g.n, g.n))
     L[i, j] = L[j, i] = -w
     # Degrees are summed in edge order, i before j, as a loop over the edges

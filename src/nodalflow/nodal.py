@@ -100,7 +100,9 @@ def sign_change_edges(g: WeightedGraph, psi: np.ndarray) -> tuple[Edge, ...]:
     zeros = zero_vertices(psi)
     if zeros:
         raise ZeroVertex(zeros)
-    return tuple(e for e in g.edges if psi[e[0]] * psi[e[1]] < 0)
+    psi = np.asarray(psi, dtype=float)
+    i, j, _ = g.edge_arrays
+    return tuple(g.edges[e] for e in np.flatnonzero(psi[i] * psi[j] < 0))
 
 
 @dataclass(frozen=True)

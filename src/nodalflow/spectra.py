@@ -8,12 +8,14 @@ to a minimum step; degenerate eigenvalue clusters are matched as whole
 subspaces and re-aligned by orthogonal Procrustes so branch vectors stay
 continuous through them. Crossings of a reference value are bracketed by
 bisection on the number of eigenvalues at or below it, which needs no
-eigenvectors.
+eigenvectors. Branch labels do not depend on which basis of a degenerate
+eigenspace the solver returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 import numpy as np
 import scipy.linalg
@@ -97,17 +99,23 @@ def _cluster(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def eigendecompose(M, *, vectors: bool = True) -> Spectrum:
+def eigendecompose(M, *, vectors: bool = True, driver: str | None = None) -> Spectrum:
     """Eigendecomposition of a dense symmetric matrix.
 
     Eigenvalues come back ascending; eigenvectors are orthonormal columns
     with a deterministic sign convention. With ``vectors=False`` only the
     eigenvalues are computed, several times faster, and eigenvectors is an
     n x 0 array: for callers that read only values (counts, multiplicities).
+
+    ``driver`` goes to ``scipy.linalg.eigh`` (None: its default, ``evr``).
+    track_branches passes ``"evd"`` (divide and conquer, several times
+    faster with eigenvectors), which can return another basis of a
+    degenerate eigenspace; callers that read one vector of such a space
+    keep the default.
     """
     A = _as_matrix(M)
     try:
-        out = scipy.linalg.eigh(A, eigvals_only=not vectors)
+        out = scipy.linalg.eigh(A, eigvals_only=not vectors, driver=driver)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigFailure(str(exc)) from exc
     if not vectors:
@@ -137,9 +145,12 @@ class FlowResult:
     """Tracked eigenvalue branches of a matrix family over a sigma grid.
 
     branch_values[b, t] is branch b at sigma_grid[t]. The branch index b
-    is the eigenvalue position at the first grid point, and
-    start_vectors[:, b] is branch b's eigenvector there, with degenerate
-    clusters rotated into alignment with where their branches go.
+    is the eigenvalue position at the first grid point; the positions of a
+    degenerate cluster there go to its branches in the order of their value
+    paths, compared at the first grid point where two differ by more than
+    the group tolerance. start_vectors[:, b] is branch b's eigenvector at
+    the first grid point, with degenerate clusters rotated into alignment
+    with where their branches go.
     """
 
     sigma_grid: np.ndarray
@@ -273,6 +284,14 @@ def derivative_residual(family, sigma: float, u, closed_form) -> float:
     return abs(fd - pred) / max(1.0, abs(fd), abs(pred))
 
 
+def _path_order(u: np.ndarray, v: np.ndarray) -> int:
+    """-1, 0 or 1 as the value path u is below, level with or above v at the
+    first grid point where they differ by more than the group tolerance."""
+    tol = GROUP_TOL_REL * np.maximum(1.0, np.maximum(abs(u), abs(v)))
+    far = np.flatnonzero(np.abs(u - v) > tol)
+    return int(np.sign(u[far[0]] - v[far[0]])) if far.size else 0
+
+
 def _falls(flow, lo, hi, n_lo, n_hi, t):
     """Cells of width <= BRACKET_WIDTH, in sigma order, one per unit fall of
     the number of eigenvalues <= t over [lo, hi], found by bisecting on that
@@ -314,7 +333,10 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
     branches that start below 2 lambda_k - t are recorded as crossings.
 
     The grid is walked once, one eigensolve with eigenvectors per point in
-    the calling thread; the bisection solves compute eigenvalues only.
+    the calling thread, by the ``evd`` driver; the bisection solves compute
+    eigenvalues only. Degenerate clusters at the first point are labelled
+    by value path (see FlowResult), so labels and crossings do not depend
+    on the basis the solver returned.
     Refinement floors out at 1e-6 * max(min(1, span), sigma), so log-spaced
     grids stay refinable near the origin; an interval at the floor that
     still fails sets refinement_exhausted instead.
@@ -325,10 +347,11 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
     span = sigmas[-1] - sigmas[0]
 
     def evaluate(sigma: float) -> _Node:
-        return _Node(sigma, eigendecompose(flow_matrix(sigma)))
+        return _Node(sigma, eigendecompose(flow_matrix(sigma), driver="evd"))
 
     nodes = map(evaluate, sigmas)
     a = next(nodes)
+    start_groups = [g for g in a.groups if len(g) > 1]
     t = reference_value + COUNT_TOL_REL * max(
         1.0, abs(reference_value), float(np.max(np.abs(a.vals)))
     )
@@ -363,6 +386,15 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
         a = b
 
     branch_values = np.stack(values, axis=1)
+    # Which branch of a degenerate start cluster gets which label depends on
+    # the basis the solver returned; order each cluster by value path.
+    by_path = cmp_to_key(lambda b, c: _path_order(branch_values[b], branch_values[c]))
+    order = np.arange(len(branch_values))
+    for g in start_groups:
+        order[list(g)] = sorted(g, key=by_path)
+    label = np.argsort(order)
+    branch_values, start_vectors = branch_values[order], start_vectors[:, order]
+    crossings = [BranchCrossing(int(label[c.branch]), c.sigma_lo, c.sigma_hi) for c in crossings]
     top = reference_value + group_tolerance(reference_value)
     converged = int(np.sum(branch_values[:, -1] <= top))
 

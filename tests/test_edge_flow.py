@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nodalflow import edge_flow
+from nodalflow.cli import main
 from nodalflow.edge_flow import (
     EdgePerturbation,
     build_perturbation,
@@ -12,8 +14,9 @@ from nodalflow.edge_flow import (
     run_edge_flow,
     sign_preserving_graph,
 )
-from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue
+from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
 from nodalflow.families import complete, generate_connected_er, grid, interval, petersen
+from nodalflow.fileio import save_graph
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import perturb_to_nonzero, select_eigenpair
 from nodalflow.spectra import eigendecompose
@@ -193,6 +196,43 @@ def test_run_edge_flow_monotone_branches():
     assert diffs.min() > -1e-8
     assert fr.converged_count == 3
     assert fr.count_identity_ok
+
+
+@pytest.fixture
+def half_penalty(monkeypatch):
+    """run_edge_flow with P / 2 in place of P: the flow stops short of the
+    sigma = 1 matrix whose multiplicity of lambda_k is nu."""
+    def half(g, sel, L=None):
+        pert = build_perturbation(g, sel, L)
+        return EdgePerturbation(pert.blocks, 0.5 * pert.matrix, pert.laplacian)
+
+    monkeypatch.setattr(edge_flow, "build_perturbation", half)
+
+
+def test_run_edge_flow_certifies_its_ends(half_penalty, tmp_path, capsys):
+    # On grid 7x5 at k=5 the short flow still has converged + crossings = k,
+    # but two of the branches bound for lambda_5 end below it.
+    g = grid(7, 5)
+    sel = select(g, 5)
+    with pytest.raises(
+        FlowConsistencyError,
+        match=r"converged 3 \+ crossings 2 vs k 5, below lambda_k 4 at sigma=0"
+        r" vs k - 1 = 4 and 2 at sigma=1 vs 0",
+    ):
+        run_edge_flow(g, sel)
+
+    # For a degenerate lambda_k the failure is a warning.
+    fr = run_edge_flow(petersen(7, 3), select(petersen(7, 3), 7), allow_degenerate=True)
+    assert fr.count_identity_ok is False
+    assert fr.warnings[0] == "degenerate_lambda_k"
+    assert fr.warnings[1].endswith("and 3 at sigma=1 vs 0")
+
+    path = tmp_path / "g75.json"
+    save_graph(path, g)
+    assert main(["flow", "--method", "edge", "--graph", str(path), "--k", "5",
+                 "--out", str(tmp_path / "e")]) == 2
+    assert "edge certificate failed" in capsys.readouterr().err
+    assert not list(tmp_path.glob("e.*"))
 
 
 def test_run_edge_flow_rejects_zero_vertices():

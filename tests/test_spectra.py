@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from nodalflow import edge_flow, spectra, vertex_flow
-from nodalflow.edge_flow import build_perturbation, flow_matrix, nodal_count_direct
+from nodalflow import cli, dirichlet, edge_flow, spectra, vertex_flow
+from nodalflow.edge_flow import (
+    build_perturbation,
+    derivative_identity_check,
+    flow_matrix,
+    nodal_count_direct,
+    run_edge_flow,
+)
 from nodalflow.families import grid
+from nodalflow.fileio import save_graph
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import (
@@ -156,6 +163,22 @@ def test_persistent_degenerate_pair_is_tracked():
     np.testing.assert_allclose(got[2], 1.0, atol=1e-12)
 
 
+def test_degenerate_start_cluster_is_labelled_by_value_path():
+    # Three branches start in the zero eigenvalue, in a rotated basis, and
+    # rise at slopes 1, 2 and 3: their labels follow that order.
+    Q = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
+
+    def fam(s):
+        return Q @ np.diag([3.0 * s, s, 2.0 * s, 1.0 + s]) @ Q.T
+
+    fr = track_branches(fam, np.linspace(0.0, 1.0, 9), 1.2)
+    np.testing.assert_allclose(
+        fr.branch_values[:3], np.outer([1.0, 2.0, 3.0], fr.sigma_grid), atol=1e-12
+    )
+    crossings = [(c.branch, round(c.sigma_lo, 3)) for c in fr.crossings]
+    assert crossings == [(1, 0.6), (2, 0.4), (3, 0.2)]
+
+
 def turning(s):
     # A block whose eigenvectors turn by 90 degrees near sigma = 0.45, plus
     # a diagonal entry 0.5 + sigma.
@@ -258,3 +281,88 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     solves.clear()
     nodal_count_direct(g, sel)
     assert solves == [(edge_flow.__name__, False, False)]
+
+
+@pytest.mark.parametrize(
+    "method, size, k, steps",
+    [("edge", (6, 6), 4, 60), ("edge", (6, 6), 33, 60), ("vertex", (4, 3), 5, 200)],
+    ids=["edge-grid6x6-k4", "edge-grid6x6-k33", "vertex-grid4x3-k5"],
+)
+def test_branch_labels_do_not_depend_on_the_basis(monkeypatch, method, size, k, steps):
+    # Grid 6x6's edge flows start from 13 degenerate clusters, and the vertex
+    # flow's zero cluster holds L's kernel and the ghosts. The two drivers
+    # return different bases for such clusters.
+    g = grid(*size)
+    sel = select_eigenpair(eigendecompose(laplacian(g)), k)
+    run = run_edge_flow if method == "edge" else run_vertex_flow
+    solve = spectra.eigendecompose
+    flows = []
+    for driver in ("evr", "evd"):
+        def grid_solve(M, *, vectors=True, _driver=driver, **kwargs):
+            if vectors:
+                kwargs["driver"] = _driver
+            return solve(M, vectors=vectors, **kwargs)
+
+        monkeypatch.setattr(spectra, "eigendecompose", grid_solve)
+        flows.append(run(g, sel, steps=steps))
+    a, b = flows
+    assert any(len(c) > 1 for c in spectra._cluster(a.branch_values[:, 0]))
+    scale = max(1.0, float(np.max(np.abs(a.branch_values))))
+    np.testing.assert_array_equal(a.sigma_grid, b.sigma_grid)
+    np.testing.assert_allclose(a.branch_values, b.branch_values, rtol=0, atol=1e-11 * scale)
+    assert a.crossings == b.crossings
+    assert a.branch_origins == b.branch_origins
+    assert (a.converged_count, a.count_identity_ok) == (b.converged_count, b.count_identity_ok)
+
+
+def test_only_tracked_grid_points_use_divide_and_conquer(monkeypatch, tmp_path):
+    # Each eigendecompose call is recorded as (module, driver, vectors,
+    # inside track_branches, inside its crossing bisection).
+    solves, depth = [], {"track": 0, "falls": 0}
+
+    def nested(key, fn):
+        def wrapped(*args, **kwargs):
+            depth[key] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[key] -= 1
+        return wrapped
+
+    solve = spectra.eigendecompose
+    for module in (spectra, edge_flow, vertex_flow, dirichlet, cli):
+        def recorded(M, *, _name=module.__name__, **kwargs):
+            solves.append((_name, kwargs.get("driver"), kwargs.get("vectors", True),
+                           depth["track"] > 0, depth["falls"] > 0))
+            return solve(M, **kwargs)
+
+        monkeypatch.setattr(module, "eigendecompose", recorded)
+    for module in (edge_flow, vertex_flow):
+        monkeypatch.setattr(module, "track_branches", nested("track", spectra.track_branches))
+    monkeypatch.setattr(spectra, "_falls", nested("falls", spectra._falls))
+
+    g = grid(4, 3)
+    path = tmp_path / "grid.json"
+    save_graph(path, g)
+    for method in ("vertex", "edge"):
+        assert cli.main(["flow", "--method", method, "--graph", str(path), "--k", "5",
+                         "--steps", "20", "--out", str(tmp_path / method)]) == 0
+    sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
+    pert = build_perturbation(g, sel)
+    u = eigendecompose(flow_matrix(pert, 0.5)).eigenvectors[:, 0]
+    derivative_identity_check(pert, 0.5, u)
+    nodal_count_direct(g, sel)
+
+    spectra_name = spectra.__name__
+    grid_points = [s for s in solves if s[0] == spectra_name and s[3] and not s[4]]
+    assert grid_points and all(s[1:3] == ("evd", True) for s in grid_points)
+    others = [s for s in solves if s not in grid_points]
+    assert all(driver is None for _, driver, _, _, _ in others)
+    # The base spectra (select_eigenpair's psi), the bisection, the Dirichlet
+    # solve, derivative_residual and nodal_count_direct are all among them.
+    base = [s for s in others if s[0] == cli.__name__]
+    assert base == [(cli.__name__, None, True, False, False)] * 2
+    assert any(s[4] for s in others)
+    assert (vertex_flow.__name__, None, False, False, False) in others
+    assert sum(s[0] == spectra_name and not s[3] for s in others) == 3
+    assert (edge_flow.__name__, None, False, False, False) in others
