@@ -9,12 +9,11 @@ the multiplicity of lambda_k equals the strong nodal domain count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
 from .graph_core import LaplacianMatrix, WeightedGraph, freeze_arrays, laplacian
-from .nodal import EigenSelection, sign_change_edges
+from .nodal import EigenSelection, sign_change_mask
 from .spectra import (
     FD_STEP,
     FlowResult,
@@ -28,31 +27,42 @@ from .spectra import (
 
 @dataclass(frozen=True)
 class EdgePerturbation:
-    """Per-edge blocks (i, j, w, q_ij, q_ji), the assembled matrix P and
-    the graph Laplacian L, the two fixed terms of the flow L + sigma * P.
+    """psi's sign-change edges i < j with weight w, in edge order, which
+    both flows are built from, and the edge flow's fixed terms P (matrix)
+    and L (laplacian).
 
-    q_ij = -psi_i / psi_j is positive exactly because (i, j) is a
-    sign-change edge; q_ij * q_ji = 1, so each block is PSD of rank 1 with
-    kernel spanned by (psi_i, psi_j).
+    q_ij = -psi_i / psi_j is positive exactly because the edge changes sign;
+    q_ij * q_ji = 1, so each edge's block of P is PSD of rank 1 with kernel
+    spanned by (psi_i, psi_j).
     """
 
-    blocks: tuple[tuple[int, int, float, float, float], ...]
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+    q_ij: np.ndarray
+    q_ji: np.ndarray
     matrix: np.ndarray
     laplacian: np.ndarray
 
     def __post_init__(self):
-        freeze_arrays(self, "matrix", "laplacian")
+        freeze_arrays(self, "i", "j", "w", "q_ij", "q_ji", "matrix", "laplacian")
+
+    @property
+    def half_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """w (1 + q_ji) at i and w (1 + q_ij) at j: sign_preserving_graph's
+        self loops and the vertex flow's ghost half-edges."""
+        return self.w * (1.0 + self.q_ji), self.w * (1.0 + self.q_ij)
 
 
 def build_perturbation(
     g: WeightedGraph, sel: EigenSelection, L: LaplacianMatrix | None = None
 ) -> EdgePerturbation:
-    """Assemble P from the sign-change edges of the selected eigenvector;
-    L is g's Laplacian, assembled here unless the caller passes it."""
+    """Select the sign-change edges of the selected eigenvector, compute
+    their ratios and assemble P from them; L is g's Laplacian, assembled
+    here unless the caller passes it."""
     psi = sel.psi
-    edges = sign_change_edges(g, psi)
-    i, j, w = np.fromiter(chain.from_iterable(edges), float, 3 * len(edges)).reshape(-1, 3).T
-    i, j = i.astype(np.intp), j.astype(np.intp)
+    cut = sign_change_mask(g, psi)
+    i, j, w = (a[cut] for a in g.edge_arrays)
     q_ij, q_ji = -psi[i] / psi[j], -psi[j] / psi[i]
     P = np.zeros((g.n, g.n))
     P[i, j] = P[j, i] = w
@@ -60,8 +70,7 @@ def build_perturbation(
     # edges would sum them, so every bit of the result is reproducible.
     diag = np.column_stack((w * q_ji, w * q_ij)).ravel()
     P[np.diag_indices(g.n)] = np.bincount(np.column_stack((i, j)).ravel(), diag, g.n)
-    blocks = tuple(zip(i.tolist(), j.tolist(), w.tolist(), q_ij.tolist(), q_ji.tolist()))
-    return EdgePerturbation(blocks, P, (laplacian(g) if L is None else L).matrix)
+    return EdgePerturbation(i, j, w, q_ij, q_ji, P, (laplacian(g) if L is None else L).matrix)
 
 
 def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
@@ -73,15 +82,13 @@ def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
 
 def sign_preserving_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedGraph:
     """The graph with sign-change edges removed and their weight folded into
-    the diagonal as self loops of weight (1 + q_ji) w at i and (1 + q_ij) w
-    at j. Its Laplacian equals the flow matrix at sigma = 1."""
-    pm = {(i, j) for i, j, _, _, _ in pert.blocks}
-    kept = tuple(e for e in g.edges if (e[0], e[1]) not in pm)
-    diag = list(g.diag_extra)
-    for i, j, w, q_ij, q_ji in pert.blocks:
-        diag[i] += (1.0 + q_ji) * w
-        diag[j] += (1.0 + q_ij) * w
-    return WeightedGraph(g.n, kept, tuple(diag))
+    the diagonal as the self loops pert.half_weights, added in edge order.
+    Its Laplacian equals the flow matrix at sigma = 1."""
+    i, j, _ = g.edge_arrays
+    cut = np.isin(i * g.n + j, pert.i * g.n + pert.j)
+    diag = np.array(g.diag_extra)
+    np.add.at(diag, np.column_stack((pert.i, pert.j)), np.column_stack(pert.half_weights))
+    return WeightedGraph(g.n, tuple(g.edges[e] for e in np.flatnonzero(~cut)), tuple(diag))
 
 
 @dataclass(frozen=True)
@@ -175,9 +182,7 @@ def derivative_identity_check(pert: EdgePerturbation, sigma: float, u: np.ndarra
         raise ValueError(f"a central difference needs sigma in [{FD_STEP}, 1 - {FD_STEP}]")
 
     def closed_form(u: np.ndarray) -> float:
-        return sum(
-            w * (np.sqrt(q_ji) * u[i] + np.sqrt(q_ij) * u[j]) ** 2
-            for i, j, w, q_ij, q_ji in pert.blocks
-        )
+        w, q_ij, q_ji = pert.w, pert.q_ij, pert.q_ji
+        return float(np.sum(w * (np.sqrt(q_ji) * u[pert.i] + np.sqrt(q_ij) * u[pert.j]) ** 2))
 
     return derivative_residual(lambda s: flow_matrix(pert, s), sigma, u, closed_form)

@@ -112,30 +112,37 @@ class FamilySpec:
 _FAMILIES = ("complete", "cycle", "petersen", "interval", "grid", "erdos_renyi")
 
 
+def _whole(x) -> int:
+    """x as an int; InvalidFamilyParams unless it is a finite whole number."""
+    if not float(x).is_integer():
+        raise InvalidFamilyParams(f"expected a whole number, got {x}")
+    return int(x)
+
+
 def generate(spec: FamilySpec) -> WeightedGraph:
-    """Build the graph described by a FamilySpec. Erdos-Renyi samples are
-    connectivity-enforced via seed retry."""
+    """Build the graph described by a FamilySpec; sizes must be whole
+    numbers. Erdos-Renyi samples are connectivity-enforced via seed retry."""
     kind, params = spec.kind, spec.params
     if kind == "complete":
         (n,) = params
-        return complete(int(n))
+        return complete(_whole(n))
     if kind == "cycle":
         (n,) = params
-        return cycle(int(n))
+        return cycle(_whole(n))
     if kind == "petersen":
         n, m = params
-        return petersen(int(n), int(m))
+        return petersen(_whole(n), _whole(m))
     if kind == "interval":
         (n,) = params
-        return interval(int(n))
+        return interval(_whole(n))
     if kind == "grid":
         n, m = params
-        return grid(int(n), int(m))
+        return grid(_whole(n), _whole(m))
     if kind == "erdos_renyi":
         n, p = params
         if spec.seed is None:
             raise InvalidFamilyParams("erdos_renyi needs a seed")
-        return generate_connected_er(int(n), float(p), int(spec.seed)).graph
+        return generate_connected_er(_whole(n), float(p), int(spec.seed)).graph
     raise InvalidFamilyParams(f"unknown family {kind!r}; expected one of {_FAMILIES}")
 
 

@@ -74,10 +74,12 @@ class WeightedGraph:
 
 
 def freeze_arrays(record, *names: str) -> None:
-    """Store each named field of a frozen dataclass as a read-only float
-    array."""
+    """Store each named field of a frozen dataclass as a read-only array:
+    integer arrays stay integer, anything else becomes float."""
     for name in names:
-        a = np.asarray(getattr(record, name), dtype=float)
+        a = getattr(record, name)
+        if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
+            a = np.asarray(a, dtype=float)
         a.setflags(write=False)
         object.__setattr__(record, name, a)
 

@@ -91,18 +91,21 @@ def select_eigenpair(spectrum: Spectrum, k: int) -> EigenSelection:
     )
 
 
-def sign_change_edges(g: WeightedGraph, psi: np.ndarray) -> tuple[Edge, ...]:
-    """Edges whose endpoint values have strictly opposite signs.
-
-    Raises ZeroVertex if any entry of psi is (relatively) zero, since signs
-    are then ill defined.
-    """
+def sign_change_mask(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
+    """Which of g's edges, in edge order, join strictly opposite signs of
+    psi. Raises ZeroVertex if any entry of psi is (relatively) zero, since
+    signs are then ill defined."""
     zeros = zero_vertices(psi)
     if zeros:
         raise ZeroVertex(zeros)
     psi = np.asarray(psi, dtype=float)
     i, j, _ = g.edge_arrays
-    return tuple(g.edges[e] for e in np.flatnonzero(psi[i] * psi[j] < 0))
+    return psi[i] * psi[j] < 0
+
+
+def sign_change_edges(g: WeightedGraph, psi: np.ndarray) -> tuple[Edge, ...]:
+    """The edges of sign_change_mask, as edge tuples in edge order."""
+    return tuple(g.edges[e] for e in np.flatnonzero(sign_change_mask(g, psi)))
 
 
 @dataclass(frozen=True)

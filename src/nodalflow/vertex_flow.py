@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dirichlet import d_connected_components, dirichlet_problem
+from .edge_flow import EdgePerturbation, build_perturbation, sign_preserving_graph
 from .errors import NotAComponent
 from .graph_core import Edge, LaplacianMatrix, WeightedGraph, freeze_arrays, laplacian
-from .nodal import EigenSelection, sign_change_edges
+from .nodal import EigenSelection
 from .spectra import (
     FD_STEP,
     FlowResult,
@@ -36,20 +37,17 @@ from .spectra import (
 class SubdivisionGraph:
     """Base graph plus one ghost vertex per sign-change edge.
 
-    sign_edges[p] = (i, j, w) gets ghost vertex n_base + p; q[p] holds
-    (q_ij, q_ji) with q_ij = -psi_i / psi_j. kept_edges are the other base
-    edges; ghost_edges are the half-edges (i, ghost, w (1 + q_ji)) and
-    (j, ghost, w (1 + q_ij)) at full weight. The flow matrix is a fixed
-    combination of three Laplacians on all n_total vertices: ``kept``
-    (kept edges plus the base diagonal), ``cut`` (sign-change edges) and
+    Sign-change edge p of pert (the edge flow's record) gets ghost vertex
+    n_base + p, joined to i and j by pert.half_weights at full weight.
+    kept_edges are the other base edges. The flow matrix is a fixed
+    combination of three Laplacians on all n_total vertices: ``kept`` (kept
+    edges plus the base diagonal), ``cut`` (sign-change edges) and
     ``ghost`` (ghost half-edges).
     """
 
     base: WeightedGraph
-    sign_edges: tuple[Edge, ...]
-    q: tuple[tuple[float, float], ...]
+    pert: EdgePerturbation
     kept_edges: tuple[Edge, ...]
-    ghost_edges: tuple[Edge, ...]
     kept: np.ndarray
     cut: np.ndarray
     ghost: np.ndarray
@@ -63,42 +61,43 @@ class SubdivisionGraph:
 
     @property
     def n_ghost(self) -> int:
-        return len(self.sign_edges)
+        return len(self.pert.w)
 
     @property
     def n_total(self) -> int:
-        return self.base.n + len(self.sign_edges)
+        return self.base.n + self.n_ghost
 
     @property
     def diag_extra(self) -> tuple[float, ...]:
         return tuple(self.base.diag_extra) + (0.0,) * self.n_ghost
 
-    def ghost_index(self, position: int) -> int:
-        return self.base.n + position
+
+def _edges(i, j, w) -> tuple[Edge, ...]:
+    """Edge tuples from arrays of endpoints and weights."""
+    return tuple(zip(i.tolist(), j.tolist(), w.tolist()))
+
+
+def _ghost_edges(pert: EdgePerturbation, n_base: int, scale: float = 1.0) -> tuple[Edge, ...]:
+    """Edge p's ghost n_base + p joined to i and j at scale times
+    pert.half_weights."""
+    at_i, at_j = pert.half_weights
+    ghosts = np.arange(n_base, n_base + len(pert.w))
+    return _edges(pert.i, ghosts, scale * at_i) + _edges(pert.j, ghosts, scale * at_j)
 
 
 def subdivide(g: WeightedGraph, sel: EigenSelection) -> SubdivisionGraph:
     """Build the subdivision of g along sel.psi's sign-change edges."""
-    psi = sel.psi
-    edges = sign_change_edges(g, psi)
-    q = tuple((float(-psi[i] / psi[j]), float(-psi[j] / psi[i])) for i, j, _ in edges)
-    pm = {(i, j) for i, j, _ in edges}
-    kept_edges = tuple(e for e in g.edges if (e[0], e[1]) not in pm)
-    ghost_edges = []
-    for p, ((i, j, w), (q_ij, q_ji)) in enumerate(zip(edges, q)):
-        ghost_edges.append((i, g.n + p, w * (1.0 + q_ji)))
-        ghost_edges.append((j, g.n + p, w * (1.0 + q_ij)))
-    n_total = g.n + len(edges)
-    diag = tuple(g.diag_extra) + (0.0,) * len(edges)
+    pert = build_perturbation(g, sel)
+    n_total = g.n + len(pert.w)
+    kept_edges = sign_preserving_graph(g, pert).edges
+    diag = tuple(g.diag_extra) + (0.0,) * len(pert.w)
     return SubdivisionGraph(
         base=g,
-        sign_edges=edges,
-        q=q,
+        pert=pert,
         kept_edges=kept_edges,
-        ghost_edges=tuple(ghost_edges),
         kept=laplacian(WeightedGraph(n_total, kept_edges, diag)).matrix,
-        cut=laplacian(WeightedGraph(n_total, edges)).matrix,
-        ghost=laplacian(WeightedGraph(n_total, tuple(ghost_edges))).matrix,
+        cut=laplacian(WeightedGraph(n_total, _edges(pert.i, pert.j, pert.w))).matrix,
+        ghost=laplacian(WeightedGraph(n_total, _ghost_edges(pert, g.n))).matrix,
     )
 
 
@@ -113,16 +112,18 @@ def graph_at(sg: SubdivisionGraph, sigma: float) -> WeightedGraph:
     if sigma < 0:
         raise ValueError(f"sigma={sigma} must be nonnegative")
     s = sigma / (1.0 + sigma)
-    edges = sg.kept_edges + tuple((i, j, w / (1.0 + sigma)) for i, j, w in sg.sign_edges)
+    p = sg.pert
+    edges = sg.kept_edges + _edges(p.i, p.j, p.w / (1.0 + sigma))
     if s > 0:
-        edges += tuple((i, gh, s * w) for i, gh, w in sg.ghost_edges)
+        edges += _ghost_edges(p, sg.n_base, s)
     return WeightedGraph(sg.n_total, edges, sg.diag_extra)
 
 
 def limit_graph(sg: SubdivisionGraph) -> WeightedGraph:
     """The sigma -> infinity subdivision graph: sign-change edges are gone
     and the ghost half-edges carry their full weight w * (1 + q)."""
-    return WeightedGraph(sg.n_total, sg.kept_edges + sg.ghost_edges, sg.diag_extra)
+    edges = sg.kept_edges + _ghost_edges(sg.pert, sg.n_base)
+    return WeightedGraph(sg.n_total, edges, sg.diag_extra)
 
 
 def bilinear_matrix(sg: SubdivisionGraph, sigma: float) -> LaplacianMatrix:
@@ -138,12 +139,10 @@ def bilinear_matrix(sg: SubdivisionGraph, sigma: float) -> LaplacianMatrix:
     return LaplacianMatrix(M)
 
 
-def extension_coefficients(sg: SubdivisionGraph) -> tuple[tuple[float, float], ...]:
-    """(a_ij, a_ji) per sign-change edge with a_ij = 1 / (1 + q_ij); the
-    pair sums to 1."""
-    return tuple(
-        (1.0 / (1.0 + q_ij), 1.0 / (1.0 + q_ji)) for q_ij, q_ji in sg.q
-    )
+def extension_coefficients(sg: SubdivisionGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays a_ij = 1 / (1 + q_ij) and a_ji = 1 / (1 + q_ji) over the
+    sign-change edges, in edge order; a_ij + a_ji = 1 on every edge."""
+    return 1.0 / (1.0 + sg.pert.q_ij), 1.0 / (1.0 + sg.pert.q_ji)
 
 
 def extend(sg: SubdivisionGraph, u: np.ndarray) -> np.ndarray:
@@ -152,13 +151,8 @@ def extend(sg: SubdivisionGraph, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (sg.n_base,):
         raise ValueError(f"expected base vector of length {sg.n_base}")
-    out = np.zeros(sg.n_total)
-    out[: sg.n_base] = u
-    coeffs = extension_coefficients(sg)
-    for p, (i, j, _) in enumerate(sg.sign_edges):
-        a_ij, a_ji = coeffs[p]
-        out[sg.ghost_index(p)] = a_ij * u[i] + a_ji * u[j]
-    return out
+    a_ij, a_ji = extension_coefficients(sg)
+    return np.concatenate((u, a_ij * u[sg.pert.i] + a_ji * u[sg.pert.j]))
 
 
 def restrict_eigenvector(
@@ -185,12 +179,6 @@ def restrict_eigenvector(
     idx = np.array(comp, dtype=int)
     out[idx] = psi[idx]
     return out
-
-
-def _vertex_grid(sigma_max: float, steps: int) -> np.ndarray:
-    return np.concatenate(
-        [[0.0], np.logspace(-3.0, np.log10(sigma_max), steps)]
-    )
 
 
 def _classify_origins(fr: FlowResult, n_base: int) -> tuple[str, ...]:
@@ -236,7 +224,8 @@ def run_vertex_flow(
     limit.
 
     The grid is [0] followed by ``steps`` log-spaced points on
-    [1e-3, sigma_max], so sigma_max must be finite and > 1e-3. Branches
+    [1e-3, sigma_max], so sigma_max must be finite and > 1e-3 and steps at
+    least 2 (one point would stop the flow at 1e-3). Branches
     never decrease and lambda_k is the lowest eigenvalue of the sigma =
     infinity Dirichlet problem, of multiplicity nu, so converged_count
     counts the branches still at or below lambda_k at sigma_max. The
@@ -250,9 +239,11 @@ def run_vertex_flow(
     """
     if not 1e-3 < sigma_max < np.inf:
         raise ValueError(f"sigma_max must be finite and > 1e-3, got {sigma_max}")
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
     warnings = sel.check_assumptions(allow_degenerate)
     sg = subdivide(g, sel)
-    grid = _vertex_grid(sigma_max, steps)
+    grid = np.concatenate([[0.0], np.logspace(-3.0, np.log10(sigma_max), steps)])
     fr = track_branches(lambda s: bilinear_matrix(sg, s), grid, sel.lambda_k)
     dp = dirichlet_problem(limit_graph(sg), tuple(range(sg.n_base)))
     nu_d = multiplicity_of(eigendecompose(dp.matrix, vectors=False), sel.lambda_k)
@@ -285,23 +276,19 @@ def check_edge_equivalence(
     comparable to the 1e-10 contract.
     """
     sg = subdivide(g, sel)
+    p = sg.pert
     B = bilinear_matrix(sg, sigma).matrix
-    L = laplacian(g).matrix
-    coeffs = extension_coefficients(sg)
+    a_ij, a_ji = extension_coefficients(sg)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         u = rng.standard_normal(g.n)
         v = rng.standard_normal(g.n)
-        ut, vt = extend(sg, u), extend(sg, v)
-        lhs = float(ut @ B @ vt)
-        rhs = float(u @ L @ v)
-        for p, (i, j, w) in enumerate(sg.sign_edges):
-            q_ij, q_ji = sg.q[p]
-            a_ij, a_ji = coeffs[p]
-            # <u, P_ij v> for the rank-1 block of the edge-based flow.
-            pij = w * (q_ji * u[i] * v[i] + u[i] * v[j] + u[j] * v[i] + q_ij * u[j] * v[j])
-            rhs += sigma * (a_ij * a_ji / w) * pij
+        lhs = float(extend(sg, u) @ B @ extend(sg, v))
+        ui, uj, vi, vj = u[p.i], u[p.j], v[p.i], v[p.j]
+        # <u, P_ij v> for the rank-1 block of each sign-change edge.
+        pij = p.w * (p.q_ji * ui * vi + ui * vj + uj * vi + p.q_ij * uj * vj)
+        rhs = float(u @ p.laplacian @ v) + sigma * float(np.sum(a_ij * a_ji / p.w * pij))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst
 
@@ -318,13 +305,8 @@ def derivative_identity_check(sg: SubdivisionGraph, sigma: float, u: np.ndarray)
         raise ValueError(f"a central difference needs sigma >= {FD_STEP}")
 
     def closed_form(u: np.ndarray) -> float:
-        s2 = (1.0 + sigma) ** 2
-        pred = 0.0
-        for p, (i, j, w) in enumerate(sg.sign_edges):
-            q_ij, q_ji = sg.q[p]
-            gh = sg.ghost_index(p)
-            term = u[gh] + q_ji * u[gh] - q_ji * u[i] - u[j]
-            pred += (w / s2) * q_ij * term * term
-        return pred + float(np.sum(u[sg.n_base:] ** 2))
+        p, gh = sg.pert, u[sg.n_base:]
+        term = gh + p.q_ji * gh - p.q_ji * u[p.i] - u[p.j]
+        return float(np.sum((p.w / (1.0 + sigma) ** 2) * p.q_ij * term * term) + np.sum(gh**2))
 
     return derivative_residual(lambda s: bilinear_matrix(sg, s), sigma, u, closed_form)

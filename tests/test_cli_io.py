@@ -298,3 +298,24 @@ def test_cli_subprocess_scan_reproducible(tmp_path):
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.startswith("k,lambda_k,")
+
+
+def test_cli_generate_refuses_sizes_that_are_not_whole_numbers(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    for params in ("3.7", "inf", "nan"):
+        assert main(["generate", "--family", "cycle", "--params", params, "-o", str(out)]) == 2
+        assert "whole number" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["generate", "--family", "cycle", "--params", "3.0", "-o", str(out)]) == 0
+    assert fileio.load_graph(out)[0].n == 3
+
+
+def test_cli_vertex_flow_refuses_fewer_than_two_steps(tmp_path, capsys):
+    # One log-spaced point would end the flow at sigma = 1e-3.
+    graph = tmp_path / "p.json"
+    main(["generate", "--family", "petersen", "--params", "7,3", "-o", str(graph)])
+    for steps in ("1", "0"):
+        assert main(["flow", "--method", "vertex", "--graph", str(graph), "--k", "7",
+                     "--steps", steps, "--out", str(tmp_path / "v")]) == 2
+        assert "steps" in capsys.readouterr().err
+    assert not list(tmp_path.glob("v.*"))

@@ -142,6 +142,21 @@ def test_generate_dispatch():
         generate(FamilySpec("star", (5,)))
 
 
+@pytest.mark.parametrize(
+    "kind,params",
+    [("cycle", (3.7,)), ("cycle", (float("inf"),)), ("grid", (7, 5.5)),
+     ("petersen", (7.0, float("nan"))), ("erdos_renyi", (12.5, 0.4))],
+)
+def test_generate_refuses_sizes_that_are_not_whole_numbers(kind, params):
+    with pytest.raises(InvalidFamilyParams, match="whole number"):
+        generate(FamilySpec(kind, params, seed=7))
+
+
+def test_generate_takes_whole_floats_and_a_float_probability():
+    assert generate(FamilySpec("grid", (3.0, 4.0))).n == 12
+    assert generate(FamilySpec("erdos_renyi", (12.0, 0.4), seed=7)).n == 12
+
+
 def test_path_eigenpair_matches_solver():
     g = interval(7)
     spec = eigendecompose(laplacian(g))

@@ -87,7 +87,7 @@ ARRAY_FIELDS = {
     "Spectrum": ("eigenvalues", "eigenvectors"),
     "Spectrum(vectors=False)": ("eigenvalues", "eigenvectors"),
     "EigenSelection": ("psi",),
-    "EdgePerturbation": ("matrix", "laplacian"),
+    "EdgePerturbation": ("i", "j", "w", "q_ij", "q_ji", "matrix", "laplacian"),
     "FlowResult": ("sigma_grid", "branch_values", "start_vectors"),
     "SubdivisionGraph": ("kept", "cut", "ghost"),
     "DirichletProblem": ("matrix",),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalflow.edge_flow import build_perturbation
 from nodalflow.errors import ZeroVertex
 from nodalflow.families import complete, cycle, grid, interval, petersen
 from nodalflow.graph_core import WeightedGraph, laplacian
@@ -17,6 +18,7 @@ from nodalflow.nodal import (
     zero_vertices,
 )
 from nodalflow.spectra import eigendecompose
+from nodalflow.vertex_flow import subdivide
 
 from _oracles import flood_fill_nodal_count, flood_fill_weak_count
 
@@ -84,6 +86,15 @@ def test_sign_change_edges_refuses_zeros():
     sel = select_eigenpair(spectrum_of(g), 2)
     with pytest.raises(ZeroVertex):
         sign_change_edges(g, sel.psi)
+
+
+@pytest.mark.parametrize("build", [build_perturbation, subdivide])
+def test_flow_records_refuse_zeros(build):
+    # psi_2 of interval(7) vanishes at the midpoint.
+    g = interval(7)
+    sel = select_eigenpair(spectrum_of(g), 2)
+    with pytest.raises(ZeroVertex):
+        build(g, sel)
 
 
 def test_nodal_decomposition_path_four():

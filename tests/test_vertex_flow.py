@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
+from nodalflow.edge_flow import build_perturbation, sign_preserving_graph
 from nodalflow.families import complete, cycle, grid, interval, petersen
 from nodalflow.graph_core import laplacian
 from nodalflow.nodal import nodal_decomposition, select_eigenpair
@@ -29,11 +30,20 @@ def test_subdivide_structure_path():
     assert sg.n_base == 4
     assert sg.n_ghost == 1
     assert sg.n_total == 5
-    assert sg.ghost_index(0) == 4
-    assert [(i, j) for i, j, _ in sg.sign_edges] == [(1, 2)]
-    q_ij, q_ji = sg.q[0]
+    assert (sg.pert.i.tolist(), sg.pert.j.tolist()) == ([1], [2])
+    (q_ij,), (q_ji,) = sg.pert.q_ij, sg.pert.q_ji
     assert q_ij > 0 and q_ji > 0
     assert q_ij * q_ji == pytest.approx(1.0, rel=1e-12)
+
+
+def test_subdivide_reads_the_edge_flow_record():
+    g = grid(7, 5)
+    sel = select(g, 5)
+    sg, pert = subdivide(g, sel), build_perturbation(g, sel)
+    for name in ("i", "j", "w", "q_ij", "q_ji", "matrix", "laplacian"):
+        np.testing.assert_array_equal(getattr(sg.pert, name), getattr(pert, name))
+    assert sg.kept_edges == sign_preserving_graph(g, pert).edges
+    assert sg.n_ghost == len(nodal_decomposition(g, sel).sign_change_edges) == 10
 
 
 def test_subdivide_structure_petersen():
@@ -58,8 +68,7 @@ def test_graph_at_zero_recovers_base():
 def test_graph_at_weight_schedule():
     g = interval(4)
     sg = subdivide(g, select(g, 2))
-    i, j, w = sg.sign_edges[0]
-    q_ij, q_ji = sg.q[0]
+    (w,), (q_ij,), (q_ji,) = sg.pert.w, sg.pert.q_ij, sg.pert.q_ji
     gs = graph_at(sg, 3.0)
     weights = {(a, b): ww for a, b, ww in gs.edges}
     assert weights[(1, 2)] == pytest.approx(w / 4.0)
@@ -70,7 +79,7 @@ def test_graph_at_weight_schedule():
 def test_limit_graph_full_ghost_weights():
     g = interval(4)
     sg = subdivide(g, select(g, 2))
-    q_ij, q_ji = sg.q[0]
+    (q_ij,), (q_ji,) = sg.pert.q_ij, sg.pert.q_ji
     gl = limit_graph(sg)
     weights = {(a, b): ww for a, b, ww in gl.edges}
     assert (1, 2) not in weights
@@ -81,8 +90,9 @@ def test_limit_graph_full_ghost_weights():
 def test_extension_coefficients_sum_to_one():
     g = petersen(7, 3)
     sg = subdivide(g, select(g, 7))
-    for a_ij, a_ji in extension_coefficients(sg):
-        assert a_ij + a_ji == pytest.approx(1.0, rel=1e-12)
+    a_ij, a_ji = extension_coefficients(sg)
+    assert len(a_ij) == len(a_ji) == sg.n_ghost
+    np.testing.assert_allclose(a_ij + a_ji, 1.0, rtol=1e-12)
 
 
 def test_extend_selected_eigenvector_by_zeros():
@@ -94,6 +104,16 @@ def test_extend_selected_eigenvector_by_zeros():
     assert np.max(np.abs(ext[sg.n_base :])) < 1e-12
     with pytest.raises(ValueError):
         extend(sg, np.ones(3))
+
+
+def test_extend_matches_the_per_edge_formula():
+    g = grid(7, 5)
+    sg = subdivide(g, select(g, 5))
+    u = np.random.default_rng(1).standard_normal(g.n)
+    ext, p = extend(sg, u), sg.pert
+    for e in range(sg.n_ghost):
+        a_ij, a_ji = 1.0 / (1.0 + p.q_ij[e]), 1.0 / (1.0 + p.q_ji[e])
+        assert ext[g.n + e] == a_ij * u[p.i[e]] + a_ji * u[p.j[e]]
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 552.0, 1e4])
@@ -203,6 +223,17 @@ def test_run_vertex_flow_certificate_at_small_sigma_max(g, k, sigma_max, nu):
         assert fr.converged_count == nu
         assert fr.count_identity_ok is True
         assert not any(w.startswith("vertex certificate") for w in fr.warnings)
+
+
+def test_run_vertex_flow_needs_two_steps():
+    # One log-spaced point would stop the flow at sigma = 1e-3, short of
+    # sigma_max, and report a wrong converged count.
+    g = grid(7, 5)
+    sel = select(g, 5)
+    for steps in (1, 0):
+        with pytest.raises(ValueError, match="steps"):
+            run_vertex_flow(g, sel, steps=steps)
+    assert run_vertex_flow(g, sel, steps=2).sigma_grid[-1] == pytest.approx(1e4)
 
 
 def test_run_vertex_flow_rejects_zero_vertices():
