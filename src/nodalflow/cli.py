@@ -18,20 +18,11 @@ from .edge_flow import nodal_count_direct, run_edge_flow
 from .errors import AssumptionViolated, NodalFlowError
 from .families import FamilySpec, generate
 from .graph_core import WeightedGraph, laplacian
-from .nodal import select_eigenpair, strong_domains_allowing_zeros, zero_vertices
+from .nodal import edge_signs, select_eigenpair, strong_domains_allowing_zeros, zero_vertices
 from .spectra import eigendecompose, multiplicity_of
 from .vertex_flow import limit_graph, run_vertex_flow, subdivide
 
 _FAMILY_ALIASES = {"er": "erdos_renyi"}
-
-
-def _count_sign_edges_tolerant(g: WeightedGraph, psi: np.ndarray) -> int:
-    """Sign-change edges among vertices with nonzero entries; for a
-    nowhere-zero psi, len(sign_change_edges(g, psi))."""
-    nonzero = np.ones(g.n, dtype=bool)
-    nonzero[list(zero_vertices(psi))] = False
-    i, j, _ = g.edge_arrays
-    return int(np.count_nonzero(nonzero[i] & nonzero[j] & (psi[i] * psi[j] < 0)))
 
 
 def _row_for_k(g: WeightedGraph, L, spectrum, k: int) -> dict:
@@ -50,7 +41,7 @@ def _row_for_k(g: WeightedGraph, L, spectrum, k: int) -> dict:
         "lambda_k": sel.lambda_k,
         "nu": nu,
         "deficiency": sel.k - nu,
-        "n_sign_change_edges": _count_sign_edges_tolerant(g, sel.psi),
+        "n_sign_change_edges": int(np.count_nonzero(edge_signs(g, sel.psi) < 0)),
         "simple": sel.simple,
         "nowhere_zero": sel.nowhere_zero,
     }

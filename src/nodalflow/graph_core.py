@@ -40,8 +40,8 @@ class WeightedGraph:
                 i, j = j, i
             if not (0 <= i < j < self.n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            if not w > 0:
-                raise ValueError(f"edge ({i},{j}) has non-positive weight {w}")
+            if not 0 < w < np.inf:
+                raise ValueError(f"edge ({i},{j}) has weight {w}, not positive and finite")
             canon.append((i, j, w))
         canon.sort()
         for a, b in zip(canon, canon[1:]):
@@ -54,8 +54,8 @@ class WeightedGraph:
             d = tuple(float(x) for x in self.diag_extra)
             if len(d) != self.n:
                 raise ValueError(f"diag_extra has length {len(d)}, expected {self.n}")
-            if any(x < 0 for x in d):
-                raise ValueError("diag_extra entries must be nonnegative")
+            if not all(0 <= x < np.inf for x in d):
+                raise ValueError("diag_extra entries must be nonnegative and finite")
             object.__setattr__(self, "diag_extra", d)
 
     @property

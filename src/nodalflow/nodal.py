@@ -103,6 +103,16 @@ def sign_change_mask(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
     return psi[i] * psi[j] < 0
 
 
+def edge_signs(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
+    """sign(psi_i) * sign(psi_j) for each of g's edges, in edge order, with
+    the entries of zero_vertices counted as 0: 1 inside a sign class, -1
+    across a sign change, 0 at a zero vertex."""
+    signs = np.sign(np.asarray(psi, dtype=float)).astype(int)
+    signs[list(zero_vertices(psi))] = 0
+    i, j, _ = g.edge_arrays
+    return signs[i] * signs[j]
+
+
 def sign_change_edges(g: WeightedGraph, psi: np.ndarray) -> tuple[Edge, ...]:
     """The edges of sign_change_mask, as edge tuples in edge order."""
     return tuple(g.edges[e] for e in np.flatnonzero(sign_change_mask(g, psi)))
@@ -110,6 +120,10 @@ def sign_change_edges(g: WeightedGraph, psi: np.ndarray) -> tuple[Edge, ...]:
 
 @dataclass(frozen=True)
 class NodalDecomposition:
+    """Nodal domains of a nowhere-zero eigenvector. Its weak domains (joined
+    by edges whose endpoint product is >= 0) are its strong domains, since
+    with no zero entry no edge has product 0."""
+
     strong_domains: tuple[tuple[int, ...], ...]
     weak_domains: tuple[tuple[int, ...], ...]
     sign_change_edges: tuple[Edge, ...]
@@ -120,18 +134,16 @@ class NodalDecomposition:
 def nodal_decomposition(g: WeightedGraph, sel: EigenSelection) -> NodalDecomposition:
     """Strong and weak nodal domains of the selected eigenvector.
 
-    Strong domains partition the vertices after removing sign-change edges;
-    weak domains keep every edge whose endpoint product is >= 0. For a
-    nowhere-zero eigenvector the two coincide.
+    Strong domains partition the vertices after removing sign-change edges.
+    Raises ZeroVertex for a psi with a (relatively) zero entry, so every psi
+    accepted here has weak domains equal to its strong ones.
     """
-    psi = sel.psi
-    e_pm = sign_change_edges(g, psi)
-    strong, _ = strong_domains_allowing_zeros(g, psi)
-    weak = components(g.n, [e for e in g.edges if psi[e[0]] * psi[e[1]] >= 0])
+    e_pm = sign_change_edges(g, sel.psi)
+    strong, _ = strong_domains_allowing_zeros(g, sel.psi)
     nu = len(strong)
     return NodalDecomposition(
         strong_domains=strong,
-        weak_domains=weak,
+        weak_domains=strong,
         sign_change_edges=e_pm,
         nu=nu,
         deficiency=sel.k - nu,
@@ -144,18 +156,14 @@ def strong_domains_allowing_zeros(
     """Strong nodal domains, allowing zero entries.
 
     Vertices with (relatively) zero eigenvector entries belong to no domain;
-    the remaining vertices are grouped by edges with strictly positive
-    endpoint product. Returns (domains, zero_vertices). For a nowhere-zero
-    psi these are the strong domains nodal_decomposition reports.
+    the remaining vertices are joined by the edges where edge_signs is 1.
+    Returns (domains, zero_vertices). For a nowhere-zero psi these are the
+    strong domains nodal_decomposition reports.
     """
-    psi = np.asarray(psi, dtype=float)
     zeros = zero_vertices(psi)
-    zset = set(zeros)
-    same_sign = [
-        e for e in g.edges
-        if e[0] not in zset and e[1] not in zset and psi[e[0]] * psi[e[1]] > 0
-    ]
-    domains = components(g.n, same_sign, set(range(g.n)) - zset)
+    i, j, _ = g.edge_arrays
+    same = edge_signs(g, psi) > 0
+    domains = components(g.n, zip(i[same], j[same]), set(range(g.n)) - set(zeros))
     return domains, zeros
 
 
@@ -203,8 +211,8 @@ def perturb_to_nonzero(
     if magnitude is None:
         L = laplacian(g).matrix
         magnitude = 1e-8 * float(np.max(np.sum(np.abs(L), axis=1)))
-    if magnitude <= 0:
-        raise ValueError("perturbation magnitude must be positive")
+    if not 0 < magnitude < np.inf:
+        raise ValueError(f"perturbation magnitude {magnitude} is not positive and finite")
     rng = np.random.default_rng(seed)
     bump = magnitude + rng.uniform(-magnitude, magnitude, size=g.n)
     new_diag = tuple(d + b for d, b in zip(g.diag_extra, bump))

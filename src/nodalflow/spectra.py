@@ -15,7 +15,7 @@ eigenspace the solver returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 import numpy as np
 import scipy.linalg
@@ -39,18 +39,22 @@ FD_STEP = 1e-5
 SIGN_TOL = 1e-12
 
 
-def group_tolerance(value: float) -> float:
-    return GROUP_TOL_REL * max(1.0, abs(value))
+def group_tolerance(value):
+    """GROUP_TOL_REL * max(1, |value|): the gap within which two eigenvalues
+    near value belong to one multiplicity group. Works elementwise on
+    arrays."""
+    return GROUP_TOL_REL * np.maximum(1.0, np.abs(value))
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues ascending, orthonormal eigenvector columns, and indices
-    clustered into multiplicity groups."""
+    """Eigenvalues ascending and orthonormal eigenvector columns.
+
+    ``groups``, the indices clustered into multiplicity groups, is computed
+    on first read, so solves whose groups nobody reads never cluster."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         freeze_arrays(self, "eigenvalues", "eigenvectors")
@@ -58,6 +62,10 @@ class Spectrum:
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        return _cluster(self.eigenvalues)
 
     def group_of(self, index: int) -> tuple[int, ...]:
         for g in self.groups:
@@ -87,16 +95,10 @@ def _sign_normalize(vecs: np.ndarray) -> np.ndarray:
 
 
 def _cluster(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    groups = []
-    cur = [0]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] <= group_tolerance(vals[i]):
-            cur.append(i)
-        else:
-            groups.append(tuple(cur))
-            cur = [i]
-    groups.append(tuple(cur))
-    return tuple(groups)
+    """Runs of ascending vals in which each value is within the group
+    tolerance of the one before it."""
+    cuts = np.flatnonzero(np.diff(vals) > group_tolerance(vals[1:])) + 1
+    return tuple(tuple(range(i, j)) for i, j in zip([0, *cuts], [*cuts, len(vals)]))
 
 
 def eigendecompose(M, *, vectors: bool = True, driver: str | None = None) -> Spectrum:
@@ -119,9 +121,9 @@ def eigendecompose(M, *, vectors: bool = True, driver: str | None = None) -> Spe
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigFailure(str(exc)) from exc
     if not vectors:
-        return Spectrum(out, np.empty((len(out), 0)), _cluster(out))
+        return Spectrum(out, np.empty((len(out), 0)))
     vals, vecs = out
-    return Spectrum(vals, _sign_normalize(vecs), _cluster(vals))
+    return Spectrum(vals, _sign_normalize(vecs))
 
 
 def multiplicity_of(spectrum: Spectrum, value: float) -> int:
@@ -173,16 +175,16 @@ class FlowResult:
 
 
 class _Node:
-    """Mutable per-grid-point record used while walking the grid."""
+    """Mutable per-grid-point record used while walking the grid: the
+    spectrum and its eigenvectors as matching has rotated them, which are
+    the spectrum's own read-only array until a rotation copies them."""
 
-    __slots__ = ("sigma", "vals", "vecs", "groups", "group_of")
+    __slots__ = ("sigma", "spec", "vecs")
 
     def __init__(self, sigma: float, spec: Spectrum):
         self.sigma = sigma
-        self.vals = spec.eigenvalues
-        self.vecs = spec.eigenvectors.copy()
-        self.groups = spec.groups
-        self.group_of = {i: g for g in spec.groups for i in g}
+        self.spec = spec
+        self.vecs = spec.eigenvectors
 
 
 def _procrustes(Vb_block: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -198,60 +200,45 @@ def _match_step(a: _Node, b: _Node, first: bool):
     Returns (ok, perm). perm[i] is the column of b continuing column i of
     a. Degenerate clusters are compared as subspaces; equal-size full block
     maps get the arriving basis rotated into alignment. On success, b.vecs
-    (and a.vecs when first) may be updated in place.
+    (and a.vecs when first) may be replaced by rotated copies.
     """
     O = np.abs(a.vecs.T @ b.vecs)
     rows, cols = linear_sum_assignment(-O)
     perm = np.empty(len(rows), dtype=int)
     perm[rows] = cols
 
-    rotations = []  # (Hb sorted tuple, target matrix)
+    rotations = []  # (Hb, target matrix)
     checked_blocks = set()
-    for i in range(len(perm)):
-        if O[i, perm[i]] >= OVERLAP_MIN:
-            continue
-        Ga = a.group_of[i]
-        Hb = b.group_of[perm[i]]
+    for i in rows[O[rows, cols] < OVERLAP_MIN]:
+        Ga, Hb = a.spec.group_of(i), b.spec.group_of(perm[i])
         if len(Ga) == 1 and len(Hb) == 1:
             return False, perm
-        key = (Ga, Hb)
-        if key in checked_blocks:
+        if (Ga, Hb) in checked_blocks:
             continue
-        checked_blocks.add(key)
+        checked_blocks.add((Ga, Hb))
+        # perm is injective, so this is: Ga maps into Hb, or onto all of it.
         images = {int(perm[g]) for g in Ga}
-        if len(Ga) <= len(Hb):
-            if not images <= set(Hb):
-                return False, perm
-        else:
-            preimages = {g for g in Ga if perm[g] in set(Hb)}
-            if len(preimages) < len(Hb):
-                return False, perm
-        A = a.vecs[:, list(Ga)].T @ b.vecs[:, list(Hb)]
-        s = scipy.linalg.svdvals(A)
-        k = min(len(Ga), len(Hb))
-        if s[k - 1] < OVERLAP_MIN:
+        if not (images <= set(Hb) or set(Hb) <= images):
             return False, perm
-        if len(Ga) == len(Hb) and images == set(Hb):
+        if scipy.linalg.svdvals(a.vecs[:, Ga].T @ b.vecs[:, Hb])[-1] < OVERLAP_MIN:
+            return False, perm
+        if len(Ga) == len(Hb):
             # Columns of the target ordered to match Hb's column order.
-            order = sorted(range(len(Ga)), key=lambda t: perm[Ga[t]])
-            target = a.vecs[:, [Ga[t] for t in order]]
-            rotations.append((tuple(sorted(Hb)), target))
+            rotations.append((Hb, a.vecs[:, sorted(Ga, key=lambda g: perm[g])]))
 
+    if rotations:
+        b.vecs = b.vecs.copy()
     for Hb, target in rotations:
-        cols_b = list(Hb)
-        R = _procrustes(b.vecs[:, cols_b], target)
-        b.vecs[:, cols_b] = b.vecs[:, cols_b] @ R
+        b.vecs[:, Hb] = b.vecs[:, Hb] @ _procrustes(b.vecs[:, Hb], target)
 
     if first:
         # The starting basis inside a degenerate cluster is solver-arbitrary;
         # align it retroactively with where the branches actually go.
-        for Ga in a.groups:
-            if len(Ga) == 1:
-                continue
-            cols_a = list(Ga)
-            target = b.vecs[:, [int(perm[g]) for g in cols_a]]
-            R = _procrustes(a.vecs[:, cols_a], target)
-            a.vecs[:, cols_a] = a.vecs[:, cols_a] @ R
+        a.vecs = a.vecs.copy()
+        for Ga in a.spec.groups:
+            if len(Ga) > 1:
+                R = _procrustes(a.vecs[:, Ga], b.vecs[:, perm[list(Ga)]])
+                a.vecs[:, Ga] = a.vecs[:, Ga] @ R
     return True, perm
 
 
@@ -287,8 +274,7 @@ def derivative_residual(family, sigma: float, u, closed_form) -> float:
 def _path_order(u: np.ndarray, v: np.ndarray) -> int:
     """-1, 0 or 1 as the value path u is below, level with or above v at the
     first grid point where they differ by more than the group tolerance."""
-    tol = GROUP_TOL_REL * np.maximum(1.0, np.maximum(abs(u), abs(v)))
-    far = np.flatnonzero(np.abs(u - v) > tol)
+    far = np.flatnonzero(np.abs(u - v) > group_tolerance(np.maximum(abs(u), abs(v))))
     return int(np.sign(u[far[0]] - v[far[0]])) if far.size else 0
 
 
@@ -351,19 +337,20 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
 
     nodes = map(evaluate, sigmas)
     a = next(nodes)
-    start_groups = [g for g in a.groups if len(g) > 1]
+    start_vals = a.spec.eigenvalues
+    start_groups = [g for g in a.spec.groups if len(g) > 1]
     t = reference_value + COUNT_TOL_REL * max(
-        1.0, abs(reference_value), float(np.max(np.abs(a.vals)))
+        1.0, abs(reference_value), float(np.max(np.abs(start_vals)))
     )
-    grid, values, crossings = [a.sigma], [a.vals], []
-    below = a.vals < 2 * reference_value - t  # branches whose crossings count
-    cols = np.arange(len(a.vals))
+    grid, values, crossings = [a.sigma], [start_vals], []
+    below = start_vals < 2 * reference_value - t  # branches whose crossings count
+    cols = np.arange(len(start_vals))
     pending: list[_Node] = []  # refinement midpoints, nearest to a on top
     start_vectors = None
     refinement_exhausted = False
     while (b := pending.pop() if pending else next(nodes, None)) is not None:
         ok, perm = _match_step(a, b, start_vectors is None)
-        va, vb = values[-1], b.vals[perm[cols]]  # per branch, at a and at b
+        va, vb = values[-1], b.spec.eigenvalues[perm[cols]]  # per branch, at a and at b
         if ok:
             scale = max(1.0, abs(reference_value), float(np.max(np.abs(va))))
             ok = float(np.min(vb - va)) >= -1e-11 * scale and not np.any((va > t) & (vb <= t))

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written against the raw edge list with
-union-find, not shared with the package's BFS-based code paths.
+Nothing here is shared with the package's code paths: nodal counts use
+union-find over the raw edge list, eigenvalue counts use inertia instead of
+branch tracking, and multiplicity groups use a plain loop.
 """
 
 from __future__ import annotations
@@ -63,3 +64,35 @@ def dense_laplacian(n: int, edges) -> np.ndarray:
         L[i, j] -= w
         L[j, i] -= w
     return L
+
+
+def chain_cluster(vals) -> tuple[tuple[int, ...], ...]:
+    """Multiplicity groups of ascending vals by a loop: i joins the group of
+    i - 1 when vals[i] - vals[i - 1] <= 1e-8 * max(1, |vals[i]|)."""
+    groups, cur = [], [0]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[i - 1] <= 1e-8 * max(1.0, abs(vals[i])):
+            cur.append(i)
+        else:
+            groups.append(tuple(cur))
+            cur = [i]
+    groups.append(tuple(cur))
+    return tuple(groups)
+
+
+def count_below_by_ghost_schur(B, n_base: int, t: float) -> int:
+    """Number of eigenvalues of the symmetric B below t, for a B whose block
+    past the first n_base coordinates is diagonal (the vertex flow's ghosts).
+
+    By Haynsworth's inertia additivity it is the number of negative entries
+    of d = diag(ghost block) - t plus the number of negative eigenvalues of
+    the Schur complement S = B_bb - t I - B_bg diag(1/d) B_gb, whose scale
+    does not grow with the ghost diagonal.
+    """
+    B = np.asarray(B, dtype=float)
+    d = np.diag(B)[n_base:] - t
+    if not np.all(d):
+        raise ValueError("t is a ghost diagonal entry")
+    B_bg = B[:n_base, n_base:]
+    S = B[:n_base, :n_base] - t * np.eye(n_base) - (B_bg / d) @ B_bg.T
+    return int(np.sum(d < 0) + np.sum(np.linalg.eigvalsh(S) < 0))

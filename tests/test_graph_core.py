@@ -44,6 +44,9 @@ def test_rejects_nonpositive_weight():
         WeightedGraph(2, ((0, 1, 0.0),))
     with pytest.raises(ValueError):
         WeightedGraph(2, ((0, 1, -3.0),))
+    for w in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            WeightedGraph(2, ((0, 1, w),))
 
 
 def test_rejects_out_of_range_vertex():
@@ -54,6 +57,9 @@ def test_rejects_out_of_range_vertex():
 def test_rejects_negative_diag_extra():
     with pytest.raises(ValueError):
         WeightedGraph(2, ((0, 1, 1.0),), diag_extra=(0.0, -1.0))
+    for x in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            WeightedGraph(2, ((0, 1, 1.0),), diag_extra=(0.0, x))
 
 
 def test_m_counts_edges():

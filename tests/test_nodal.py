@@ -226,6 +226,9 @@ def test_perturb_to_nonzero_rejects_bad_magnitude():
         perturb_to_nonzero(g, magnitude=0.0)
     with pytest.raises(ValueError):
         perturb_to_nonzero(g, magnitude=-1e-9)
+    for magnitude in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            perturb_to_nonzero(g, magnitude=magnitude)
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalflow import cli, dirichlet, edge_flow, spectra, vertex_flow
 from nodalflow.edge_flow import (
@@ -23,6 +25,8 @@ from nodalflow.spectra import (
 )
 from nodalflow.vertex_flow import bilinear_matrix, run_vertex_flow, subdivide
 
+from _oracles import chain_cluster
+
 
 def c4():
     return WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)))
@@ -32,6 +36,9 @@ def test_group_tolerance_floors_at_absolute():
     assert group_tolerance(0.0) == 1e-8
     assert group_tolerance(0.5) == 1e-8
     assert group_tolerance(100.0) == 1e-6
+    np.testing.assert_array_equal(
+        group_tolerance(np.array([-300.0, -0.5, 0.0, 2.0])), [3e-6, 1e-8, 1e-8, 2e-8]
+    )
 
 
 def test_eigendecompose_sorted_and_grouped():
@@ -40,6 +47,25 @@ def test_eigendecompose_sorted_and_grouped():
     assert spec.groups == ((0,), (1, 2), (3,))
     assert spec.group_of(1) == (1, 2)
     assert spec.group_of(2) == (1, 2)
+
+
+@st.composite
+def near_degenerate_spectra(draw):
+    """Ascending values, |value| both below and above 1, each gap a multiple
+    of the group tolerance at the value before it: 0, well under, just
+    under, at, just over, well over, or far beyond."""
+    base = draw(st.sampled_from([-50.0, -1.0, -0.3, 0.0, 0.4, 1.0, 2.5, 1e4]))
+    vals = [base + draw(st.floats(-1.0, 1.0))]
+    for _ in range(draw(st.integers(0, 15))):
+        factor = draw(st.sampled_from([0.0, 0.5, 1 - 1e-4, 1.0, 1 + 1e-4, 2.0, 1e6]))
+        vals.append(vals[-1] + factor * group_tolerance(vals[-1]))
+    return np.array(vals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_degenerate_spectra())
+def test_cluster_matches_the_chain_rule_loop(vals):
+    assert spectra._cluster(vals) == chain_cluster(vals)
 
 
 def test_eigendecompose_accepts_plain_ndarray():
@@ -237,12 +263,10 @@ def test_values_only_solve_matches_full_solve(benchmark_flows, flow, sigma):
     assert values.eigenvectors.flags.writeable is False
 
 
-def _record_solves(monkeypatch, *modules):
-    """Wrap eigendecompose where each module calls it. Each solve appends
-    (module name, vectors, inside the crossing bisection) to the list
-    returned."""
-    solves, depth = [], [0]
-    solve, falls = spectra.eigendecompose, spectra._falls
+def _bisection_depth(monkeypatch):
+    """Wrap the crossing bisection; the one-item list returned holds how many
+    of its calls are running."""
+    depth, falls = [0], spectra._falls
 
     def bisect(*args):
         depth[0] += 1
@@ -251,13 +275,23 @@ def _record_solves(monkeypatch, *modules):
         finally:
             depth[0] -= 1
 
+    monkeypatch.setattr(spectra, "_falls", bisect)
+    return depth
+
+
+def _record_solves(monkeypatch, *modules):
+    """Wrap eigendecompose where each module calls it. Each solve appends
+    (module name, vectors, inside the crossing bisection) to the list
+    returned."""
+    solves, depth = [], _bisection_depth(monkeypatch)
+    solve = spectra.eigendecompose
+
     for module in modules:
         def recorded(M, *, _name=module.__name__, **kwargs):
             solves.append((_name, kwargs.get("vectors", True), depth[0] > 0))
             return solve(M, **kwargs)
 
         monkeypatch.setattr(module, "eigendecompose", recorded)
-    monkeypatch.setattr(spectra, "_falls", bisect)
     return solves
 
 
@@ -281,6 +315,23 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     solves.clear()
     nodal_count_direct(g, sel)
     assert solves == [(edge_flow.__name__, False, False)]
+
+
+def test_crossing_bisection_never_clusters(monkeypatch):
+    # Bisection solves read only a count of values, so their spectra never
+    # build multiplicity groups; grid points cluster only where matching or
+    # labelling reads groups.
+    g = grid(4, 3)
+    sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
+    depth, cluster, inside = _bisection_depth(monkeypatch), spectra._cluster, []
+
+    def recorded(vals):
+        inside.append(depth[0] > 0)
+        return cluster(vals)
+
+    monkeypatch.setattr(spectra, "_cluster", recorded)
+    assert run_vertex_flow(g, sel, steps=20).crossings
+    assert inside and not any(inside)
 
 
 @pytest.mark.parametrize(

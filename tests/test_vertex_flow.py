@@ -1,12 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
 from nodalflow.edge_flow import build_perturbation, sign_preserving_graph
-from nodalflow.families import complete, cycle, grid, interval, petersen
+from nodalflow.families import complete, cycle, generate_connected_er, grid, interval, petersen
 from nodalflow.graph_core import laplacian
 from nodalflow.nodal import nodal_decomposition, select_eigenpair
-from nodalflow.spectra import eigendecompose
+from nodalflow.spectra import COUNT_TOL_REL, eigendecompose
 from nodalflow.vertex_flow import (
     bilinear_matrix,
     check_edge_equivalence,
@@ -18,6 +20,8 @@ from nodalflow.vertex_flow import (
     run_vertex_flow,
     subdivide,
 )
+
+from _oracles import count_below_by_ghost_schur
 
 
 def select(g, k):
@@ -240,6 +244,45 @@ def test_run_vertex_flow_rejects_zero_vertices():
     g = interval(7)
     with pytest.raises(AssumptionViolated):
         run_vertex_flow(g, select(g, 2))
+
+
+@pytest.mark.parametrize(
+    "g, k, steps",
+    [
+        (grid(4, 3), 5, 20),
+        (grid(7, 5), 5, 200),
+        pytest.param(
+            generate_connected_er(20, 0.2, 301).graph, 15, 40,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="ROADMAP Found 1: the bracket [6074.4642355, 6074.4642360] holds"
+                " no fall of the count; eigh's rounding at sigma ~ 6e3 exceeds the"
+                " count margin",
+            ),
+        ),
+    ],
+    ids=["grid4x3-k5", "grid7x5-k5", "er20-p0.2-s301-k15"],
+)
+def test_vertex_flow_brackets_hold_a_fall_of_the_ghost_schur_count(g, k, steps):
+    # Matching-free certificate: across every reported bracket, the number
+    # of eigenvalues of B(sigma) below track_branches' threshold t, counted
+    # by inertia of the ghost Schur complement, falls by at least the number
+    # of crossings reported in it.
+    sel = select(g, k)
+    fr = run_vertex_flow(g, sel, steps=steps)
+    sg = subdivide(g, sel)
+    start = np.linalg.eigvalsh(bilinear_matrix(sg, 0.0).matrix)
+    lam = sel.lambda_k
+    t = lam + COUNT_TOL_REL * max(1.0, abs(lam), float(np.max(np.abs(start))))
+    cells = Counter((c.sigma_lo, c.sigma_hi) for c in fr.crossings)
+    assert cells
+    for (lo, hi), shared in cells.items():
+        at_lo, at_hi = (
+            count_below_by_ghost_schur(bilinear_matrix(sg, s).matrix, sg.n_base, t)
+            for s in (lo, hi)
+        )
+        assert at_lo - at_hi >= shared, (lo, hi, at_lo, at_hi, shared)
 
 
 def test_check_edge_equivalence_small():
