@@ -25,14 +25,14 @@ from .vertex_flow import limit_graph, run_vertex_flow, subdivide
 _FAMILY_ALIASES = {"er": "erdos_renyi"}
 
 
-def _row_for_k(g: WeightedGraph, L, spectrum, k: int) -> dict:
-    """One scan/nodal row from g's Laplacian L and its spectrum. Rows
+def _row_for_k(g: WeightedGraph, spectrum, k: int) -> dict:
+    """One scan/nodal row from the spectrum of g's Laplacian. Rows
     violating an assumption still carry a count: degenerate rows use the
     multiplicity identity, zero-vertex rows the zero-tolerant combinatorial
     count."""
     sel = select_eigenpair(spectrum, k)
     if sel.nowhere_zero:
-        nu = nodal_count_direct(g, sel, allow_degenerate=True, L=L).nu
+        nu = nodal_count_direct(g, sel, allow_degenerate=True).nu
     else:
         nu = len(strong_domains_allowing_zeros(g, sel.psi)[0])
     return {
@@ -65,8 +65,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_nodal(args) -> int:
     g, _ = fileio.load_graph(args.graph)
-    L = laplacian(g)
-    row = _row_for_k(g, L, eigendecompose(L), args.k)
+    row = _row_for_k(g, eigendecompose(laplacian(g)), args.k)
     del row["requested_k"]
     print(fileio.canonical_json(row))
     return 0 if row["simple"] and row["nowhere_zero"] else 3
@@ -115,9 +114,8 @@ def _cmd_flow(args) -> int:
 
 def _cmd_scan(args) -> int:
     g, _ = fileio.load_graph(args.graph)
-    L = laplacian(g)
-    spectrum = eigendecompose(L)
-    rows = [_row_for_k(g, L, spectrum, k) for k in range(1, g.n + 1)]
+    spectrum = eigendecompose(laplacian(g))
+    rows = [_row_for_k(g, spectrum, k) for k in range(1, g.n + 1)]
     print("k,lambda_k,nu,deficiency,simple,nowhere_zero,group")
     for row in rows:
         print(

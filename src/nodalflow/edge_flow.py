@@ -54,12 +54,9 @@ class EdgePerturbation:
         return self.w * (1.0 + self.q_ji), self.w * (1.0 + self.q_ij)
 
 
-def build_perturbation(
-    g: WeightedGraph, sel: EigenSelection, L: LaplacianMatrix | None = None
-) -> EdgePerturbation:
+def build_perturbation(g: WeightedGraph, sel: EigenSelection) -> EdgePerturbation:
     """Select the sign-change edges of the selected eigenvector, compute
-    their ratios and assemble P from them; L is g's Laplacian, assembled
-    here unless the caller passes it."""
+    their ratios and assemble P from them; L is g's own Laplacian."""
     psi = sel.psi
     cut = sign_change_mask(g, psi)
     i, j, w = (a[cut] for a in g.edge_arrays)
@@ -70,7 +67,7 @@ def build_perturbation(
     # edges would sum them, so every bit of the result is reproducible.
     diag = np.column_stack((w * q_ji, w * q_ij)).ravel()
     P[np.diag_indices(g.n)] = np.bincount(np.column_stack((i, j)).ravel(), diag, g.n)
-    return EdgePerturbation(i, j, w, q_ij, q_ji, P, (laplacian(g) if L is None else L).matrix)
+    return EdgePerturbation(i, j, w, q_ij, q_ji, P, laplacian(g).matrix)
 
 
 def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
@@ -108,19 +105,15 @@ class DirectCount:
 
 
 def nodal_count_direct(
-    g: WeightedGraph,
-    sel: EigenSelection,
-    *,
-    allow_degenerate: bool = False,
-    L: LaplacianMatrix | None = None,
+    g: WeightedGraph, sel: EigenSelection, *, allow_degenerate: bool = False
 ) -> DirectCount:
     """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed.
 
-    One values-only eigensolve; L is g's Laplacian, for callers that count
-    many eigenpairs of one graph and have it already.
+    One values-only eigensolve; L is the Laplacian g keeps, so counting
+    many eigenpairs of one graph assembles it once.
     """
     sel.check_assumptions(allow_degenerate)
-    spec1 = eigendecompose(flow_matrix(build_perturbation(g, sel, L), 1.0), vectors=False)
+    spec1 = eigendecompose(flow_matrix(build_perturbation(g, sel), 1.0), vectors=False)
     nu = multiplicity_of(spec1, sel.lambda_k)
     return DirectCount(
         k=sel.k,

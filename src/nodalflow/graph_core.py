@@ -72,6 +72,17 @@ class WeightedGraph:
             a.setflags(write=False)
         return arrays
 
+    @cached_property
+    def _laplacian(self) -> LaplacianMatrix:
+        i, j, w = self.edge_arrays
+        L = np.zeros((self.n, self.n))
+        L[i, j] = L[j, i] = -w
+        # Degrees are summed in edge order, i before j, as a loop over the
+        # edges would sum them, so every bit of the result is reproducible.
+        deg = np.bincount(np.column_stack((i, j)).ravel(), np.repeat(w, 2), self.n)
+        L[np.diag_indices(self.n)] = deg + np.array(self.diag_extra)
+        return LaplacianMatrix(L)
+
 
 def freeze_arrays(record, *names: str) -> None:
     """Store each named field of a frozen dataclass as a read-only array:
@@ -96,16 +107,10 @@ class LaplacianMatrix:
 
 
 def laplacian(g: WeightedGraph) -> LaplacianMatrix:
-    """Assemble L = D - A plus any diagonal additions. Exactly symmetric by
-    construction."""
-    i, j, w = g.edge_arrays
-    L = np.zeros((g.n, g.n))
-    L[i, j] = L[j, i] = -w
-    # Degrees are summed in edge order, i before j, as a loop over the edges
-    # would sum them, so every bit of the result is reproducible.
-    deg = np.bincount(np.column_stack((i, j)).ravel(), np.repeat(w, 2), g.n)
-    L[np.diag_indices(g.n)] = deg + np.array(g.diag_extra)
-    return LaplacianMatrix(L)
+    """L = D - A plus any diagonal additions, exactly symmetric by
+    construction. Assembled on the first call and kept on g, like
+    edge_arrays, so every caller of one graph shares one read-only matrix."""
+    return g._laplacian
 
 
 def adjacency_lists(g: WeightedGraph) -> list[list[int]]:

@@ -93,14 +93,12 @@ def select_eigenpair(spectrum: Spectrum, k: int) -> EigenSelection:
 
 def sign_change_mask(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
     """Which of g's edges, in edge order, join strictly opposite signs of
-    psi. Raises ZeroVertex if any entry of psi is (relatively) zero, since
-    signs are then ill defined."""
+    psi, by edge_signs. Raises ZeroVertex if any entry of psi is
+    (relatively) zero, since signs are then ill defined."""
     zeros = zero_vertices(psi)
     if zeros:
         raise ZeroVertex(zeros)
-    psi = np.asarray(psi, dtype=float)
-    i, j, _ = g.edge_arrays
-    return psi[i] * psi[j] < 0
+    return edge_signs(g, psi) < 0
 
 
 def edge_signs(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:

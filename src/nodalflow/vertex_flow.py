@@ -17,10 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirichlet import d_connected_components, dirichlet_problem
-from .edge_flow import EdgePerturbation, build_perturbation, sign_preserving_graph
+from .edge_flow import EdgePerturbation, build_perturbation, flow_matrix, sign_preserving_graph
 from .errors import NotAComponent
-from .graph_core import Edge, LaplacianMatrix, WeightedGraph, freeze_arrays, laplacian
+from .graph_core import Edge, LaplacianMatrix, WeightedGraph, components, freeze_arrays, laplacian
 from .nodal import EigenSelection
 from .spectra import (
     FD_STEP,
@@ -38,16 +37,15 @@ class SubdivisionGraph:
     """Base graph plus one ghost vertex per sign-change edge.
 
     Sign-change edge p of pert (the edge flow's record) gets ghost vertex
-    n_base + p, joined to i and j by pert.half_weights at full weight.
-    kept_edges are the other base edges. The flow matrix is a fixed
-    combination of three Laplacians on all n_total vertices: ``kept`` (kept
-    edges plus the base diagonal), ``cut`` (sign-change edges) and
-    ``ghost`` (ghost half-edges).
+    n_base + p, joined to i and j by pert.half_weights at full weight. The
+    flow matrix is a fixed combination of three Laplacians on all n_total
+    vertices: ``kept`` (the base edges not in pert, plus the base
+    diagonal), ``cut`` (sign-change edges) and ``ghost`` (ghost
+    half-edges).
     """
 
     base: WeightedGraph
     pert: EdgePerturbation
-    kept_edges: tuple[Edge, ...]
     kept: np.ndarray
     cut: np.ndarray
     ghost: np.ndarray
@@ -67,10 +65,6 @@ class SubdivisionGraph:
     def n_total(self) -> int:
         return self.base.n + self.n_ghost
 
-    @property
-    def diag_extra(self) -> tuple[float, ...]:
-        return tuple(self.base.diag_extra) + (0.0,) * self.n_ghost
-
 
 def _edges(i, j, w) -> tuple[Edge, ...]:
     """Edge tuples from arrays of endpoints and weights."""
@@ -85,17 +79,22 @@ def _ghost_edges(pert: EdgePerturbation, n_base: int, scale: float = 1.0) -> tup
     return _edges(pert.i, ghosts, scale * at_i) + _edges(pert.j, ghosts, scale * at_j)
 
 
+def _with_kept_edges(g: WeightedGraph, pert: EdgePerturbation, edges=()) -> WeightedGraph:
+    """The graph on g's vertices and pert's ghosts with g's edges outside
+    pert (the kept edges), g's diagonal and ``edges``."""
+    kept, diag = sign_preserving_graph(g, pert).edges, tuple(g.diag_extra)
+    n_ghost = len(pert.w)
+    return WeightedGraph(g.n + n_ghost, kept + edges, diag + (0.0,) * n_ghost)
+
+
 def subdivide(g: WeightedGraph, sel: EigenSelection) -> SubdivisionGraph:
     """Build the subdivision of g along sel.psi's sign-change edges."""
     pert = build_perturbation(g, sel)
     n_total = g.n + len(pert.w)
-    kept_edges = sign_preserving_graph(g, pert).edges
-    diag = tuple(g.diag_extra) + (0.0,) * len(pert.w)
     return SubdivisionGraph(
         base=g,
         pert=pert,
-        kept_edges=kept_edges,
-        kept=laplacian(WeightedGraph(n_total, kept_edges, diag)).matrix,
+        kept=laplacian(_with_kept_edges(g, pert)).matrix,
         cut=laplacian(WeightedGraph(n_total, _edges(pert.i, pert.j, pert.w))).matrix,
         ghost=laplacian(WeightedGraph(n_total, _ghost_edges(pert, g.n))).matrix,
     )
@@ -113,17 +112,17 @@ def graph_at(sg: SubdivisionGraph, sigma: float) -> WeightedGraph:
         raise ValueError(f"sigma={sigma} must be nonnegative")
     s = sigma / (1.0 + sigma)
     p = sg.pert
-    edges = sg.kept_edges + _edges(p.i, p.j, p.w / (1.0 + sigma))
+    edges = _edges(p.i, p.j, p.w / (1.0 + sigma))
     if s > 0:
         edges += _ghost_edges(p, sg.n_base, s)
-    return WeightedGraph(sg.n_total, edges, sg.diag_extra)
+    return _with_kept_edges(sg.base, p, edges)
 
 
 def limit_graph(sg: SubdivisionGraph) -> WeightedGraph:
     """The sigma -> infinity subdivision graph: sign-change edges are gone
-    and the ghost half-edges carry their full weight w * (1 + q)."""
-    edges = sg.kept_edges + _ghost_edges(sg.pert, sg.n_base)
-    return WeightedGraph(sg.n_total, edges, sg.diag_extra)
+    and the ghost half-edges carry their full weight w * (1 + q). Its
+    Dirichlet problem on the base vertices is the edge flow's L + P."""
+    return _with_kept_edges(sg.base, sg.pert, _ghost_edges(sg.pert, sg.n_base))
 
 
 def bilinear_matrix(sg: SubdivisionGraph, sigma: float) -> LaplacianMatrix:
@@ -161,9 +160,9 @@ def restrict_eigenvector(
     """Restrict a base eigenvector to one strong nodal domain, zero-extended
     over the rest of the subdivision (ghosts included).
 
-    ``component`` must be one of the D-connected components of the base
-    vertex set inside the sigma = infinity subdivision graph (these are
-    exactly the strong nodal domains); otherwise NotAComponent is raised.
+    ``component`` must be one of the components of the base graph minus
+    pert's edges (exactly the strong nodal domains); otherwise
+    NotAComponent is raised.
     The result satisfies the Dirichlet eigenvalue equation at psi's
     Rayleigh quotient on the component's interior rows.
     """
@@ -171,9 +170,7 @@ def restrict_eigenvector(
     if psi.shape != (sg.n_base,):
         raise ValueError(f"expected base vector of length {sg.n_base}")
     comp = tuple(sorted(int(v) for v in component))
-    lim = limit_graph(sg)
-    comps = d_connected_components(lim, tuple(range(sg.n_base)))
-    if comp not in comps:
+    if comp not in components(sg.n_base, sign_preserving_graph(sg.base, sg.pert).edges):
         raise NotAComponent(f"{comp} is not a D-connected component")
     out = np.zeros(sg.n_total)
     idx = np.array(comp, dtype=int)
@@ -230,12 +227,12 @@ def run_vertex_flow(
     infinity Dirichlet problem, of multiplicity nu, so converged_count
     counts the branches still at or below lambda_k at sigma_max. The
     certificate (count_identity_ok, EigenSelection.certify) asks that it
-    equal the exact Dirichlet multiplicity (read off one values-only
-    solve of the limit's Dirichlet problem) and that converged + crossings
-    = k + n_ghost (the k lowest of L and one zero per ghost start at or
-    below lambda_k, and each crosses it or converges to it); a sigma_max
-    too small for the branches bound higher to pass lambda_k fails it.
-    branch_origins labels every branch 'ghost' or 'spectrum'.
+    equal the exact Dirichlet multiplicity (one values-only solve of L + P,
+    where both flows end) and that converged + crossings = k + n_ghost
+    (the k lowest of L and one zero per ghost start at or below lambda_k,
+    and each crosses it or converges to it); a sigma_max too small for the
+    branches bound higher to pass lambda_k fails it. branch_origins labels
+    every branch 'ghost' or 'spectrum'.
     """
     if not 1e-3 < sigma_max < np.inf:
         raise ValueError(f"sigma_max must be finite and > 1e-3, got {sigma_max}")
@@ -245,8 +242,8 @@ def run_vertex_flow(
     sg = subdivide(g, sel)
     grid = np.concatenate([[0.0], np.logspace(-3.0, np.log10(sigma_max), steps)])
     fr = track_branches(lambda s: bilinear_matrix(sg, s), grid, sel.lambda_k)
-    dp = dirichlet_problem(limit_graph(sg), tuple(range(sg.n_base)))
-    nu_d = multiplicity_of(eigendecompose(dp.matrix, vectors=False), sel.lambda_k)
+    dirichlet = eigendecompose(flow_matrix(sg.pert, 1.0), vectors=False)
+    nu_d = multiplicity_of(dirichlet, sel.lambda_k)
     nu, total = fr.converged_count, fr.converged_count + len(fr.crossings)
     ok = nu == nu_d and total == sel.k + sg.n_ghost
     warnings += sel.certify(

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nodalflow import fileio
+from nodalflow import fileio, graph_core
 from nodalflow.cli import main
 from nodalflow.edge_flow import run_edge_flow
 from nodalflow.families import interval, petersen
-from nodalflow.graph_core import WeightedGraph, laplacian
+from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import eigendecompose
 
@@ -217,6 +217,25 @@ def test_cli_flow_writes_files(tmp_path, capsys):
     assert summary["flags"]["refinement_exhausted"] is False
     svg_text = (tmp_path / "run.svg").read_text()
     assert svg_text.startswith("<svg ")
+
+
+@pytest.mark.parametrize("method", ["edge", "vertex"])
+def test_cli_flow_assembles_the_graph_laplacian_once(method, tmp_path, capsys, monkeypatch):
+    assembled = []
+
+    def counted(matrix):
+        assembled.append(len(matrix))
+        return LaplacianMatrix(matrix)
+
+    monkeypatch.setattr(graph_core, "LaplacianMatrix", counted)
+    graph = tmp_path / "i4.json"
+    fileio.save_graph(graph, interval(4))
+    code = main(["flow", "--method", method, "--graph", str(graph), "--k", "2",
+                 "--steps", "20", "--out", str(tmp_path / "run")])
+    capsys.readouterr()
+    assert code == 0
+    # The vertex flow also assembles its three n + 1 vertex terms.
+    assert assembled.count(4) == 1
 
 
 def test_cli_flow_zero_vertex_refuses(tmp_path, capsys):

@@ -8,9 +8,9 @@ from nodalflow.dirichlet import (
     dirichlet_spectrum,
     is_signed,
 )
-from nodalflow.edge_flow import build_perturbation, sign_preserving_graph
+from nodalflow.edge_flow import build_perturbation, flow_matrix, sign_preserving_graph
 from nodalflow.errors import EmptyInterior, NotAComponent
-from nodalflow.families import interval, petersen
+from nodalflow.families import generate_connected_er, grid, interval, petersen
 from nodalflow.graph_core import laplacian
 from nodalflow.nodal import nodal_decomposition, select_eigenpair
 from nodalflow.spectra import eigendecompose, multiplicity_of
@@ -65,12 +65,16 @@ def test_d_components_of_limit_graph_are_strong_domains():
 
 
 def test_dirichlet_matrix_of_limit_base_matches_sigma_one_flow():
-    for g, k in ((interval(4), 2), (petersen(7, 3), 7)):
+    # run_vertex_flow reads its Dirichlet multiplicity off L + P.
+    er = generate_connected_er(20, 0.3, 303).graph
+    for g, k in ((interval(4), 2), (petersen(7, 3), 7), (grid(7, 5), 5), (er, 20)):
         sel = select(g, k)
         sg = subdivide(g, sel)
+        pert = build_perturbation(g, sel)
         dp = dirichlet_problem(limit_graph(sg), range(sg.n_base))
-        L1 = laplacian(sign_preserving_graph(g, build_perturbation(g, sel))).matrix
+        L1 = laplacian(sign_preserving_graph(g, pert)).matrix
         np.testing.assert_allclose(dp.matrix, L1, atol=1e-12)
+        np.testing.assert_allclose(dp.matrix, flow_matrix(pert, 1.0).matrix, atol=1e-12)
 
 
 def test_lambda_k_multiplicity_in_dirichlet_spectrum():

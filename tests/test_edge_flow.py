@@ -204,8 +204,8 @@ def test_run_edge_flow_monotone_branches():
 def half_penalty(monkeypatch):
     """run_edge_flow with P / 2 in place of P: the flow stops short of the
     sigma = 1 matrix whose multiplicity of lambda_k is nu."""
-    def half(g, sel, L=None):
-        pert = build_perturbation(g, sel, L)
+    def half(g, sel):
+        pert = build_perturbation(g, sel)
         return dataclasses.replace(pert, matrix=0.5 * pert.matrix)
 
     monkeypatch.setattr(edge_flow, "build_perturbation", half)

@@ -80,6 +80,12 @@ def test_laplacian_diag_extra_adds_to_diagonal():
     np.testing.assert_allclose(L, [[4.0, -1.0], [-1.0, 1.25]])
 
 
+def test_laplacian_is_kept_on_the_graph():
+    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+    assert laplacian(g) is laplacian(g)
+    assert laplacian(WeightedGraph(3, g.edges)) is not laplacian(g)
+
+
 def test_laplacian_matrix_is_read_only():
     g = WeightedGraph(2, ((0, 1, 1.0),))
     L = laplacian(g).matrix

@@ -14,6 +14,7 @@ from nodalflow.nodal import (
     perturb_to_nonzero,
     select_eigenpair,
     sign_change_edges,
+    sign_change_mask,
     strong_domains_allowing_zeros,
     zero_vertices,
 )
@@ -86,6 +87,17 @@ def test_sign_change_edges_refuses_zeros():
     sel = select_eigenpair(spectrum_of(g), 2)
     with pytest.raises(ZeroVertex):
         sign_change_edges(g, sel.psi)
+
+
+def test_sign_change_mask_holds_at_any_scale():
+    # A product psi_i * psi_j underflows to 0 at 1e-200 and overflows at
+    # 1e200; the signs themselves do neither.
+    g = grid(7, 5)
+    psi = np.asarray(select_eigenpair(spectrum_of(g), 5).psi)
+    mask = sign_change_mask(g, psi)
+    assert np.count_nonzero(mask) == 10
+    for scale in (1e-200, 1e200):
+        np.testing.assert_array_equal(sign_change_mask(g, scale * psi), mask)
 
 
 @pytest.mark.parametrize("build", [build_perturbation, subdivide])

@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nodalflow import dirichlet, vertex_flow
 from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
 from nodalflow.edge_flow import build_perturbation, sign_preserving_graph
 from nodalflow.families import complete, cycle, generate_connected_er, grid, interval, petersen
@@ -46,7 +47,8 @@ def test_subdivide_reads_the_edge_flow_record():
     sg, pert = subdivide(g, sel), build_perturbation(g, sel)
     for name in ("i", "j", "w", "q_ij", "q_ji", "matrix", "laplacian"):
         np.testing.assert_array_equal(getattr(sg.pert, name), getattr(pert, name))
-    assert sg.kept_edges == sign_preserving_graph(g, pert).edges
+    kept = tuple(e for e in limit_graph(sg).edges if e[1] < g.n)
+    assert kept == sign_preserving_graph(g, pert).edges
     assert sg.n_ghost == len(nodal_decomposition(g, sel).sign_change_edges) == 10
 
 
@@ -227,6 +229,19 @@ def test_run_vertex_flow_certificate_at_small_sigma_max(g, k, sigma_max, nu):
         assert fr.converged_count == nu
         assert fr.count_identity_ok is True
         assert not any(w.startswith("vertex certificate") for w in fr.warnings)
+
+
+def test_vertex_certificate_reads_the_limit_off_the_edge_flow_record(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the vertex flow rebuilt the limit graph")
+
+    monkeypatch.setattr(vertex_flow, "limit_graph", refuse)
+    monkeypatch.setattr(dirichlet, "dirichlet_problem", refuse)
+    g = grid(4, 3)
+    sel = select(g, 5)
+    fr = run_vertex_flow(g, sel, steps=20)
+    assert fr.count_identity_ok
+    assert fr.converged_count == nodal_decomposition(g, sel).nu
 
 
 def test_run_vertex_flow_needs_two_steps():
