@@ -27,9 +27,9 @@ from .spectra import (
 
 @dataclass(frozen=True)
 class EdgePerturbation:
-    """psi's sign-change edges i < j with weight w, in edge order, which
-    both flows are built from, and the edge flow's fixed terms P (matrix)
-    and L (laplacian).
+    """psi's sign-change edges i < j with weight w, in edge order, and the
+    fixed terms of both flows: P (matrix), L (laplacian) and the vertex
+    flow's ghost half-edges (half_weights). Both flows end at L + P.
 
     q_ij = -psi_i / psi_j is positive exactly because the edge changes sign;
     q_ij * q_ji = 1, so each edge's block of P is PSD of rank 1 with kernel
@@ -77,6 +77,12 @@ def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
     return LaplacianMatrix(pert.laplacian + sigma * pert.matrix)
 
 
+def limit_multiplicity(pert: EdgePerturbation, lambda_k: float) -> int:
+    """Multiplicity of lambda_k in L + P, where both flows end (the vertex
+    flow's Dirichlet limit on the base), by one values-only solve."""
+    return multiplicity_of(eigendecompose(flow_matrix(pert, 1.0), vectors=False), lambda_k)
+
+
 def sign_preserving_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedGraph:
     """The graph with sign-change edges removed and their weight folded into
     the diagonal as the self loops pert.half_weights, added in edge order.
@@ -109,12 +115,11 @@ def nodal_count_direct(
 ) -> DirectCount:
     """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed.
 
-    One values-only eigensolve; L is the Laplacian g keeps, so counting
-    many eigenpairs of one graph assembles it once.
+    One values-only eigensolve (limit_multiplicity); L is the Laplacian g
+    keeps, so counting many eigenpairs of one graph assembles it once.
     """
     sel.check_assumptions(allow_degenerate)
-    spec1 = eigendecompose(flow_matrix(build_perturbation(g, sel), 1.0), vectors=False)
-    nu = multiplicity_of(spec1, sel.lambda_k)
+    nu = limit_multiplicity(build_perturbation(g, sel), sel.lambda_k)
     return DirectCount(
         k=sel.k,
         lambda_k=sel.lambda_k,

@@ -57,5 +57,6 @@ class ConnectivityExhausted(NodalFlowError):
 
 
 class FlowConsistencyError(NodalFlowError):
-    """A flow's branch count certificate (for the edge flow, converged +
-    crossings from below = k) failed for a simple lambda_k."""
+    """A flow certificate failed for a simple lambda_k: the edge flow's
+    (converged + crossings = k, and its ends) or the vertex flow's
+    (converged = Dirichlet multiplicity, converged + crossings = k + ghosts)."""

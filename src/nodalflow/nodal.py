@@ -98,15 +98,20 @@ def sign_change_mask(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
     zeros = zero_vertices(psi)
     if zeros:
         raise ZeroVertex(zeros)
-    return edge_signs(g, psi) < 0
+    return _signs_across(g, psi, zeros) < 0
 
 
 def edge_signs(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
     """sign(psi_i) * sign(psi_j) for each of g's edges, in edge order, with
     the entries of zero_vertices counted as 0: 1 inside a sign class, -1
     across a sign change, 0 at a zero vertex."""
+    return _signs_across(g, psi, zero_vertices(psi))
+
+
+def _signs_across(g: WeightedGraph, psi: np.ndarray, zeros) -> np.ndarray:
+    # edge_signs for a psi whose zero_vertices are already known.
     signs = np.sign(np.asarray(psi, dtype=float)).astype(int)
-    signs[list(zero_vertices(psi))] = 0
+    signs[list(zeros)] = 0
     i, j, _ = g.edge_arrays
     return signs[i] * signs[j]
 
@@ -160,7 +165,7 @@ def strong_domains_allowing_zeros(
     """
     zeros = zero_vertices(psi)
     i, j, _ = g.edge_arrays
-    same = edge_signs(g, psi) > 0
+    same = _signs_across(g, psi, zeros) > 0
     domains = components(g.n, zip(i[same], j[same]), set(range(g.n)) - set(zeros))
     return domains, zeros
 

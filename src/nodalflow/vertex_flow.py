@@ -6,9 +6,9 @@ are reorganized as a function of sigma so that the bilinear form
     B_sigma(u, v) = <u, L_sub(sigma) v> + sigma * <u, v>_ghosts
 
 has the extended eigenvector as a sigma-independent eigenvector at lambda_k.
-Ghost vertices are appended after the base vertices in ascending
-lexicographic order of their edges, which keeps every matrix and output
-bit-reproducible.
+Its matrix is the edge flow's L + s P, s = sigma / (1 + sigma), bordered by
+one ghost row and column per sign-change edge, in the edge flow record's
+order, which keeps every matrix and output bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,19 +17,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .edge_flow import EdgePerturbation, build_perturbation, flow_matrix, sign_preserving_graph
+from .edge_flow import EdgePerturbation, build_perturbation, flow_matrix, limit_multiplicity
+from .edge_flow import sign_preserving_graph
 from .errors import NotAComponent
-from .graph_core import Edge, LaplacianMatrix, WeightedGraph, components, freeze_arrays, laplacian
+from .graph_core import Edge, LaplacianMatrix, WeightedGraph, components
+from .graph_core import laplacian  # noqa: F401  (a binding perfbench/selftest.py traces)
 from .nodal import EigenSelection
-from .spectra import (
-    FD_STEP,
-    FlowResult,
-    derivative_residual,
-    eigendecompose,
-    group_tolerance,
-    multiplicity_of,
-    track_branches,
-)
+from .spectra import FD_STEP, FlowResult, derivative_residual, group_tolerance, track_branches
+from .spectra import eigendecompose  # noqa: F401  (a binding perfbench/selftest.py traces)
 
 
 @dataclass(frozen=True)
@@ -37,21 +32,13 @@ class SubdivisionGraph:
     """Base graph plus one ghost vertex per sign-change edge.
 
     Sign-change edge p of pert (the edge flow's record) gets ghost vertex
-    n_base + p, joined to i and j by pert.half_weights at full weight. The
-    flow matrix is a fixed combination of three Laplacians on all n_total
-    vertices: ``kept`` (the base edges not in pert, plus the base
-    diagonal), ``cut`` (sign-change edges) and ``ghost`` (ghost
-    half-edges).
+    n_base + p, joined to i and j by pert.half_weights at full weight.
+    bilinear_matrix reads the record's L, P and half-weights, so no matrix
+    is stored here.
     """
 
     base: WeightedGraph
     pert: EdgePerturbation
-    kept: np.ndarray
-    cut: np.ndarray
-    ghost: np.ndarray
-
-    def __post_init__(self):
-        freeze_arrays(self, "kept", "cut", "ghost")
 
     @property
     def n_base(self) -> int:
@@ -88,16 +75,9 @@ def _with_kept_edges(g: WeightedGraph, pert: EdgePerturbation, edges=()) -> Weig
 
 
 def subdivide(g: WeightedGraph, sel: EigenSelection) -> SubdivisionGraph:
-    """Build the subdivision of g along sel.psi's sign-change edges."""
-    pert = build_perturbation(g, sel)
-    n_total = g.n + len(pert.w)
-    return SubdivisionGraph(
-        base=g,
-        pert=pert,
-        kept=laplacian(_with_kept_edges(g, pert)).matrix,
-        cut=laplacian(WeightedGraph(n_total, _edges(pert.i, pert.j, pert.w))).matrix,
-        ghost=laplacian(WeightedGraph(n_total, _ghost_edges(pert, g.n))).matrix,
-    )
+    """The subdivision of g along sel.psi's sign-change edges: g and the
+    edge flow's record of them. No graph or matrix is built here."""
+    return SubdivisionGraph(g, build_perturbation(g, sel))
 
 
 def graph_at(sg: SubdivisionGraph, sigma: float) -> WeightedGraph:
@@ -126,15 +106,21 @@ def limit_graph(sg: SubdivisionGraph) -> WeightedGraph:
 
 
 def bilinear_matrix(sg: SubdivisionGraph, sigma: float) -> LaplacianMatrix:
-    """Matrix of B_sigma: kept + cut / (1 + sigma) + (sigma / (1 + sigma))
-    ghost, plus sigma on the ghost diagonal. This is the Laplacian of
-    graph_at(sg, sigma) plus the ghost mass, PSD for every sigma >= 0."""
-    if sigma < 0:
-        raise ValueError(f"sigma={sigma} must be nonnegative")
-    M = sg.kept + sg.cut / (1.0 + sigma)
-    M += (sigma / (1.0 + sigma)) * sg.ghost
-    ghosts = np.arange(sg.n_base, sg.n_total)
-    M[ghosts, ghosts] += sigma
+    """Matrix of B_sigma, sigma >= 0 finite: [[L + s P, -s H], [-s H^T,
+    s diag(h) + sigma I]] with s = sigma / (1 + sigma), H's column p the
+    half-weights at i and j, and h its column sums. The base block is
+    flow_matrix(pert, s), the ghost block diagonal. This is the Laplacian
+    of graph_at(sg, sigma) plus the ghost mass, PSD for every sigma."""
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma={sigma} must be nonnegative and finite")
+    s, p, n = sigma / (1.0 + sigma), sg.pert, sg.n_base
+    at_i, at_j = p.half_weights
+    ghosts = np.arange(n, sg.n_total)
+    M = np.zeros((sg.n_total, sg.n_total))
+    M[:n, :n] = flow_matrix(p, s).matrix
+    M[p.i, ghosts] = M[ghosts, p.i] = -s * at_i
+    M[p.j, ghosts] = M[ghosts, p.j] = -s * at_j
+    M[ghosts, ghosts] = s * (at_i + at_j) + sigma
     return LaplacianMatrix(M)
 
 
@@ -227,8 +213,8 @@ def run_vertex_flow(
     infinity Dirichlet problem, of multiplicity nu, so converged_count
     counts the branches still at or below lambda_k at sigma_max. The
     certificate (count_identity_ok, EigenSelection.certify) asks that it
-    equal the exact Dirichlet multiplicity (one values-only solve of L + P,
-    where both flows end) and that converged + crossings = k + n_ghost
+    equal the exact Dirichlet multiplicity (limit_multiplicity, read off
+    L + P, where both flows end) and that converged + crossings = k + n_ghost
     (the k lowest of L and one zero per ghost start at or below lambda_k,
     and each crosses it or converges to it); a sigma_max too small for the
     branches bound higher to pass lambda_k fails it. branch_origins labels
@@ -242,8 +228,7 @@ def run_vertex_flow(
     sg = subdivide(g, sel)
     grid = np.concatenate([[0.0], np.logspace(-3.0, np.log10(sigma_max), steps)])
     fr = track_branches(lambda s: bilinear_matrix(sg, s), grid, sel.lambda_k)
-    dirichlet = eigendecompose(flow_matrix(sg.pert, 1.0), vectors=False)
-    nu_d = multiplicity_of(dirichlet, sel.lambda_k)
+    nu_d = limit_multiplicity(sg.pert, sel.lambda_k)
     nu, total = fr.converged_count, fr.converged_count + len(fr.crossings)
     ok = nu == nu_d and total == sel.k + sg.n_ghost
     warnings += sel.certify(

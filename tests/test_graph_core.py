@@ -101,7 +101,6 @@ ARRAY_FIELDS = {
     "EigenSelection": ("psi",),
     "EdgePerturbation": ("i", "j", "w", "q_ij", "q_ji", "matrix", "laplacian"),
     "FlowResult": ("sigma_grid", "branch_values", "start_vectors"),
-    "SubdivisionGraph": ("kept", "cut", "ghost"),
     "DirichletProblem": ("matrix",),
     "ComponentEigenReport": ("eigenvector",),
     "GridEigenOracle": ("eigenvector",),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalflow import nodal
 from nodalflow.edge_flow import build_perturbation
 from nodalflow.errors import ZeroVertex
 from nodalflow.families import complete, cycle, grid, interval, petersen
@@ -10,6 +11,7 @@ from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import (
     EigenSelection,
     courant_and_betti_check,
+    edge_signs,
     nodal_decomposition,
     perturb_to_nonzero,
     select_eigenpair,
@@ -98,6 +100,22 @@ def test_sign_change_mask_holds_at_any_scale():
     assert np.count_nonzero(mask) == 10
     for scale in (1e-200, 1e200):
         np.testing.assert_array_equal(sign_change_mask(g, scale * psi), mask)
+
+
+def test_signs_look_for_zero_vertices_once(monkeypatch):
+    g = grid(7, 5)
+    psi = np.asarray(select_eigenpair(spectrum_of(g), 5).psi)
+    calls = []
+
+    def counted(psi):
+        calls.append(1)
+        return zero_vertices(psi)
+
+    monkeypatch.setattr(nodal, "zero_vertices", counted)
+    for find in (sign_change_mask, strong_domains_allowing_zeros, edge_signs):
+        calls.clear()
+        find(g, psi)
+        assert len(calls) == 1, find.__name__
 
 
 @pytest.mark.parametrize("build", [build_perturbation, subdivide])

@@ -298,7 +298,7 @@ def _record_solves(monkeypatch, *modules):
 def test_only_value_reads_solve_without_vectors(monkeypatch):
     g = grid(4, 3)
     sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
-    solves = _record_solves(monkeypatch, spectra, vertex_flow, edge_flow)
+    solves = _record_solves(monkeypatch, spectra, edge_flow)
 
     fr = track_branches(turning, np.linspace(0.0, 1.0, 14), 1.2)
     assert sum(vectors for _, vectors, _ in solves) == len(fr.sigma_grid)
@@ -310,7 +310,8 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     tracked = [s for s in solves if s[0] == spectra.__name__]
     assert any(bisection for _, _, bisection in tracked)
     assert all(vectors != bisection for _, vectors, bisection in tracked)
-    assert [s for s in solves if s not in tracked] == [(vertex_flow.__name__, False, False)]
+    # The certificate's Dirichlet solve is edge_flow's limit_multiplicity.
+    assert [s for s in solves if s not in tracked] == [(edge_flow.__name__, False, False)]
 
     solves.clear()
     nodal_count_direct(g, sel)
@@ -381,7 +382,7 @@ def test_only_tracked_grid_points_use_divide_and_conquer(monkeypatch, tmp_path):
         return wrapped
 
     solve = spectra.eigendecompose
-    for module in (spectra, edge_flow, vertex_flow, dirichlet, cli):
+    for module in (spectra, edge_flow, dirichlet, cli):
         def recorded(M, *, _name=module.__name__, **kwargs):
             solves.append((_name, kwargs.get("driver"), kwargs.get("vectors", True),
                            depth["track"] > 0, depth["falls"] > 0))
@@ -414,6 +415,7 @@ def test_only_tracked_grid_points_use_divide_and_conquer(monkeypatch, tmp_path):
     base = [s for s in others if s[0] == cli.__name__]
     assert base == [(cli.__name__, None, True, False, False)] * 2
     assert any(s[4] for s in others)
-    assert (vertex_flow.__name__, None, False, False, False) in others
     assert sum(s[0] == spectra_name and not s[3] for s in others) == 3
-    assert (edge_flow.__name__, None, False, False, False) in others
+    # The vertex certificate's Dirichlet solve and nodal_count_direct, both
+    # limit_multiplicity.
+    assert others.count((edge_flow.__name__, None, False, False, False)) == 2

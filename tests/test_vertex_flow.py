@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from nodalflow import dirichlet, vertex_flow
 from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
-from nodalflow.edge_flow import build_perturbation, sign_preserving_graph
+from nodalflow.edge_flow import build_perturbation, flow_matrix, sign_preserving_graph
 from nodalflow.families import complete, cycle, generate_connected_er, grid, interval, petersen
-from nodalflow.graph_core import laplacian
+from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from nodalflow.nodal import nodal_decomposition, select_eigenpair
 from nodalflow.spectra import COUNT_TOL_REL, eigendecompose
 from nodalflow.vertex_flow import (
@@ -50,6 +51,23 @@ def test_subdivide_reads_the_edge_flow_record():
     kept = tuple(e for e in limit_graph(sg).edges if e[1] < g.n)
     assert kept == sign_preserving_graph(g, pert).edges
     assert sg.n_ghost == len(nodal_decomposition(g, sel).sign_change_edges) == 10
+
+
+def test_subdivide_builds_no_graph_or_matrix(monkeypatch):
+    # The subdivision is g plus the edge flow's record; bilinear_matrix
+    # assembles everything else on demand.
+    g = grid(7, 5)
+    sel = select(g, 5)
+
+    def refuse(self):
+        raise AssertionError(f"subdivide built a {type(self).__name__}")
+
+    monkeypatch.setattr(WeightedGraph, "__post_init__", refuse)
+    monkeypatch.setattr(LaplacianMatrix, "__post_init__", refuse)
+    sg = subdivide(g, sel)
+    monkeypatch.undo()
+    assert [f.name for f in dataclasses.fields(sg)] == ["base", "pert"]
+    assert sg.base is g
 
 
 def test_subdivide_structure_petersen():
@@ -133,16 +151,47 @@ def test_extended_eigenvector_invariant_along_flow(sigma):
     assert resid < 1e-10
 
 
-@pytest.mark.parametrize("sigma", [0.0, 1e-3, 1.0, 552.0, 1e4])
+SUBDIVISIONS = (
+    (petersen(7, 3), 7),
+    (grid(7, 5), 5),
+    (generate_connected_er(20, 0.3, 303).graph, 20),
+)
+BILINEAR_SIGMAS = [0.0, 1e-3, 1.0, 552.0, 1e4, 1e6]
+
+
+@pytest.mark.parametrize("sigma", BILINEAR_SIGMAS)
 def test_bilinear_matrix_matches_graph_at(sigma):
-    g = petersen(7, 3)
-    sg = subdivide(g, select(g, 7))
-    B = bilinear_matrix(sg, sigma).matrix
-    ref = laplacian(graph_at(sg, sigma)).matrix.copy()
-    ghosts = np.arange(sg.n_base, sg.n_total)
-    ref[ghosts, ghosts] += sigma
-    assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(B, B.T)
+    for g, k in SUBDIVISIONS:
+        sg = subdivide(g, select(g, k))
+        B = bilinear_matrix(sg, sigma).matrix
+        ref = laplacian(graph_at(sg, sigma)).matrix.copy()
+        ghosts = np.arange(sg.n_base, sg.n_total)
+        ref[ghosts, ghosts] += sigma
+        assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(B, B.T)
+
+
+@pytest.mark.parametrize("sigma", BILINEAR_SIGMAS)
+def test_bilinear_matrix_borders_the_edge_flow_matrix(sigma):
+    # B(sigma) is the edge flow's matrix at s = sigma / (1 + sigma) with
+    # ghost rows and columns around it, and its ghost block is diagonal,
+    # which the ghost Schur count of _oracles relies on.
+    for g, k in SUBDIVISIONS:
+        sg = subdivide(g, select(g, k))
+        B = bilinear_matrix(sg, sigma).matrix
+        n = sg.n_base
+        base = flow_matrix(sg.pert, sigma / (1.0 + sigma)).matrix
+        assert np.array_equal(B[:n, :n], base)
+        ghost = B[n:, n:]
+        assert np.array_equal(ghost, np.diag(np.diag(ghost)))
+
+
+def test_bilinear_matrix_refuses_a_non_finite_sigma():
+    g = interval(4)
+    sg = subdivide(g, select(g, 2))
+    for sigma in (np.inf, np.nan, -np.inf, -0.5):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            bilinear_matrix(sg, sigma)
 
 
 def test_bilinear_matrix_is_psd():
@@ -271,7 +320,7 @@ def test_run_vertex_flow_rejects_zero_vertices():
             marks=pytest.mark.xfail(
                 strict=True,
                 raises=AssertionError,
-                reason="ROADMAP Found 1: the bracket [6074.4642355, 6074.4642360] holds"
+                reason="ROADMAP Found 1: the bracket [6074.4642449, 6074.4642454] holds"
                 " no fall of the count; eigh's rounding at sigma ~ 6e3 exceeds the"
                 " count margin",
             ),
