@@ -278,21 +278,21 @@ def _path_order(u: np.ndarray, v: np.ndarray) -> int:
     return int(np.sign(u[far[0]] - v[far[0]])) if far.size else 0
 
 
-def _falls(flow, lo, hi, n_lo, n_hi, t):
+def _falls(count, lo, hi, n_lo, n_hi, t):
     """Cells of width <= BRACKET_WIDTH, in sigma order, one per unit fall of
     the number of eigenvalues <= t over [lo, hi], found by bisecting on that
-    count; n_lo and n_hi are the counts at the ends. Each midpoint is one
-    values-only eigendecompose."""
+    count; n_lo and n_hi are the counts at the ends. Each midpoint asks the
+    flow once for count(mid, t) (see track_branches)."""
     if n_lo <= n_hi:
         return []
     if hi - lo <= BRACKET_WIDTH:
         return [(lo, hi)] * (n_lo - n_hi)
     mid = 0.5 * (lo + hi)
-    n_mid = int(np.sum(eigendecompose(flow(mid), vectors=False).eigenvalues <= t))
-    return _falls(flow, lo, mid, n_lo, n_mid, t) + _falls(flow, mid, hi, n_mid, n_hi, t)
+    n_mid = count(mid, t)
+    return _falls(count, lo, mid, n_lo, n_mid, t) + _falls(count, mid, hi, n_mid, n_hi, t)
 
 
-def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResult:
+def track_branches(flow_matrix, sigma_grid, reference_value: float, *, count=None) -> FlowResult:
     """Track all eigenvalue branches of a non-decreasing family
     ``flow_matrix(sigma)`` over a grid.
 
@@ -304,6 +304,11 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
         needed
     reference_value : lambda_k; converged_count counts the final branch
         values at or below it plus its group tolerance
+    count : callable (sigma, t) -> the number of eigenvalues of
+        flow_matrix(sigma) at or below t, which the crossing bisection
+        reads; None counts them with one values-only eigendecompose of
+        flow_matrix(sigma). A flow with a cheaper exact count passes it
+        (the vertex flow counts on its ghost Schur complement).
 
     A matched step where some branch value drops, or falls from above
     t = lambda_k + COUNT_TOL_REL * max(1, |lambda_k|, max |eigenvalue at the
@@ -319,10 +324,10 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
     branches that start below 2 lambda_k - t are recorded as crossings.
 
     The grid is walked once, one eigensolve with eigenvectors per point in
-    the calling thread, by the ``evd`` driver; the bisection solves compute
-    eigenvalues only. Degenerate clusters at the first point are labelled
-    by value path (see FlowResult), so labels and crossings do not depend
-    on the basis the solver returned.
+    the calling thread, by the ``evd`` driver; the bisection reads only
+    ``count``, which needs no eigenvectors. Degenerate clusters at the first
+    point are labelled by value path (see FlowResult), so labels and
+    crossings do not depend on the basis the solver returned.
     Refinement floors out at 1e-6 * max(min(1, span), sigma), so log-spaced
     grids stay refinable near the origin; an interval at the floor that
     still fails sets refinement_exhausted instead.
@@ -331,6 +336,9 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
     if len(sigmas) < 2 or not (np.isfinite(sigmas).all() and (np.diff(sigmas) > 0).all()):
         raise ValueError("sigma grid must be finite and strictly increasing with >= 2 points")
     span = sigmas[-1] - sigmas[0]
+    if count is None:
+        def count(sigma: float, t: float) -> int:
+            return int(np.sum(eigendecompose(flow_matrix(sigma), vectors=False).eigenvalues <= t))
 
     def evaluate(sigma: float) -> _Node:
         return _Node(sigma, eigendecompose(flow_matrix(sigma), driver="evd"))
@@ -363,7 +371,7 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float) -> FlowResul
             start_vectors = a.vecs
         risers = np.flatnonzero((va <= t) & (vb > t))
         at = (t - va[risers]) / (vb[risers] - va[risers])
-        cells = _falls(flow_matrix, a.sigma, b.sigma, np.sum(va <= t), np.sum(vb <= t), t)
+        cells = _falls(count, a.sigma, b.sigma, np.sum(va <= t), np.sum(vb <= t), t)
         for br, (lo, hi) in zip(risers[np.argsort(at, kind="stable")], cells):
             if below[br]:
                 crossings.append(BranchCrossing(int(br), float(lo), float(hi)))

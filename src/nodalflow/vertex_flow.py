@@ -9,6 +9,11 @@ has the extended eigenvector as a sigma-independent eigenvector at lambda_k.
 Its matrix is the edge flow's L + s P, s = sigma / (1 + sigma), bordered by
 one ghost row and column per sign-change edge, in the edge flow record's
 order, which keeps every matrix and output bit-reproducible.
+
+The crossing bisection counts the eigenvalues of B(sigma) at or below t on
+the n_base x n_base ghost Schur complement (ghost_schur_count), with psi
+deflated, and not on B(sigma) itself; where a ghost pivot is within the
+count margin of zero it falls back to a values-only solve of B(sigma).
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .errors import NotAComponent
 from .graph_core import Edge, LaplacianMatrix, WeightedGraph, components
 from .graph_core import laplacian  # noqa: F401  (a binding perfbench/selftest.py traces)
 from .nodal import EigenSelection
-from .spectra import FD_STEP, FlowResult, derivative_residual, group_tolerance, track_branches
-from .spectra import eigendecompose  # noqa: F401  (a binding perfbench/selftest.py traces)
+from .spectra import COUNT_TOL_REL, FD_STEP, FlowResult, derivative_residual, eigendecompose
+from .spectra import group_tolerance, track_branches
 
 
 @dataclass(frozen=True)
@@ -80,16 +85,20 @@ def subdivide(g: WeightedGraph, sel: EigenSelection) -> SubdivisionGraph:
     return SubdivisionGraph(g, build_perturbation(g, sel))
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma={sigma} must be nonnegative and finite")
+
+
 def graph_at(sg: SubdivisionGraph, sigma: float) -> WeightedGraph:
-    """The weighted subdivision graph at flow parameter sigma >= 0.
+    """The weighted subdivision graph at flow parameter sigma >= 0 finite.
 
     Sign-change edges keep weight w / (1 + sigma); their ghost half-edges
     carry sigma / (1 + sigma) of their full weight. At sigma = 0 the ghost
     edges vanish (zero weight means absence) and the base graph is
     recovered on the first n_base vertices.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma={sigma} must be nonnegative")
+    _check_sigma(sigma)
     s = sigma / (1.0 + sigma)
     p = sg.pert
     edges = _edges(p.i, p.j, p.w / (1.0 + sigma))
@@ -111,8 +120,7 @@ def bilinear_matrix(sg: SubdivisionGraph, sigma: float) -> LaplacianMatrix:
     half-weights at i and j, and h its column sums. The base block is
     flow_matrix(pert, s), the ghost block diagonal. This is the Laplacian
     of graph_at(sg, sigma) plus the ghost mass, PSD for every sigma."""
-    if not 0.0 <= sigma < np.inf:
-        raise ValueError(f"sigma={sigma} must be nonnegative and finite")
+    _check_sigma(sigma)
     s, p, n = sigma / (1.0 + sigma), sg.pert, sg.n_base
     at_i, at_j = p.half_weights
     ghosts = np.arange(n, sg.n_total)
@@ -122,6 +130,46 @@ def bilinear_matrix(sg: SubdivisionGraph, sigma: float) -> LaplacianMatrix:
     M[p.j, ghosts] = M[ghosts, p.j] = -s * at_j
     M[ghosts, ghosts] = s * (at_i + at_j) + sigma
     return LaplacianMatrix(M)
+
+
+def ghost_schur_count(sg: SubdivisionGraph, psi: np.ndarray):
+    """count(sigma, t): the number of eigenvalues of B(sigma) at or below
+    t > lambda_k, psi being the selected eigenvector, for track_branches'
+    crossing bisection.
+
+    B(sigma) - t has the diagonal ghost block with entries d = s (h_i + h_j)
+    + sigma - t, so by Haynsworth's inertia additivity the count is #{d < 0}
+    plus the count of eigenvalues <= 0 of the n_base x n_base Schur
+    complement S = L + s P - t I - s^2 H diag(1/d) H^T (notation of
+    bilinear_matrix). S is built from pert alone and its norm stays bounded
+    as sigma grows, unlike B's. Extended by zeros, psi is an eigenvector of
+    B(sigma) at lambda_k, so S psi = (lambda_k - t) psi exactly, a value a
+    rounding error away from zero: it is deflated by adding (1 + |t|) psi
+    psi^T / |psi|^2, which lifts it above zero, and counted as 1. Where some
+    |d| is within COUNT_TOL_REL * max(1, |t|, sigma) of zero the split is
+    not trusted and the count is a values-only solve of B(sigma)."""
+    p, n = sg.pert, sg.n_base
+    at_i, at_j = p.half_weights
+    psi = np.asarray(psi, dtype=float)
+    unit_psi = np.outer(psi, psi) / (psi @ psi)
+    ends = np.column_stack((p.i, p.j)).ravel()
+
+    def count(sigma: float, t: float) -> int:
+        s = sigma / (1.0 + sigma)
+        d = s * (at_i + at_j) + sigma - t
+        if np.any(np.abs(d) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)):
+            B = bilinear_matrix(sg, sigma)
+            return int(np.sum(eigendecompose(B, vectors=False).eigenvalues <= t))
+        c = s * s / d
+        S = flow_matrix(p, s).matrix + (1.0 + abs(t)) * unit_psi
+        S[p.i, p.j] -= c * at_i * at_j
+        S[p.j, p.i] = S[p.i, p.j]
+        on_diag = np.column_stack((c * at_i * at_i, c * at_j * at_j)).ravel()
+        S[np.diag_indices(n)] -= t + np.bincount(ends, on_diag, n)
+        below = np.sum(eigendecompose(S, vectors=False).eigenvalues <= 0.0)
+        return int(np.sum(d < 0) + below) + 1
+
+    return count
 
 
 def extension_coefficients(sg: SubdivisionGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +275,10 @@ def run_vertex_flow(
     warnings = sel.check_assumptions(allow_degenerate)
     sg = subdivide(g, sel)
     grid = np.concatenate([[0.0], np.logspace(-3.0, np.log10(sigma_max), steps)])
-    fr = track_branches(lambda s: bilinear_matrix(sg, s), grid, sel.lambda_k)
+    fr = track_branches(
+        lambda s: bilinear_matrix(sg, s), grid, sel.lambda_k,
+        count=ghost_schur_count(sg, sel.psi),
+    )
     nu_d = limit_multiplicity(sg.pert, sel.lambda_k)
     nu, total = fr.converged_count, fr.converged_count + len(fr.crossings)
     ok = nu == nu_d and total == sel.k + sg.n_ghost

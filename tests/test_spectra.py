@@ -13,7 +13,7 @@ from nodalflow.edge_flow import (
 )
 from nodalflow.families import grid
 from nodalflow.fileio import save_graph
-from nodalflow.graph_core import WeightedGraph, laplacian
+from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import (
     SIGN_TOL,
@@ -281,14 +281,15 @@ def _bisection_depth(monkeypatch):
 
 def _record_solves(monkeypatch, *modules):
     """Wrap eigendecompose where each module calls it. Each solve appends
-    (module name, vectors, inside the crossing bisection) to the list
-    returned."""
+    (module name, vectors, inside the crossing bisection, matrix size) to
+    the list returned."""
     solves, depth = [], _bisection_depth(monkeypatch)
     solve = spectra.eigendecompose
 
     for module in modules:
         def recorded(M, *, _name=module.__name__, **kwargs):
-            solves.append((_name, kwargs.get("vectors", True), depth[0] > 0))
+            size = len(M.matrix if isinstance(M, LaplacianMatrix) else M)
+            solves.append((_name, kwargs.get("vectors", True), depth[0] > 0, size))
             return solve(M, **kwargs)
 
         monkeypatch.setattr(module, "eigendecompose", recorded)
@@ -298,24 +299,30 @@ def _record_solves(monkeypatch, *modules):
 def test_only_value_reads_solve_without_vectors(monkeypatch):
     g = grid(4, 3)
     sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
-    solves = _record_solves(monkeypatch, spectra, edge_flow)
+    solves = _record_solves(monkeypatch, spectra, edge_flow, vertex_flow)
 
     fr = track_branches(turning, np.linspace(0.0, 1.0, 14), 1.2)
-    assert sum(vectors for _, vectors, _ in solves) == len(fr.sigma_grid)
-    assert sum(not vectors for _, vectors, _ in solves) >= 1
-    assert all(vectors != bisection for _, vectors, bisection in solves)
+    assert sum(vectors for _, vectors, _, _ in solves) == len(fr.sigma_grid)
+    assert sum(not vectors for _, vectors, _, _ in solves) >= 1
+    assert all(vectors != bisection for _, vectors, bisection, _ in solves)
 
     solves.clear()
-    run_vertex_flow(g, sel, steps=20)
+    fr = run_vertex_flow(g, sel, steps=20)
     tracked = [s for s in solves if s[0] == spectra.__name__]
-    assert any(bisection for _, _, bisection in tracked)
-    assert all(vectors != bisection for _, vectors, bisection in tracked)
+    assert all(vectors and not bisection for _, vectors, bisection, _ in tracked)
+    assert len(tracked) == len(fr.sigma_grid)
+    # The vertex flow counts its crossings on the values of the n_base x
+    # n_base ghost Schur complement, through its own binding.
+    bisection = [s for s in solves if s[2]]
+    assert bisection
+    assert set(bisection) == {(vertex_flow.__name__, False, True, g.n)}
     # The certificate's Dirichlet solve is edge_flow's limit_multiplicity.
-    assert [s for s in solves if s not in tracked] == [(edge_flow.__name__, False, False)]
+    rest = [s for s in solves if s not in tracked and s not in bisection]
+    assert rest == [(edge_flow.__name__, False, False, g.n)]
 
     solves.clear()
     nodal_count_direct(g, sel)
-    assert solves == [(edge_flow.__name__, False, False)]
+    assert solves == [(edge_flow.__name__, False, False, g.n)]
 
 
 def test_crossing_bisection_never_clusters(monkeypatch):
@@ -382,7 +389,7 @@ def test_only_tracked_grid_points_use_divide_and_conquer(monkeypatch, tmp_path):
         return wrapped
 
     solve = spectra.eigendecompose
-    for module in (spectra, edge_flow, dirichlet, cli):
+    for module in (spectra, edge_flow, vertex_flow, dirichlet, cli):
         def recorded(M, *, _name=module.__name__, **kwargs):
             solves.append((_name, kwargs.get("driver"), kwargs.get("vectors", True),
                            depth["track"] > 0, depth["falls"] > 0))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,13 +11,14 @@ from nodalflow.edge_flow import build_perturbation, flow_matrix, sign_preserving
 from nodalflow.families import complete, cycle, generate_connected_er, grid, interval, petersen
 from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from nodalflow.nodal import nodal_decomposition, select_eigenpair
-from nodalflow.spectra import COUNT_TOL_REL, eigendecompose
+from nodalflow.spectra import COUNT_TOL_REL, eigendecompose, track_branches
 from nodalflow.vertex_flow import (
     bilinear_matrix,
     check_edge_equivalence,
     derivative_identity_check,
     extend,
     extension_coefficients,
+    ghost_schur_count,
     graph_at,
     limit_graph,
     run_vertex_flow,
@@ -87,6 +89,14 @@ def test_graph_at_zero_recovers_base():
     assert np.all(L0[4] == 0.0)
     with pytest.raises(ValueError):
         graph_at(sg, -0.5)
+
+
+def test_graph_at_refuses_a_non_finite_sigma():
+    g = interval(4)
+    sg = subdivide(g, select(g, 2))
+    for sigma in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"sigma={sigma} must be nonnegative and finite"):
+            graph_at(sg, sigma)
 
 
 def test_graph_at_weight_schedule():
@@ -310,23 +320,90 @@ def test_run_vertex_flow_rejects_zero_vertices():
         run_vertex_flow(g, select(g, 2))
 
 
+def _threshold(sg, sel):
+    """track_branches' threshold t on the vertex flow of sel."""
+    start = np.linalg.eigvalsh(bilinear_matrix(sg, 0.0).matrix)
+    lam = sel.lambda_k
+    return lam + COUNT_TOL_REL * max(1.0, abs(lam), float(np.max(np.abs(start))))
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [(grid(7, 5), 5), (generate_connected_er(20, 0.3, 303).graph, 20)],
+    ids=["grid7x5-k5", "er20-p0.3-s303-k20"],
+)
+def test_ghost_schur_count_matches_the_full_count(g, k):
+    sel = select(g, k)
+    sg = subdivide(g, sel)
+    t = _threshold(sg, sel)
+    count = ghost_schur_count(sg, sel.psi)
+    for sigma in np.concatenate([[0.0], np.logspace(-3.0, 4.0, 50)]):
+        B = bilinear_matrix(sg, sigma).matrix
+        full = int(np.sum(np.linalg.eigvalsh(B) <= t))
+        assert count(sigma, t) == full == count_below_by_ghost_schur(B, sg.n_base, t), sigma
+
+
+def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
+    # At the sigma where s (h_i + h_j) + sigma = t for one ghost, the Schur
+    # complement would divide by (nearly) zero; the count solves B(sigma).
+    g = grid(7, 5)
+    sel = select(g, 5)
+    sg = subdivide(g, sel)
+    t = _threshold(sg, sel)
+    at_i, at_j = sg.pert.half_weights
+    h = at_i[0] + at_j[0]
+    # sigma^2 + (1 + h - t) sigma - t = 0, the positive root.
+    b = 1.0 + h - t
+    sigma = 0.5 * (-b + np.sqrt(b * b + 4.0 * t))
+    assert abs(sigma / (1.0 + sigma) * h + sigma - t) <= COUNT_TOL_REL * t
+    solved = []
+    monkeypatch.setattr(
+        vertex_flow, "bilinear_matrix", lambda sg, s: solved.append(s) or bilinear_matrix(sg, s)
+    )
+    count = ghost_schur_count(sg, sel.psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = count(sigma, t)
+    assert solved == [sigma]
+    assert n == int(np.sum(np.linalg.eigvalsh(bilinear_matrix(sg, sigma).matrix) <= t))
+
+
+def test_schur_count_tracks_like_the_full_count():
+    # Over the vertex flow's matrix, track_branches gives the same result
+    # bit for bit whether the bisection counts on B(sigma) or on the ghost
+    # Schur complement.
+    g = grid(7, 5)
+    sel = select(g, 5)
+    sg = subdivide(g, sel)
+    grid_ = np.concatenate([[0.0], np.logspace(-3.0, 4.0, 200)])
+    flows = [
+        track_branches(lambda s: bilinear_matrix(sg, s), grid_, sel.lambda_k, count=count)
+        for count in (None, ghost_schur_count(sg, sel.psi))
+    ]
+    assert flows[0].crossings
+    for field in dataclasses.fields(flows[0]):
+        a, b = (getattr(fr, field.name) for fr in flows)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
 @pytest.mark.parametrize(
     "g, k, steps",
     [
         (grid(4, 3), 5, 20),
         (grid(7, 5), 5, 200),
-        pytest.param(
-            generate_connected_er(20, 0.2, 301).graph, 15, 40,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="ROADMAP Found 1: the bracket [6074.4642449, 6074.4642454] holds"
-                " no fall of the count; eigh's rounding at sigma ~ 6e3 exceeds the"
-                " count margin",
-            ),
-        ),
+        # Brackets near sigma = 6074 and 3557 that a full solve of B(sigma)
+        # placed where the count does not fall (its rounding grows with
+        # sigma), and one near 5.27 that a count on S without psi deflated
+        # would place there.
+        (generate_connected_er(20, 0.2, 301).graph, 15, 40),
+        (generate_connected_er(20, 0.3, 300).graph, 20, 40),
+        (generate_connected_er(20, 0.5, 304).graph, 10, 40),
     ],
-    ids=["grid4x3-k5", "grid7x5-k5", "er20-p0.2-s301-k15"],
+    ids=["grid4x3-k5", "grid7x5-k5", "er20-p0.2-s301-k15", "er20-p0.3-s300-k20",
+         "er20-p0.5-s304-k10"],
 )
 def test_vertex_flow_brackets_hold_a_fall_of_the_ghost_schur_count(g, k, steps):
     # Matching-free certificate: across every reported bracket, the number
@@ -336,9 +413,7 @@ def test_vertex_flow_brackets_hold_a_fall_of_the_ghost_schur_count(g, k, steps):
     sel = select(g, k)
     fr = run_vertex_flow(g, sel, steps=steps)
     sg = subdivide(g, sel)
-    start = np.linalg.eigvalsh(bilinear_matrix(sg, 0.0).matrix)
-    lam = sel.lambda_k
-    t = lam + COUNT_TOL_REL * max(1.0, abs(lam), float(np.max(np.abs(start))))
+    t = _threshold(sg, sel)
     cells = Counter((c.sigma_lo, c.sigma_hi) for c in fr.crossings)
     assert cells
     for (lo, hi), shared in cells.items():
