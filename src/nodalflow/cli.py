@@ -14,13 +14,13 @@ import numpy as np
 
 from . import fileio, svg
 from .dirichlet import d_connected_components, dirichlet_problem, dirichlet_spectrum
-from .edge_flow import nodal_count_direct, run_edge_flow
+from .edge_flow import build_perturbation, nodal_count_direct, run_edge_flow
 from .errors import AssumptionViolated, NodalFlowError
 from .families import FamilySpec, generate
 from .graph_core import WeightedGraph, laplacian
 from .nodal import edge_signs, select_eigenpair, strong_domains_allowing_zeros, zero_vertices
 from .spectra import eigendecompose, multiplicity_of
-from .vertex_flow import limit_graph, run_vertex_flow, subdivide
+from .vertex_flow import limit_graph, run_vertex_flow
 
 _FAMILY_ALIASES = {"er": "erdos_renyi"}
 
@@ -145,9 +145,8 @@ def _cmd_dirichlet(args) -> int:
             file=sys.stderr,
         )
         return 3
-    sg = subdivide(g, sel)
-    lim = limit_graph(sg)
-    base = tuple(range(sg.n_base))
+    lim = limit_graph(g, build_perturbation(g, sel))
+    base = tuple(range(g.n))
     dp = dirichlet_problem(lim, base)
     dspec = dirichlet_spectrum(dp)
     out = {

@@ -70,6 +70,13 @@ def build_perturbation(g: WeightedGraph, sel: EigenSelection) -> EdgePerturbatio
     return EdgePerturbation(i, j, w, q_ij, q_ji, P, laplacian(g).matrix)
 
 
+def check_steps(steps: int) -> None:
+    """A flow grid of ``steps`` points reaches the flow's end (sigma = 1 or
+    sigma_max) only for steps >= 2; ValueError otherwise."""
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
+
+
 def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
     """L + sigma * P for sigma in [0, 1]."""
     if not 0.0 <= sigma <= 1.0:
@@ -148,8 +155,10 @@ def run_edge_flow(
     k - 1 eigenvalues below lambda_k - tol at sigma = 0 and none at
     sigma = 1 (tol its group tolerance), so a flow that stops short of the
     sigma = 1 matrix fails it. ``threads`` is accepted and ignored: every
-    sigma is solved in the calling thread.
+    sigma is solved in the calling thread. The grid is ``steps`` >= 2 evenly
+    spaced points on [0, 1].
     """
+    check_steps(steps)
     warnings = sel.check_assumptions(allow_degenerate)
     pert = build_perturbation(g, sel)
     fr = track_branches(

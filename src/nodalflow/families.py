@@ -109,7 +109,11 @@ class FamilySpec:
     seed: int | None = None
 
 
-_FAMILIES = ("complete", "cycle", "petersen", "interval", "grid", "erdos_renyi")
+# Each family's graph function and parameter count; erdos_renyi also takes a seed.
+_FAMILIES = {
+    "complete": (complete, 1), "cycle": (cycle, 1), "petersen": (petersen, 2),
+    "interval": (interval, 1), "grid": (grid, 2), "erdos_renyi": (None, 2),
+}
 
 
 def _whole(x) -> int:
@@ -123,27 +127,19 @@ def generate(spec: FamilySpec) -> WeightedGraph:
     """Build the graph described by a FamilySpec; sizes must be whole
     numbers. Erdos-Renyi samples are connectivity-enforced via seed retry."""
     kind, params = spec.kind, spec.params
-    if kind == "complete":
-        (n,) = params
-        return complete(_whole(n))
-    if kind == "cycle":
-        (n,) = params
-        return cycle(_whole(n))
-    if kind == "petersen":
-        n, m = params
-        return petersen(_whole(n), _whole(m))
-    if kind == "interval":
-        (n,) = params
-        return interval(_whole(n))
-    if kind == "grid":
-        n, m = params
-        return grid(_whole(n), _whole(m))
-    if kind == "erdos_renyi":
-        n, p = params
-        if spec.seed is None:
-            raise InvalidFamilyParams("erdos_renyi needs a seed")
-        return generate_connected_er(_whole(n), float(p), int(spec.seed)).graph
-    raise InvalidFamilyParams(f"unknown family {kind!r}; expected one of {_FAMILIES}")
+    if kind not in _FAMILIES:
+        raise InvalidFamilyParams(f"unknown family {kind!r}; expected one of {tuple(_FAMILIES)}")
+    build, arity = _FAMILIES[kind]
+    if len(params) != arity:
+        raise InvalidFamilyParams(
+            f"{kind} takes {arity} parameter{'s' * (arity > 1)}, got {len(params)}"
+        )
+    if build is not None:
+        return build(*map(_whole, params))
+    if spec.seed is None:
+        raise InvalidFamilyParams("erdos_renyi needs a seed")
+    n, p = params
+    return generate_connected_er(_whole(n), float(p), int(spec.seed)).graph
 
 
 def path_eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:

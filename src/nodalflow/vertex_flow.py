@@ -11,19 +11,24 @@ one ghost row and column per sign-change edge, in the edge flow record's
 order, which keeps every matrix and output bit-reproducible.
 
 The crossing bisection counts the eigenvalues of B(sigma) at or below t on
-the n_base x n_base ghost Schur complement (ghost_schur_count), with psi
-deflated, and not on B(sigma) itself; where a ghost pivot is within the
+the ghost Schur complement over the base vertices (ghost_schur_count), with
+psi deflated, and not on B(sigma) itself; where a ghost pivot is within the
 count margin of zero it falls back to a values-only solve of B(sigma).
+
+Every function here reads the edge flow's record (EdgePerturbation) of the
+sign-change edges as it is: edge p's ghost is vertex n + p, n =
+len(pert.laplacian), and only graph_at, limit_graph and restrict_eigenvector,
+which build or check graphs, also take the base graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .edge_flow import EdgePerturbation, build_perturbation, flow_matrix, limit_multiplicity
-from .edge_flow import sign_preserving_graph
+from .edge_flow import EdgePerturbation, build_perturbation, check_steps, flow_matrix
+from .edge_flow import limit_multiplicity, sign_preserving_graph
 from .errors import NotAComponent
 from .graph_core import Edge, LaplacianMatrix, WeightedGraph, components
 from .graph_core import laplacian  # noqa: F401  (a binding perfbench/selftest.py traces)
@@ -32,42 +37,16 @@ from .spectra import COUNT_TOL_REL, FD_STEP, FlowResult, derivative_residual, ei
 from .spectra import group_tolerance, track_branches
 
 
-@dataclass(frozen=True)
-class SubdivisionGraph:
-    """Base graph plus one ghost vertex per sign-change edge.
-
-    Sign-change edge p of pert (the edge flow's record) gets ghost vertex
-    n_base + p, joined to i and j by pert.half_weights at full weight.
-    bilinear_matrix reads the record's L, P and half-weights, so no matrix
-    is stored here.
-    """
-
-    base: WeightedGraph
-    pert: EdgePerturbation
-
-    @property
-    def n_base(self) -> int:
-        return self.base.n
-
-    @property
-    def n_ghost(self) -> int:
-        return len(self.pert.w)
-
-    @property
-    def n_total(self) -> int:
-        return self.base.n + self.n_ghost
-
-
 def _edges(i, j, w) -> tuple[Edge, ...]:
     """Edge tuples from arrays of endpoints and weights."""
     return tuple(zip(i.tolist(), j.tolist(), w.tolist()))
 
 
-def _ghost_edges(pert: EdgePerturbation, n_base: int, scale: float = 1.0) -> tuple[Edge, ...]:
-    """Edge p's ghost n_base + p joined to i and j at scale times
-    pert.half_weights."""
+def _ghost_edges(pert: EdgePerturbation, scale: float = 1.0) -> tuple[Edge, ...]:
+    """Edge p's ghost n + p, n = len(pert.laplacian) the base vertex count,
+    joined to i and j at scale times pert.half_weights."""
     at_i, at_j = pert.half_weights
-    ghosts = np.arange(n_base, n_base + len(pert.w))
+    ghosts = len(pert.laplacian) + np.arange(len(pert.w))
     return _edges(pert.i, ghosts, scale * at_i) + _edges(pert.j, ghosts, scale * at_j)
 
 
@@ -79,91 +58,85 @@ def _with_kept_edges(g: WeightedGraph, pert: EdgePerturbation, edges=()) -> Weig
     return WeightedGraph(g.n + n_ghost, kept + edges, diag + (0.0,) * n_ghost)
 
 
-def subdivide(g: WeightedGraph, sel: EigenSelection) -> SubdivisionGraph:
-    """The subdivision of g along sel.psi's sign-change edges: g and the
-    edge flow's record of them. No graph or matrix is built here."""
-    return SubdivisionGraph(g, build_perturbation(g, sel))
-
-
 def _check_sigma(sigma: float) -> None:
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"sigma={sigma} must be nonnegative and finite")
 
 
-def graph_at(sg: SubdivisionGraph, sigma: float) -> WeightedGraph:
-    """The weighted subdivision graph at flow parameter sigma >= 0 finite.
+def graph_at(g: WeightedGraph, pert: EdgePerturbation, sigma: float) -> WeightedGraph:
+    """The subdivision of g along pert's edges, weighted at flow parameter
+    sigma >= 0 finite.
 
     Sign-change edges keep weight w / (1 + sigma); their ghost half-edges
     carry sigma / (1 + sigma) of their full weight. At sigma = 0 the ghost
-    edges vanish (zero weight means absence) and the base graph is
-    recovered on the first n_base vertices.
+    edges vanish (zero weight means absence) and g is recovered on the
+    first g.n vertices.
     """
     _check_sigma(sigma)
     s = sigma / (1.0 + sigma)
-    p = sg.pert
-    edges = _edges(p.i, p.j, p.w / (1.0 + sigma))
+    edges = _edges(pert.i, pert.j, pert.w / (1.0 + sigma))
     if s > 0:
-        edges += _ghost_edges(p, sg.n_base, s)
-    return _with_kept_edges(sg.base, p, edges)
+        edges += _ghost_edges(pert, s)
+    return _with_kept_edges(g, pert, edges)
 
 
-def limit_graph(sg: SubdivisionGraph) -> WeightedGraph:
+def limit_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedGraph:
     """The sigma -> infinity subdivision graph: sign-change edges are gone
     and the ghost half-edges carry their full weight w * (1 + q). Its
     Dirichlet problem on the base vertices is the edge flow's L + P."""
-    return _with_kept_edges(sg.base, sg.pert, _ghost_edges(sg.pert, sg.n_base))
+    return _with_kept_edges(g, pert, _ghost_edges(pert))
 
 
-def bilinear_matrix(sg: SubdivisionGraph, sigma: float) -> LaplacianMatrix:
+def bilinear_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
     """Matrix of B_sigma, sigma >= 0 finite: [[L + s P, -s H], [-s H^T,
     s diag(h) + sigma I]] with s = sigma / (1 + sigma), H's column p the
     half-weights at i and j, and h its column sums. The base block is
     flow_matrix(pert, s), the ghost block diagonal. This is the Laplacian
-    of graph_at(sg, sigma) plus the ghost mass, PSD for every sigma."""
+    of graph_at(g, pert, sigma) plus the ghost mass, PSD for every sigma."""
     _check_sigma(sigma)
-    s, p, n = sigma / (1.0 + sigma), sg.pert, sg.n_base
-    at_i, at_j = p.half_weights
-    ghosts = np.arange(n, sg.n_total)
-    M = np.zeros((sg.n_total, sg.n_total))
-    M[:n, :n] = flow_matrix(p, s).matrix
-    M[p.i, ghosts] = M[ghosts, p.i] = -s * at_i
-    M[p.j, ghosts] = M[ghosts, p.j] = -s * at_j
+    s, n = sigma / (1.0 + sigma), len(pert.laplacian)
+    at_i, at_j = pert.half_weights
+    ghosts = n + np.arange(len(pert.w))
+    M = np.zeros((n + len(pert.w),) * 2)
+    M[:n, :n] = flow_matrix(pert, s).matrix
+    M[pert.i, ghosts] = M[ghosts, pert.i] = -s * at_i
+    M[pert.j, ghosts] = M[ghosts, pert.j] = -s * at_j
     M[ghosts, ghosts] = s * (at_i + at_j) + sigma
     return LaplacianMatrix(M)
 
 
-def ghost_schur_count(sg: SubdivisionGraph, psi: np.ndarray):
+def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
     """count(sigma, t): the number of eigenvalues of B(sigma) at or below
     t > lambda_k, psi being the selected eigenvector, for track_branches'
     crossing bisection.
 
     B(sigma) - t has the diagonal ghost block with entries d = s (h_i + h_j)
     + sigma - t, so by Haynsworth's inertia additivity the count is #{d < 0}
-    plus the count of eigenvalues <= 0 of the n_base x n_base Schur
-    complement S = L + s P - t I - s^2 H diag(1/d) H^T (notation of
-    bilinear_matrix). S is built from pert alone and its norm stays bounded
+    plus the count of eigenvalues <= 0 of the n x n Schur complement
+    S = L + s P - t I - s^2 H diag(1/d) H^T on the n base vertices (notation
+    of bilinear_matrix). S is built from pert alone and its norm stays bounded
     as sigma grows, unlike B's. Extended by zeros, psi is an eigenvector of
     B(sigma) at lambda_k, so S psi = (lambda_k - t) psi exactly, a value a
     rounding error away from zero: it is deflated by adding (1 + |t|) psi
     psi^T / |psi|^2, which lifts it above zero, and counted as 1. Where some
     |d| is within COUNT_TOL_REL * max(1, |t|, sigma) of zero the split is
     not trusted and the count is a values-only solve of B(sigma)."""
-    p, n = sg.pert, sg.n_base
-    at_i, at_j = p.half_weights
+    n = len(pert.laplacian)
+    at_i, at_j = pert.half_weights
     psi = np.asarray(psi, dtype=float)
     unit_psi = np.outer(psi, psi) / (psi @ psi)
-    ends = np.column_stack((p.i, p.j)).ravel()
+    ends = np.column_stack((pert.i, pert.j)).ravel()
 
     def count(sigma: float, t: float) -> int:
         s = sigma / (1.0 + sigma)
         d = s * (at_i + at_j) + sigma - t
         if np.any(np.abs(d) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)):
-            B = bilinear_matrix(sg, sigma)
+            B = bilinear_matrix(pert, sigma)
             return int(np.sum(eigendecompose(B, vectors=False).eigenvalues <= t))
         c = s * s / d
-        S = flow_matrix(p, s).matrix + (1.0 + abs(t)) * unit_psi
-        S[p.i, p.j] -= c * at_i * at_j
-        S[p.j, p.i] = S[p.i, p.j]
+        S = flow_matrix(pert, s).matrix + (1.0 + abs(t)) * unit_psi
+        S[pert.i, pert.j] -= c * at_i * at_j
+        S[pert.j, pert.i] = S[pert.i, pert.j]
         on_diag = np.column_stack((c * at_i * at_i, c * at_j * at_j)).ravel()
         S[np.diag_indices(n)] -= t + np.bincount(ends, on_diag, n)
         below = np.sum(eigendecompose(S, vectors=False).eigenvalues <= 0.0)
@@ -172,41 +145,40 @@ def ghost_schur_count(sg: SubdivisionGraph, psi: np.ndarray):
     return count
 
 
-def extension_coefficients(sg: SubdivisionGraph) -> tuple[np.ndarray, np.ndarray]:
+def extension_coefficients(pert: EdgePerturbation) -> tuple[np.ndarray, np.ndarray]:
     """Arrays a_ij = 1 / (1 + q_ij) and a_ji = 1 / (1 + q_ji) over the
     sign-change edges, in edge order; a_ij + a_ji = 1 on every edge."""
-    return 1.0 / (1.0 + sg.pert.q_ij), 1.0 / (1.0 + sg.pert.q_ji)
+    return 1.0 / (1.0 + pert.q_ij), 1.0 / (1.0 + pert.q_ji)
 
 
-def extend(sg: SubdivisionGraph, u: np.ndarray) -> np.ndarray:
-    """Extend a base vector to the subdivision: ghost entry a_ij u_i +
-    a_ji u_j. The selected eigenvector extends by zeros."""
+def extend(pert: EdgePerturbation, u: np.ndarray) -> np.ndarray:
+    """Extend a base vector to the subdivision along pert's edges: ghost
+    entry a_ij u_i + a_ji u_j. The selected eigenvector extends by zeros."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (sg.n_base,):
-        raise ValueError(f"expected base vector of length {sg.n_base}")
-    a_ij, a_ji = extension_coefficients(sg)
-    return np.concatenate((u, a_ij * u[sg.pert.i] + a_ji * u[sg.pert.j]))
+    if u.shape != (len(pert.laplacian),):
+        raise ValueError(f"expected base vector of length {len(pert.laplacian)}")
+    a_ij, a_ji = extension_coefficients(pert)
+    return np.concatenate((u, a_ij * u[pert.i] + a_ji * u[pert.j]))
 
 
 def restrict_eigenvector(
-    sg: SubdivisionGraph, psi: np.ndarray, component
+    g: WeightedGraph, pert: EdgePerturbation, psi: np.ndarray, component
 ) -> np.ndarray:
     """Restrict a base eigenvector to one strong nodal domain, zero-extended
-    over the rest of the subdivision (ghosts included).
+    over the rest of the subdivision of g along pert (ghosts included).
 
-    ``component`` must be one of the components of the base graph minus
-    pert's edges (exactly the strong nodal domains); otherwise
-    NotAComponent is raised.
+    ``component`` must be one of the components of g minus pert's edges
+    (exactly the strong nodal domains); otherwise NotAComponent is raised.
     The result satisfies the Dirichlet eigenvalue equation at psi's
     Rayleigh quotient on the component's interior rows.
     """
     psi = np.asarray(psi, dtype=float)
-    if psi.shape != (sg.n_base,):
-        raise ValueError(f"expected base vector of length {sg.n_base}")
+    if psi.shape != (g.n,):
+        raise ValueError(f"expected base vector of length {g.n}")
     comp = tuple(sorted(int(v) for v in component))
-    if comp not in components(sg.n_base, sign_preserving_graph(sg.base, sg.pert).edges):
+    if comp not in components(g.n, sign_preserving_graph(g, pert).edges):
         raise NotAComponent(f"{comp} is not a D-connected component")
-    out = np.zeros(sg.n_total)
+    out = np.zeros(g.n + len(pert.w))
     idx = np.array(comp, dtype=int)
     out[idx] = psi[idx]
     return out
@@ -262,7 +234,7 @@ def run_vertex_flow(
     counts the branches still at or below lambda_k at sigma_max. The
     certificate (count_identity_ok, EigenSelection.certify) asks that it
     equal the exact Dirichlet multiplicity (limit_multiplicity, read off
-    L + P, where both flows end) and that converged + crossings = k + n_ghost
+    L + P, where both flows end) and that converged + crossings = k + ghosts
     (the k lowest of L and one zero per ghost start at or below lambda_k,
     and each crosses it or converges to it); a sigma_max too small for the
     branches bound higher to pass lambda_k fails it. branch_origins labels
@@ -270,26 +242,25 @@ def run_vertex_flow(
     """
     if not 1e-3 < sigma_max < np.inf:
         raise ValueError(f"sigma_max must be finite and > 1e-3, got {sigma_max}")
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
+    check_steps(steps)
     warnings = sel.check_assumptions(allow_degenerate)
-    sg = subdivide(g, sel)
+    pert = build_perturbation(g, sel)
     grid = np.concatenate([[0.0], np.logspace(-3.0, np.log10(sigma_max), steps)])
     fr = track_branches(
-        lambda s: bilinear_matrix(sg, s), grid, sel.lambda_k,
-        count=ghost_schur_count(sg, sel.psi),
+        lambda s: bilinear_matrix(pert, s), grid, sel.lambda_k,
+        count=ghost_schur_count(pert, sel.psi),
     )
-    nu_d = limit_multiplicity(sg.pert, sel.lambda_k)
+    nu_d = limit_multiplicity(pert, sel.lambda_k)
     nu, total = fr.converged_count, fr.converged_count + len(fr.crossings)
-    ok = nu == nu_d and total == sel.k + sg.n_ghost
+    ok = nu == nu_d and total == sel.k + len(pert.w)
     warnings += sel.certify(
         ok,
         f"vertex certificate failed: converged {nu} vs Dirichlet multiplicity {nu_d},"
-        f" converged + crossings {total} vs k + ghosts {sel.k + sg.n_ghost}",
+        f" converged + crossings {total} vs k + ghosts {sel.k + len(pert.w)}",
     )
     return replace(
         fr,
-        branch_origins=_classify_origins(fr, sg.n_base),
+        branch_origins=_classify_origins(fr, g.n),
         warnings=fr.warnings + warnings,
         count_identity_ok=ok,
     )
@@ -308,16 +279,15 @@ def check_edge_equivalence(
     Returns the maximum deviation divided by max(1, |lhs|), directly
     comparable to the 1e-10 contract.
     """
-    sg = subdivide(g, sel)
-    p = sg.pert
-    B = bilinear_matrix(sg, sigma).matrix
-    a_ij, a_ji = extension_coefficients(sg)
+    p = build_perturbation(g, sel)
+    B = bilinear_matrix(p, sigma).matrix
+    a_ij, a_ji = extension_coefficients(p)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         u = rng.standard_normal(g.n)
         v = rng.standard_normal(g.n)
-        lhs = float(extend(sg, u) @ B @ extend(sg, v))
+        lhs = float(extend(p, u) @ B @ extend(p, v))
         ui, uj, vi, vj = u[p.i], u[p.j], v[p.i], v[p.j]
         # <u, P_ij v> for the rank-1 block of each sign-change edge.
         pij = p.w * (p.q_ji * ui * vi + ui * vj + uj * vi + p.q_ij * uj * vj)
@@ -326,7 +296,7 @@ def check_edge_equivalence(
     return worst
 
 
-def derivative_identity_check(sg: SubdivisionGraph, sigma: float, u: np.ndarray) -> float:
+def derivative_identity_check(pert: EdgePerturbation, sigma: float, u: np.ndarray) -> float:
     """Relative residual between the finite-difference branch slope at a
     simple eigenvalue and the closed-form derivative (sign-change edge sum
     plus ghost mass).
@@ -338,8 +308,9 @@ def derivative_identity_check(sg: SubdivisionGraph, sigma: float, u: np.ndarray)
         raise ValueError(f"a central difference needs sigma >= {FD_STEP}")
 
     def closed_form(u: np.ndarray) -> float:
-        p, gh = sg.pert, u[sg.n_base:]
-        term = gh + p.q_ji * gh - p.q_ji * u[p.i] - u[p.j]
-        return float(np.sum((p.w / (1.0 + sigma) ** 2) * p.q_ij * term * term) + np.sum(gh**2))
+        gh = u[len(pert.laplacian):]
+        term = gh + pert.q_ji * gh - pert.q_ji * u[pert.i] - u[pert.j]
+        slope = (pert.w / (1.0 + sigma) ** 2) * pert.q_ij * term * term
+        return float(np.sum(slope) + np.sum(gh**2))
 
-    return derivative_residual(lambda s: bilinear_matrix(sg, s), sigma, u, closed_form)
+    return derivative_residual(lambda s: bilinear_matrix(pert, s), sigma, u, closed_form)

@@ -87,7 +87,10 @@ def count_below_by_ghost_schur(B, n_base: int, t: float) -> int:
     By Haynsworth's inertia additivity it is the number of negative entries
     of d = diag(ghost block) - t plus the number of negative eigenvalues of
     the Schur complement S = B_bb - t I - B_bg diag(1/d) B_gb, whose scale
-    does not grow with the ghost diagonal.
+    does not grow with the ghost diagonal but grows like 1 / |d| near a
+    ghost pivot. eigvalsh's rounding grows with the scale of what it solves,
+    so the count is read off S or off B - t I, whichever has the smaller
+    largest entry.
     """
     B = np.asarray(B, dtype=float)
     d = np.diag(B)[n_base:] - t
@@ -95,4 +98,7 @@ def count_below_by_ghost_schur(B, n_base: int, t: float) -> int:
         raise ValueError("t is a ghost diagonal entry")
     B_bg = B[:n_base, n_base:]
     S = B[:n_base, :n_base] - t * np.eye(n_base) - (B_bg / d) @ B_bg.T
+    shifted = B - t * np.eye(len(B))
+    if np.max(np.abs(S)) > np.max(np.abs(shifted)):
+        return int(np.sum(np.linalg.eigvalsh(shifted) < 0))
     return int(np.sum(d < 0) + np.sum(np.linalg.eigvalsh(S) < 0))

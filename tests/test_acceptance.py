@@ -46,7 +46,6 @@ from nodalflow.vertex_flow import (
     limit_graph,
     restrict_eigenvector,
     run_vertex_flow,
-    subdivide,
 )
 
 from _oracles import flood_fill_nodal_count
@@ -265,13 +264,13 @@ def test_criterion_05_derivative_identities():
         if drawn is None:
             continue
         g, sel = drawn
-        sg = subdivide(g, sel)
+        pert = build_perturbation(g, sel)
         sigma = float(rng.uniform(0.1, 50.0))
-        bspec = eigendecompose(bilinear_matrix(sg, sigma))
+        bspec = eigendecompose(bilinear_matrix(pert, sigma))
         simple_idx = [j for j in range(bspec.n) if len(bspec.group_of(j)) == 1]
         j = simple_idx[int(rng.integers(len(simple_idx)))]
         try:
-            res = derivative_identity_check(sg, sigma, bspec.eigenvectors[:, j])
+            res = derivative_identity_check(pert, sigma, bspec.eigenvectors[:, j])
         except DegenerateEigenvalue:
             continue
         worst_vertex = max(worst_vertex, res)
@@ -307,11 +306,11 @@ def test_criterion_07_limit_identification():
     details = []
     for name, g, k in _goldens():
         sel = _select(g, k)
-        sg = subdivide(g, sel)
-        lim = limit_graph(sg)
-        dspec = dirichlet_spectrum(dirichlet_problem(lim, tuple(range(sg.n_base))))
-        bspec = eigendecompose(bilinear_matrix(sg, 1e4))
-        lowest = np.sort(bspec.eigenvalues)[: sg.n_base]
+        pert = build_perturbation(g, sel)
+        lim = limit_graph(g, pert)
+        dspec = dirichlet_spectrum(dirichlet_problem(lim, tuple(range(g.n))))
+        bspec = eigendecompose(bilinear_matrix(pert, 1e4))
+        lowest = np.sort(bspec.eigenvalues)[: g.n]
         dev = float(np.max(np.abs(lowest - np.sort(dspec.eigenvalues))))
 
         lvals = eigendecompose(laplacian(g)).eigenvalues
@@ -333,14 +332,14 @@ def test_criterion_08_dirichlet_structure():
     worst_resid = 0.0
     for name, g, k in _goldens():
         sel = _select(g, k)
-        sg = subdivide(g, sel)
-        lim = limit_graph(sg)
-        base = tuple(range(sg.n_base))
+        pert = build_perturbation(g, sel)
+        lim = limit_graph(g, pert)
+        base = tuple(range(g.n))
         for rep in component_first_eigenpairs(lim, base):
             ok = ok and rep.simple and rep.signed
             worst_dev = max(worst_dev, abs(rep.lambda_1 - sel.lambda_k))
         for comp in d_connected_components(lim, base):
-            restricted = restrict_eigenvector(sg, np.asarray(sel.psi), comp)
+            restricted = restrict_eigenvector(g, pert, np.asarray(sel.psi), comp)
             dp = dirichlet_problem(lim, comp)
             sub = restricted[np.array(comp)]
             resid = float(np.max(np.abs(dp.matrix @ sub - sel.lambda_k * sub)))

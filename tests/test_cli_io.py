@@ -339,3 +339,25 @@ def test_cli_vertex_flow_refuses_fewer_than_two_steps(tmp_path, capsys):
                      "--steps", steps, "--out", str(tmp_path / "v")]) == 2
         assert "steps" in capsys.readouterr().err
     assert not list(tmp_path.glob("v.*"))
+
+
+@pytest.mark.parametrize("method", ["edge", "vertex"])
+def test_cli_flows_check_their_step_count_alike(method, tmp_path, capsys):
+    graph = tmp_path / "p.json"
+    main(["generate", "--family", "petersen", "--params", "7,3", "-o", str(graph)])
+    for steps in ("1", "-3"):
+        assert main(["flow", "--method", method, "--graph", str(graph), "--k", "7",
+                     "--steps", steps, "--out", str(tmp_path / "f")]) == 2
+        assert capsys.readouterr().err == f"steps must be at least 2, got {steps}\n"
+    assert not list(tmp_path.glob("f.*"))
+
+
+def test_cli_generate_names_the_parameter_count(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    for family, params, arity in (("grid", "4", "2 parameters"), ("cycle", "4,5", "1 parameter"),
+                                  ("er", "20", "2 parameters")):
+        assert main(["generate", "--family", family, "--params", params, "--seed", "1",
+                     "-o", str(out)]) == 2
+        kind = "erdos_renyi" if family == "er" else family
+        assert capsys.readouterr().err == f"{kind} takes {arity}, got {len(params.split(','))}\n"
+    assert not out.exists()

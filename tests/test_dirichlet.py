@@ -14,7 +14,7 @@ from nodalflow.families import generate_connected_er, grid, interval, petersen
 from nodalflow.graph_core import laplacian
 from nodalflow.nodal import nodal_decomposition, select_eigenpair
 from nodalflow.spectra import eigendecompose, multiplicity_of
-from nodalflow.vertex_flow import limit_graph, restrict_eigenvector, subdivide
+from nodalflow.vertex_flow import limit_graph, restrict_eigenvector
 
 
 def select(g, k):
@@ -58,8 +58,8 @@ def test_d_connected_components_split_interior():
 def test_d_components_of_limit_graph_are_strong_domains():
     for g, k in ((interval(7), 3), (petersen(7, 3), 7)):
         sel = select(g, k)
-        sg = subdivide(g, sel)
-        comps = d_connected_components(limit_graph(sg), range(sg.n_base))
+        pert = build_perturbation(g, sel)
+        comps = d_connected_components(limit_graph(g, pert), range(g.n))
         nd = nodal_decomposition(g, sel)
         assert comps == nd.strong_domains
 
@@ -69,9 +69,9 @@ def test_dirichlet_matrix_of_limit_base_matches_sigma_one_flow():
     er = generate_connected_er(20, 0.3, 303).graph
     for g, k in ((interval(4), 2), (petersen(7, 3), 7), (grid(7, 5), 5), (er, 20)):
         sel = select(g, k)
-        sg = subdivide(g, sel)
         pert = build_perturbation(g, sel)
-        dp = dirichlet_problem(limit_graph(sg), range(sg.n_base))
+        pert = build_perturbation(g, sel)
+        dp = dirichlet_problem(limit_graph(g, pert), range(g.n))
         L1 = laplacian(sign_preserving_graph(g, pert)).matrix
         np.testing.assert_allclose(dp.matrix, L1, atol=1e-12)
         np.testing.assert_allclose(dp.matrix, flow_matrix(pert, 1.0).matrix, atol=1e-12)
@@ -80,8 +80,8 @@ def test_dirichlet_matrix_of_limit_base_matches_sigma_one_flow():
 def test_lambda_k_multiplicity_in_dirichlet_spectrum():
     g = interval(7)
     sel = select(g, 3)
-    sg = subdivide(g, sel)
-    spec = dirichlet_spectrum(dirichlet_problem(limit_graph(sg), range(sg.n_base)))
+    pert = build_perturbation(g, sel)
+    spec = dirichlet_spectrum(dirichlet_problem(limit_graph(g, pert), range(g.n)))
     assert multiplicity_of(spec, sel.lambda_k) == 3
     np.testing.assert_allclose(spec.eigenvalues[:3], sel.lambda_k, atol=1e-10)
 
@@ -89,8 +89,8 @@ def test_lambda_k_multiplicity_in_dirichlet_spectrum():
 def test_component_first_eigenpairs_golden():
     for g, k, nu in ((interval(7), 3, 3), (petersen(7, 3), 7, 3)):
         sel = select(g, k)
-        sg = subdivide(g, sel)
-        reports = component_first_eigenpairs(limit_graph(sg), range(sg.n_base))
+        pert = build_perturbation(g, sel)
+        reports = component_first_eigenpairs(limit_graph(g, pert), range(g.n))
         assert len(reports) == nu
         for rep in reports:
             assert rep.simple
@@ -101,30 +101,30 @@ def test_component_first_eigenpairs_golden():
 def test_restricted_eigenvector_satisfies_dirichlet_equation():
     g = petersen(7, 3)
     sel = select(g, 7)
-    sg = subdivide(g, sel)
-    lim = limit_graph(sg)
-    for comp in d_connected_components(lim, range(sg.n_base)):
-        restricted = restrict_eigenvector(sg, np.asarray(sel.psi), comp)
+    pert = build_perturbation(g, sel)
+    lim = limit_graph(g, pert)
+    for comp in d_connected_components(lim, range(g.n)):
+        restricted = restrict_eigenvector(g, pert, np.asarray(sel.psi), comp)
         dp = dirichlet_problem(lim, comp)
         sub = restricted[np.array(comp)]
         resid = np.max(np.abs(dp.matrix @ sub - sel.lambda_k * sub))
         assert resid < 1e-8
-        outside = np.setdiff1d(np.arange(sg.n_total), np.array(comp))
+        outside = np.setdiff1d(np.arange(g.n + len(pert.w)), np.array(comp))
         assert np.all(restricted[outside] == 0.0)
 
 
 def test_restrict_eigenvector_rejects_non_component():
     g = interval(7)
     sel = select(g, 3)
-    sg = subdivide(g, sel)
+    pert = build_perturbation(g, sel)
     # Strong domains of psi_3 are (0,1), (2,3,4), (5,6); anything else,
     # including strict subsets, is refused.
     with pytest.raises(NotAComponent):
-        restrict_eigenvector(sg, np.asarray(sel.psi), (1, 2))
+        restrict_eigenvector(g, pert, np.asarray(sel.psi), (1, 2))
     with pytest.raises(NotAComponent):
-        restrict_eigenvector(sg, np.asarray(sel.psi), (0,))
+        restrict_eigenvector(g, pert, np.asarray(sel.psi), (0,))
     with pytest.raises(ValueError):
-        restrict_eigenvector(sg, np.ones(3), (0, 1))
+        restrict_eigenvector(g, pert, np.ones(3), (0, 1))
 
 
 def test_is_signed():

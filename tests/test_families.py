@@ -143,6 +143,17 @@ def test_generate_dispatch():
 
 
 @pytest.mark.parametrize(
+    "kind, arity",
+    [("complete", 1), ("cycle", 1), ("petersen", 2), ("interval", 1), ("grid", 2),
+     ("erdos_renyi", 2)],
+)
+def test_generate_refuses_the_wrong_parameter_count(kind, arity):
+    for count in {0, arity - 1, arity + 1}:
+        with pytest.raises(InvalidFamilyParams, match=f"^{kind} takes {arity} param"):
+            generate(FamilySpec(kind, (5.0,) * count, seed=7))
+
+
+@pytest.mark.parametrize(
     "kind,params",
     [("cycle", (3.7,)), ("cycle", (float("inf"),)), ("grid", (7, 5.5)),
      ("petersen", (7.0, float("nan"))), ("erdos_renyi", (12.5, 0.4))],

@@ -19,7 +19,7 @@ from nodalflow.graph_core import (
 )
 from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import eigendecompose
-from nodalflow.vertex_flow import limit_graph, subdivide
+from nodalflow.vertex_flow import limit_graph
 
 from _oracles import dense_laplacian
 
@@ -112,11 +112,11 @@ def records():
     g = interval(4)
     spec = eigendecompose(laplacian(g))
     sel = select_eigenpair(spec, 2)
-    sg = subdivide(g, sel)
-    lim, base = limit_graph(sg), range(g.n)
+    pert = build_perturbation(g, sel)
+    lim, base = limit_graph(g, pert), range(g.n)
     made = (
-        laplacian(g), spec, sel, build_perturbation(g, sel), run_edge_flow(g, sel, steps=5),
-        sg, dirichlet_problem(lim, base), component_first_eigenpairs(lim, base)[0],
+        laplacian(g), spec, sel, pert, run_edge_flow(g, sel, steps=5),
+        dirichlet_problem(lim, base), component_first_eigenpairs(lim, base)[0],
         grid_eigenvector_oracle(3, 2, 2, 1),
     )
     return {

@@ -21,7 +21,6 @@ from nodalflow.nodal import (
     zero_vertices,
 )
 from nodalflow.spectra import eigendecompose
-from nodalflow.vertex_flow import subdivide
 
 from _oracles import flood_fill_nodal_count, flood_fill_weak_count
 
@@ -118,7 +117,7 @@ def test_signs_look_for_zero_vertices_once(monkeypatch):
         assert len(calls) == 1, find.__name__
 
 
-@pytest.mark.parametrize("build", [build_perturbation, subdivide])
+@pytest.mark.parametrize("build", [build_perturbation])
 def test_flow_records_refuse_zeros(build):
     # psi_2 of interval(7) vanishes at the midpoint.
     g = interval(7)

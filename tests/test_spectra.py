@@ -11,7 +11,7 @@ from nodalflow.edge_flow import (
     nodal_count_direct,
     run_edge_flow,
 )
-from nodalflow.families import grid
+from nodalflow.families import grid, petersen
 from nodalflow.fileio import save_graph
 from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from nodalflow.nodal import select_eigenpair
@@ -23,7 +23,7 @@ from nodalflow.spectra import (
     multiplicity_of,
     track_branches,
 )
-from nodalflow.vertex_flow import bilinear_matrix, run_vertex_flow, subdivide
+from nodalflow.vertex_flow import bilinear_matrix, run_vertex_flow
 
 from _oracles import chain_cluster
 
@@ -205,6 +205,76 @@ def test_degenerate_start_cluster_is_labelled_by_value_path():
     assert crossings == [(1, 0.6), (2, 0.4), (3, 0.2)]
 
 
+
+def _nodes(values_a, values_b, vecs_b):
+    """Adjacent walk nodes: eigenvectors I at a and vecs_b at b."""
+    a = spectra._Node(0.0, spectra.Spectrum(np.array(values_a), np.eye(len(values_a))))
+    return a, spectra._Node(1.0, spectra.Spectrum(np.array(values_b), vecs_b))
+
+
+def test_match_step_rotates_an_arriving_degenerate_block_into_line():
+    # A 3-dim block arrives turned a half turn about v = (7, 8, 9): its
+    # overlaps with the departing block are |I - 2 v v^T / |v|^2|, whose best
+    # assignment pairs the first vectors at 96/194 < OVERLAP_MIN, so the
+    # block is matched as a subspace and rotated onto the departing one.
+    v = np.array([7.0, 8.0, 9.0]) / np.sqrt(194.0)
+    turn = 2.0 * np.outer(v, v) - np.eye(3)
+    vecs_b = np.eye(5)
+    vecs_b[1:4, 1:4] = turn
+    a, b = _nodes([0.0, 1.0, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 1.0, 2.0], vecs_b)
+    assert abs(vecs_b[1, 1]) == pytest.approx(96.0 / 194.0)
+    ok, perm = spectra._match_step(a, b, first=False)
+    assert ok
+    assert perm.tolist() == [0, 1, 3, 2, 4]
+    np.testing.assert_allclose(b.vecs[:, perm], a.vecs, atol=1e-12)
+    np.testing.assert_array_equal(b.spec.eigenvectors, vecs_b)
+
+
+def test_match_step_refuses_a_block_whose_subspace_turned_away():
+    # b's eigenvectors are the reflection I - 2 w w^T of a's, with w = (0, 0,
+    # x, y, y, y, y), x^2 = 0.3 and 4 y^2 = 0.7. The best assignment keeps
+    # every index (overlaps 1, 1, 0.4 and 0.65), so a's pair {1, 2} maps onto
+    # b's, but the pairs' subspaces meet at cosines 1 and 1 - 2 x^2 = 0.4:
+    # the step is refused although the indices match.
+    w = np.concatenate([[0.0, 0.0, np.sqrt(0.3)], np.full(4, np.sqrt(0.7 / 4))])
+    vecs_b = np.eye(7) - 2.0 * np.outer(w, w)
+    values_a, values_b = [0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 1.5, 1.5, 2.0, 3.0, 4.0, 5.0]
+    a, b = _nodes(values_a, values_b, vecs_b)
+    ok, perm = spectra._match_step(a, b, first=False)
+    assert not ok
+    assert perm.tolist() == list(range(7))
+    assert np.abs(vecs_b[2, 2]) == pytest.approx(0.4)
+
+
+def test_flows_rotate_and_refuse_degenerate_blocks(monkeypatch):
+    # The GP(8, 3) k=16 vertex flow rotates arriving blocks into line; the
+    # grid 6x6 k=17 edge flow has steps refused because a block's subspace
+    # turned away (a smallest principal cosine below OVERLAP_MIN).
+    match, svdvals = spectra._match_step, spectra.scipy.linalg.svdvals
+    low, rotated, refused = [], [], []
+
+    def spy_match(a, b, first):
+        before = len(low)
+        ok, perm = match(a, b, first)
+        rotated.append(ok and b.vecs is not b.spec.eigenvectors)
+        refused.append(not ok and any(low[before:]))
+        return ok, perm
+
+    def spy_svdvals(M):
+        values = svdvals(M)
+        low.append(values[-1] < spectra.OVERLAP_MIN)
+        return values
+
+    monkeypatch.setattr(spectra, "_match_step", spy_match)
+    monkeypatch.setattr(spectra.scipy.linalg, "svdvals", spy_svdvals)
+    g = petersen(8, 3)
+    run_vertex_flow(g, select_eigenpair(eigendecompose(laplacian(g)), 16), steps=40)
+    assert any(rotated)
+    g = grid(6, 6)
+    sel = select_eigenpair(eigendecompose(laplacian(g)), 17)
+    run_edge_flow(g, sel, steps=60, allow_degenerate=True)
+    assert any(refused)
+
 def turning(s):
     # A block whose eigenvectors turn by 90 degrees near sigma = 0.45, plus
     # a diagonal entry 0.5 + sigma.
@@ -238,11 +308,11 @@ def benchmark_flows():
     """The benchmark's two flow families: the vertex flow of grid 10x10 at
     k=20 and the edge flow of grid 15x15 at k=9."""
     g = grid(10, 10)
-    sg = subdivide(g, select_eigenpair(eigendecompose(laplacian(g)), 20))
+    vert = build_perturbation(g, select_eigenpair(eigendecompose(laplacian(g)), 20))
     h = grid(15, 15)
     pert = build_perturbation(h, select_eigenpair(eigendecompose(laplacian(h)), 9))
     return {
-        "vertex": lambda s: bilinear_matrix(sg, s).matrix,
+        "vertex": lambda s: bilinear_matrix(vert, s).matrix,
         "edge": lambda s: flow_matrix(pert, s).matrix,
     }
 
@@ -311,8 +381,8 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     tracked = [s for s in solves if s[0] == spectra.__name__]
     assert all(vectors and not bisection for _, vectors, bisection, _ in tracked)
     assert len(tracked) == len(fr.sigma_grid)
-    # The vertex flow counts its crossings on the values of the n_base x
-    # n_base ghost Schur complement, through its own binding.
+    # The vertex flow counts its crossings on the values of the g.n x g.n
+    # ghost Schur complement, through its own binding.
     bisection = [s for s in solves if s[2]]
     assert bisection
     assert set(bisection) == {(vertex_flow.__name__, False, True, g.n)}

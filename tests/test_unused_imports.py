@@ -1,12 +1,15 @@
 """Every module of the package uses every name it imports, checked with
-``ast`` in place of a linter. ``__init__.py`` is exempt: it re-exports. An
-import kept on purpose says so with ``# noqa: F401`` on its last line, as
-flake8 would read it."""
+``ast`` in place of a linter. ``__init__.py`` is exempt: it re-exports, and
+its ``__all__`` must list exactly the names it imports. An import kept on
+purpose says so with ``# noqa: F401`` on its last line, as flake8 would read
+it."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import nodalflow
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodalflow"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -42,3 +45,17 @@ def test_unused_imports_finds_what_is_never_read():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(nodalflow.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    for name in nodalflow.__all__:
+        assert hasattr(nodalflow, name), name

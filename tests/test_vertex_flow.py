@@ -9,7 +9,7 @@ from nodalflow import dirichlet, vertex_flow
 from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
 from nodalflow.edge_flow import build_perturbation, flow_matrix, sign_preserving_graph
 from nodalflow.families import complete, cycle, generate_connected_er, grid, interval, petersen
-from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
+from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import nodal_decomposition, select_eigenpair
 from nodalflow.spectra import COUNT_TOL_REL, eigendecompose, track_branches
 from nodalflow.vertex_flow import (
@@ -22,7 +22,6 @@ from nodalflow.vertex_flow import (
     graph_at,
     limit_graph,
     run_vertex_flow,
-    subdivide,
 )
 
 from _oracles import count_below_by_ghost_schur
@@ -34,76 +33,74 @@ def select(g, k):
 
 def test_subdivide_structure_path():
     g = interval(4)
-    sg = subdivide(g, select(g, 2))
-    assert sg.n_base == 4
-    assert sg.n_ghost == 1
-    assert sg.n_total == 5
-    assert (sg.pert.i.tolist(), sg.pert.j.tolist()) == ([1], [2])
-    (q_ij,), (q_ji,) = sg.pert.q_ij, sg.pert.q_ji
+    pert = build_perturbation(g, select(g, 2))
+    assert len(pert.w) == 1
+    assert laplacian(graph_at(g, pert, 1.0)).matrix.shape == (5, 5)
+    assert bilinear_matrix(pert, 1.0).matrix.shape == (5, 5)
+    assert (pert.i.tolist(), pert.j.tolist()) == ([1], [2])
+    (q_ij,), (q_ji,) = pert.q_ij, pert.q_ji
     assert q_ij > 0 and q_ji > 0
     assert q_ij * q_ji == pytest.approx(1.0, rel=1e-12)
 
 
-def test_subdivide_reads_the_edge_flow_record():
+def test_limit_graph_keeps_the_sign_preserving_edges():
     g = grid(7, 5)
     sel = select(g, 5)
-    sg, pert = subdivide(g, sel), build_perturbation(g, sel)
-    for name in ("i", "j", "w", "q_ij", "q_ji", "matrix", "laplacian"):
-        np.testing.assert_array_equal(getattr(sg.pert, name), getattr(pert, name))
-    kept = tuple(e for e in limit_graph(sg).edges if e[1] < g.n)
+    pert = build_perturbation(g, sel)
+    lim = limit_graph(g, pert)
+    kept = tuple(e for e in lim.edges if e[1] < g.n)
     assert kept == sign_preserving_graph(g, pert).edges
-    assert sg.n_ghost == len(nodal_decomposition(g, sel).sign_change_edges) == 10
+    n_sign_change = len(nodal_decomposition(g, sel).sign_change_edges)
+    assert lim.n - g.n == len(pert.w) == n_sign_change == 10
 
 
-def test_subdivide_builds_no_graph_or_matrix(monkeypatch):
-    # The subdivision is g plus the edge flow's record; bilinear_matrix
-    # assembles everything else on demand.
+def test_run_vertex_flow_builds_no_graph(monkeypatch):
+    # The flow reads the edge flow's record alone; bilinear_matrix
+    # assembles each matrix from it, and no WeightedGraph is built.
     g = grid(7, 5)
     sel = select(g, 5)
 
     def refuse(self):
-        raise AssertionError(f"subdivide built a {type(self).__name__}")
+        raise AssertionError(f"run_vertex_flow built a {type(self).__name__}")
 
     monkeypatch.setattr(WeightedGraph, "__post_init__", refuse)
-    monkeypatch.setattr(LaplacianMatrix, "__post_init__", refuse)
-    sg = subdivide(g, sel)
+    fr = run_vertex_flow(g, sel, steps=20)
     monkeypatch.undo()
-    assert [f.name for f in dataclasses.fields(sg)] == ["base", "pert"]
-    assert sg.base is g
+    assert fr.count_identity_ok
 
 
 def test_subdivide_structure_petersen():
     g = petersen(7, 3)
-    sg = subdivide(g, select(g, 7))
-    assert sg.n_ghost == 10
-    assert sg.n_total == 24
+    pert = build_perturbation(g, select(g, 7))
+    assert len(pert.w) == 10
+    assert bilinear_matrix(pert, 1.0).matrix.shape == (24, 24)
 
 
 def test_graph_at_zero_recovers_base():
     g = interval(4)
-    sg = subdivide(g, select(g, 2))
-    g0 = graph_at(sg, 0.0)
+    pert = build_perturbation(g, select(g, 2))
+    g0 = graph_at(g, pert, 0.0)
     assert g0.n == 5
     L0 = laplacian(g0).matrix
     np.testing.assert_allclose(L0[:4, :4], laplacian(g).matrix, atol=1e-15)
     assert np.all(L0[4] == 0.0)
     with pytest.raises(ValueError):
-        graph_at(sg, -0.5)
+        graph_at(g, pert, -0.5)
 
 
 def test_graph_at_refuses_a_non_finite_sigma():
     g = interval(4)
-    sg = subdivide(g, select(g, 2))
+    pert = build_perturbation(g, select(g, 2))
     for sigma in (np.inf, np.nan):
         with pytest.raises(ValueError, match=f"sigma={sigma} must be nonnegative and finite"):
-            graph_at(sg, sigma)
+            graph_at(g, pert, sigma)
 
 
 def test_graph_at_weight_schedule():
     g = interval(4)
-    sg = subdivide(g, select(g, 2))
-    (w,), (q_ij,), (q_ji,) = sg.pert.w, sg.pert.q_ij, sg.pert.q_ji
-    gs = graph_at(sg, 3.0)
+    pert = build_perturbation(g, select(g, 2))
+    (w,), (q_ij,), (q_ji,) = pert.w, pert.q_ij, pert.q_ji
+    gs = graph_at(g, pert, 3.0)
     weights = {(a, b): ww for a, b, ww in gs.edges}
     assert weights[(1, 2)] == pytest.approx(w / 4.0)
     assert weights[(1, 4)] == pytest.approx(0.75 * w * (1.0 + q_ji))
@@ -112,9 +109,9 @@ def test_graph_at_weight_schedule():
 
 def test_limit_graph_full_ghost_weights():
     g = interval(4)
-    sg = subdivide(g, select(g, 2))
-    (q_ij,), (q_ji,) = sg.pert.q_ij, sg.pert.q_ji
-    gl = limit_graph(sg)
+    pert = build_perturbation(g, select(g, 2))
+    (q_ij,), (q_ji,) = pert.q_ij, pert.q_ji
+    gl = limit_graph(g, pert)
     weights = {(a, b): ww for a, b, ww in gl.edges}
     assert (1, 2) not in weights
     assert weights[(1, 4)] == pytest.approx(1.0 + q_ji)
@@ -123,29 +120,29 @@ def test_limit_graph_full_ghost_weights():
 
 def test_extension_coefficients_sum_to_one():
     g = petersen(7, 3)
-    sg = subdivide(g, select(g, 7))
-    a_ij, a_ji = extension_coefficients(sg)
-    assert len(a_ij) == len(a_ji) == sg.n_ghost
+    pert = build_perturbation(g, select(g, 7))
+    a_ij, a_ji = extension_coefficients(pert)
+    assert len(a_ij) == len(a_ji) == len(pert.w)
     np.testing.assert_allclose(a_ij + a_ji, 1.0, rtol=1e-12)
 
 
 def test_extend_selected_eigenvector_by_zeros():
     g = petersen(7, 3)
     sel = select(g, 7)
-    sg = subdivide(g, sel)
-    ext = extend(sg, np.asarray(sel.psi))
-    np.testing.assert_allclose(ext[: sg.n_base], sel.psi)
-    assert np.max(np.abs(ext[sg.n_base :])) < 1e-12
+    pert = build_perturbation(g, sel)
+    ext = extend(pert, np.asarray(sel.psi))
+    np.testing.assert_allclose(ext[: g.n], sel.psi)
+    assert np.max(np.abs(ext[g.n :])) < 1e-12
     with pytest.raises(ValueError):
-        extend(sg, np.ones(3))
+        extend(pert, np.ones(3))
 
 
 def test_extend_matches_the_per_edge_formula():
     g = grid(7, 5)
-    sg = subdivide(g, select(g, 5))
+    p = build_perturbation(g, select(g, 5))
     u = np.random.default_rng(1).standard_normal(g.n)
-    ext, p = extend(sg, u), sg.pert
-    for e in range(sg.n_ghost):
+    ext = extend(p, u)
+    for e in range(len(p.w)):
         a_ij, a_ji = 1.0 / (1.0 + p.q_ij[e]), 1.0 / (1.0 + p.q_ji[e])
         assert ext[g.n + e] == a_ij * u[p.i[e]] + a_ji * u[p.j[e]]
 
@@ -154,9 +151,9 @@ def test_extend_matches_the_per_edge_formula():
 def test_extended_eigenvector_invariant_along_flow(sigma):
     g = interval(7)
     sel = select(g, 3)
-    sg = subdivide(g, sel)
-    ext = extend(sg, np.asarray(sel.psi))
-    B = bilinear_matrix(sg, sigma).matrix
+    pert = build_perturbation(g, sel)
+    ext = extend(pert, np.asarray(sel.psi))
+    B = bilinear_matrix(pert, sigma).matrix
     resid = np.max(np.abs(B @ ext - sel.lambda_k * ext))
     assert resid < 1e-10
 
@@ -172,10 +169,10 @@ BILINEAR_SIGMAS = [0.0, 1e-3, 1.0, 552.0, 1e4, 1e6]
 @pytest.mark.parametrize("sigma", BILINEAR_SIGMAS)
 def test_bilinear_matrix_matches_graph_at(sigma):
     for g, k in SUBDIVISIONS:
-        sg = subdivide(g, select(g, k))
-        B = bilinear_matrix(sg, sigma).matrix
-        ref = laplacian(graph_at(sg, sigma)).matrix.copy()
-        ghosts = np.arange(sg.n_base, sg.n_total)
+        pert = build_perturbation(g, select(g, k))
+        B = bilinear_matrix(pert, sigma).matrix
+        ref = laplacian(graph_at(g, pert, sigma)).matrix.copy()
+        ghosts = np.arange(g.n, g.n + len(pert.w))
         ref[ghosts, ghosts] += sigma
         assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(B, B.T)
@@ -187,10 +184,10 @@ def test_bilinear_matrix_borders_the_edge_flow_matrix(sigma):
     # ghost rows and columns around it, and its ghost block is diagonal,
     # which the ghost Schur count of _oracles relies on.
     for g, k in SUBDIVISIONS:
-        sg = subdivide(g, select(g, k))
-        B = bilinear_matrix(sg, sigma).matrix
-        n = sg.n_base
-        base = flow_matrix(sg.pert, sigma / (1.0 + sigma)).matrix
+        pert = build_perturbation(g, select(g, k))
+        B = bilinear_matrix(pert, sigma).matrix
+        n = g.n
+        base = flow_matrix(pert, sigma / (1.0 + sigma)).matrix
         assert np.array_equal(B[:n, :n], base)
         ghost = B[n:, n:]
         assert np.array_equal(ghost, np.diag(np.diag(ghost)))
@@ -198,17 +195,17 @@ def test_bilinear_matrix_borders_the_edge_flow_matrix(sigma):
 
 def test_bilinear_matrix_refuses_a_non_finite_sigma():
     g = interval(4)
-    sg = subdivide(g, select(g, 2))
+    pert = build_perturbation(g, select(g, 2))
     for sigma in (np.inf, np.nan, -np.inf, -0.5):
         with pytest.raises(ValueError, match="nonnegative and finite"):
-            bilinear_matrix(sg, sigma)
+            bilinear_matrix(pert, sigma)
 
 
 def test_bilinear_matrix_is_psd():
     g = interval(4)
-    sg = subdivide(g, select(g, 2))
+    pert = build_perturbation(g, select(g, 2))
     for sigma in (0.0, 0.3, 10.0):
-        vals = np.linalg.eigvalsh(bilinear_matrix(sg, sigma).matrix)
+        vals = np.linalg.eigvalsh(bilinear_matrix(pert, sigma).matrix)
         assert vals.min() > -1e-10
 
 
@@ -223,7 +220,7 @@ def test_run_vertex_flow_interval_golden():
     assert fr.sigma_grid[-1] == 1e4
     assert fr.branch_origins.count("ghost") == 2
     V = fr.start_vectors
-    assert V.shape == (subdivide(g, sel).n_total, fr.n_branches)
+    assert V.shape == (g.n + len(build_perturbation(g, sel).w), fr.n_branches)
     np.testing.assert_allclose(V.T @ V, np.eye(fr.n_branches), atol=1e-12)
     # Exactly two of the branches closing on lambda_3 come from ghosts; the
     # third is the invariant extended eigenvector.
@@ -320,9 +317,9 @@ def test_run_vertex_flow_rejects_zero_vertices():
         run_vertex_flow(g, select(g, 2))
 
 
-def _threshold(sg, sel):
+def _threshold(pert, sel):
     """track_branches' threshold t on the vertex flow of sel."""
-    start = np.linalg.eigvalsh(bilinear_matrix(sg, 0.0).matrix)
+    start = np.linalg.eigvalsh(bilinear_matrix(pert, 0.0).matrix)
     lam = sel.lambda_k
     return lam + COUNT_TOL_REL * max(1.0, abs(lam), float(np.max(np.abs(start))))
 
@@ -334,13 +331,13 @@ def _threshold(sg, sel):
 )
 def test_ghost_schur_count_matches_the_full_count(g, k):
     sel = select(g, k)
-    sg = subdivide(g, sel)
-    t = _threshold(sg, sel)
-    count = ghost_schur_count(sg, sel.psi)
+    pert = build_perturbation(g, sel)
+    t = _threshold(pert, sel)
+    count = ghost_schur_count(pert, sel.psi)
     for sigma in np.concatenate([[0.0], np.logspace(-3.0, 4.0, 50)]):
-        B = bilinear_matrix(sg, sigma).matrix
+        B = bilinear_matrix(pert, sigma).matrix
         full = int(np.sum(np.linalg.eigvalsh(B) <= t))
-        assert count(sigma, t) == full == count_below_by_ghost_schur(B, sg.n_base, t), sigma
+        assert count(sigma, t) == full == count_below_by_ghost_schur(B, g.n, t), sigma
 
 
 def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
@@ -348,9 +345,9 @@ def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
     # complement would divide by (nearly) zero; the count solves B(sigma).
     g = grid(7, 5)
     sel = select(g, 5)
-    sg = subdivide(g, sel)
-    t = _threshold(sg, sel)
-    at_i, at_j = sg.pert.half_weights
+    pert = build_perturbation(g, sel)
+    t = _threshold(pert, sel)
+    at_i, at_j = pert.half_weights
     h = at_i[0] + at_j[0]
     # sigma^2 + (1 + h - t) sigma - t = 0, the positive root.
     b = 1.0 + h - t
@@ -358,14 +355,14 @@ def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
     assert abs(sigma / (1.0 + sigma) * h + sigma - t) <= COUNT_TOL_REL * t
     solved = []
     monkeypatch.setattr(
-        vertex_flow, "bilinear_matrix", lambda sg, s: solved.append(s) or bilinear_matrix(sg, s)
+        vertex_flow, "bilinear_matrix", lambda p, s: solved.append(s) or bilinear_matrix(p, s)
     )
-    count = ghost_schur_count(sg, sel.psi)
+    count = ghost_schur_count(pert, sel.psi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         n = count(sigma, t)
     assert solved == [sigma]
-    assert n == int(np.sum(np.linalg.eigvalsh(bilinear_matrix(sg, sigma).matrix) <= t))
+    assert n == int(np.sum(np.linalg.eigvalsh(bilinear_matrix(pert, sigma).matrix) <= t))
 
 
 def test_schur_count_tracks_like_the_full_count():
@@ -374,11 +371,11 @@ def test_schur_count_tracks_like_the_full_count():
     # Schur complement.
     g = grid(7, 5)
     sel = select(g, 5)
-    sg = subdivide(g, sel)
+    pert = build_perturbation(g, sel)
     grid_ = np.concatenate([[0.0], np.logspace(-3.0, 4.0, 200)])
     flows = [
-        track_branches(lambda s: bilinear_matrix(sg, s), grid_, sel.lambda_k, count=count)
-        for count in (None, ghost_schur_count(sg, sel.psi))
+        track_branches(lambda s: bilinear_matrix(pert, s), grid_, sel.lambda_k, count=count)
+        for count in (None, ghost_schur_count(pert, sel.psi))
     ]
     assert flows[0].crossings
     for field in dataclasses.fields(flows[0]):
@@ -401,9 +398,13 @@ def test_schur_count_tracks_like_the_full_count():
         (generate_connected_er(20, 0.2, 301).graph, 15, 40),
         (generate_connected_er(20, 0.3, 300).graph, 20, 40),
         (generate_connected_er(20, 0.5, 304).graph, 10, 40),
+        # A bracket near sigma = 0.435 where a ghost pivot d is near zero,
+        # so S's norm reaches 1e6 and a count on S alone misreads psi's own
+        # eigenvalue, lambda_k - t = -7.8e-12.
+        (grid(10, 10), 20, 40),
     ],
     ids=["grid4x3-k5", "grid7x5-k5", "er20-p0.2-s301-k15", "er20-p0.3-s300-k20",
-         "er20-p0.5-s304-k10"],
+         "er20-p0.5-s304-k10", "grid10x10-k20"],
 )
 def test_vertex_flow_brackets_hold_a_fall_of_the_ghost_schur_count(g, k, steps):
     # Matching-free certificate: across every reported bracket, the number
@@ -412,13 +413,13 @@ def test_vertex_flow_brackets_hold_a_fall_of_the_ghost_schur_count(g, k, steps):
     # of crossings reported in it.
     sel = select(g, k)
     fr = run_vertex_flow(g, sel, steps=steps)
-    sg = subdivide(g, sel)
-    t = _threshold(sg, sel)
+    pert = build_perturbation(g, sel)
+    t = _threshold(pert, sel)
     cells = Counter((c.sigma_lo, c.sigma_hi) for c in fr.crossings)
     assert cells
     for (lo, hi), shared in cells.items():
         at_lo, at_hi = (
-            count_below_by_ghost_schur(bilinear_matrix(sg, s).matrix, sg.n_base, t)
+            count_below_by_ghost_schur(bilinear_matrix(pert, s).matrix, g.n, t)
             for s in (lo, hi)
         )
         assert at_lo - at_hi >= shared, (lo, hi, at_lo, at_hi, shared)
@@ -439,13 +440,13 @@ def test_check_edge_equivalence_petersen():
 
 def test_derivative_identity_on_flow_eigenvectors():
     g = interval(7)
-    sg = subdivide(g, select(g, 3))
-    spec = eigendecompose(bilinear_matrix(sg, 1.0))
+    pert = build_perturbation(g, select(g, 3))
+    spec = eigendecompose(bilinear_matrix(pert, 1.0))
     checked = 0
     for j in range(spec.n):
         if len(spec.group_of(j)) != 1:
             continue
-        res = derivative_identity_check(sg, 1.0, spec.eigenvectors[:, j])
+        res = derivative_identity_check(pert, 1.0, spec.eigenvectors[:, j])
         assert res < 1e-5
         checked += 1
     assert checked >= 5
@@ -453,19 +454,19 @@ def test_derivative_identity_on_flow_eigenvectors():
 
 def test_derivative_identity_sigma_floor():
     g = interval(7)
-    sg = subdivide(g, select(g, 3))
+    pert = build_perturbation(g, select(g, 3))
     with pytest.raises(ValueError):
-        derivative_identity_check(sg, 0.0, np.ones(sg.n_total))
+        derivative_identity_check(pert, 0.0, np.ones(g.n + len(pert.w)))
 
 
 def test_derivative_identity_rejects_degenerate():
     # The alternating eigenvector of C_4 subdivides with full dihedral
     # symmetry, so B_sigma keeps degenerate pairs at every sigma.
     g = cycle(4)
-    sg = subdivide(g, select(g, 4))
-    spec = eigendecompose(bilinear_matrix(sg, 1.0))
+    pert = build_perturbation(g, select(g, 4))
+    spec = eigendecompose(bilinear_matrix(pert, 1.0))
     deg = [grp for grp in spec.groups if len(grp) > 1]
     assert deg
     u = spec.eigenvectors[:, deg[0][0]]
     with pytest.raises(DegenerateEigenvalue):
-        derivative_identity_check(sg, 1.0, u)
+        derivative_identity_check(pert, 1.0, u)
