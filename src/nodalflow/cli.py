@@ -13,14 +13,14 @@ import sys
 import numpy as np
 
 from . import fileio, svg
-from .dirichlet import d_connected_components, dirichlet_problem, dirichlet_spectrum
-from .edge_flow import build_perturbation, nodal_count_direct, run_edge_flow
+from .edge_flow import build_perturbation, flow_matrix, nodal_count_direct, run_edge_flow
+from .edge_flow import sign_preserving_graph
 from .errors import AssumptionViolated, NodalFlowError
 from .families import FamilySpec, generate
-from .graph_core import WeightedGraph, laplacian
+from .graph_core import WeightedGraph, connected_components, laplacian
 from .nodal import edge_signs, select_eigenpair, strong_domains_allowing_zeros, zero_vertices
 from .spectra import eigendecompose, multiplicity_of
-from .vertex_flow import limit_graph, run_vertex_flow
+from .vertex_flow import run_vertex_flow
 
 _FAMILY_ALIASES = {"er": "erdos_renyi"}
 
@@ -86,9 +86,7 @@ def _cmd_flow(args) -> int:
         fr = run_edge_flow(g, sel, steps=args.steps, allow_degenerate=True)
         log_x = False
     else:
-        fr = run_vertex_flow(
-            g, sel, sigma_max=args.sigma_max, steps=args.steps, allow_degenerate=True
-        )
+        fr = run_vertex_flow(g, sel, steps=args.steps, allow_degenerate=True)
         log_x = True
     nu = fr.converged_count
     flags = {
@@ -145,14 +143,15 @@ def _cmd_dirichlet(args) -> int:
             file=sys.stderr,
         )
         return 3
-    lim = limit_graph(g, build_perturbation(g, sel))
-    base = tuple(range(g.n))
-    dp = dirichlet_problem(lim, base)
-    dspec = dirichlet_spectrum(dp)
+    # The Dirichlet limit on the base vertices is L + P, the Laplacian of the
+    # sign-preserving graph, whose components are the D-connected ones.
+    pert = build_perturbation(g, sel)
+    dspec = eigendecompose(flow_matrix(pert, 1.0), vectors=False)
+    domains = connected_components(sign_preserving_graph(g, pert))
     out = {
         "k": sel.k,
         "lambda_k": sel.lambda_k,
-        "d_connected_components": len(d_connected_components(lim, base)),
+        "d_connected_components": len(domains),
         "dirichlet_eigenvalues": [float(v) for v in dspec.eigenvalues],
         "multiplicity_of_lambda_k": multiplicity_of(dspec, sel.lambda_k),
         "simple": sel.simple,
@@ -189,8 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("edge", "vertex"), required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--sigma-max", type=float, default=1e4,
-                   help="vertex flow endpoint (ignored for edge)")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--out", required=True, help="prefix for .csv/.json (and .svg)")
     p.add_argument("--svg", action="store_true")

@@ -33,13 +33,20 @@ class DirichletProblem:
         freeze_arrays(self, "matrix")
 
 
-def dirichlet_problem(g: WeightedGraph, interior) -> DirichletProblem:
-    """Reduce the Laplacian of g to the rows and columns of ``interior``."""
+def _interior(g: WeightedGraph, interior) -> list[int]:
+    """The distinct vertices of ``interior``, sorted; EmptyInterior when there
+    are none, ValueError when one is not a vertex of g."""
     S = sorted(set(int(v) for v in interior))
     if not S:
         raise EmptyInterior("interior vertex set is empty")
     if S[0] < 0 or S[-1] >= g.n:
         raise ValueError(f"interior vertices out of range for n={g.n}")
+    return S
+
+
+def dirichlet_problem(g: WeightedGraph, interior) -> DirichletProblem:
+    """Reduce the Laplacian of g to the rows and columns of ``interior``."""
+    S = _interior(g, interior)
     L = laplacian(g).matrix
     idx = np.array(S, dtype=int)
     return DirichletProblem(tuple(S), L[np.ix_(idx, idx)])
@@ -48,9 +55,7 @@ def dirichlet_problem(g: WeightedGraph, interior) -> DirichletProblem:
 def d_connected_components(g: WeightedGraph, interior) -> tuple[tuple[int, ...], ...]:
     """Components of the interior under paths that avoid the boundary,
     i.e. components of the induced subgraph on the interior set."""
-    S = set(int(v) for v in interior)
-    if not S:
-        raise EmptyInterior("interior vertex set is empty")
+    S = set(_interior(g, interior))
     inside = [e for e in g.edges if e[0] in S and e[1] in S]
     return components(g.n, inside, S)
 

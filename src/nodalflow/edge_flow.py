@@ -71,8 +71,8 @@ def build_perturbation(g: WeightedGraph, sel: EigenSelection) -> EdgePerturbatio
 
 
 def check_steps(steps: int) -> None:
-    """A flow grid of ``steps`` points reaches the flow's end (sigma = 1 or
-    sigma_max) only for steps >= 2; ValueError otherwise."""
+    """A flow grid of ``steps`` points reaches the flow's end (sigma = 1, or
+    the vertex flow's end) only for steps >= 2; ValueError otherwise."""
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
 

@@ -17,8 +17,8 @@ count margin of zero it falls back to a values-only solve of B(sigma).
 
 Every function here reads the edge flow's record (EdgePerturbation) of the
 sign-change edges as it is: edge p's ghost is vertex n + p, n =
-len(pert.laplacian), and only graph_at, limit_graph and restrict_eigenvector,
-which build or check graphs, also take the base graph.
+len(pert.laplacian), and only graph_at and restrict_eigenvector, which build
+or check graphs, also take the base graph.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _edges(i, j, w) -> tuple[Edge, ...]:
     return tuple(zip(i.tolist(), j.tolist(), w.tolist()))
 
 
-def _ghost_edges(pert: EdgePerturbation, scale: float = 1.0) -> tuple[Edge, ...]:
+def _ghost_edges(pert: EdgePerturbation, scale: float) -> tuple[Edge, ...]:
     """Edge p's ghost n + p, n = len(pert.laplacian) the base vertex count,
     joined to i and j at scale times pert.half_weights."""
     at_i, at_j = pert.half_weights
@@ -78,13 +78,6 @@ def graph_at(g: WeightedGraph, pert: EdgePerturbation, sigma: float) -> Weighted
     if s > 0:
         edges += _ghost_edges(pert, s)
     return _with_kept_edges(g, pert, edges)
-
-
-def limit_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedGraph:
-    """The sigma -> infinity subdivision graph: sign-change edges are gone
-    and the ghost half-edges carry their full weight w * (1 + q). Its
-    Dirichlet problem on the base vertices is the edge flow's L + P."""
-    return _with_kept_edges(g, pert, _ghost_edges(pert))
 
 
 def bilinear_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
@@ -215,42 +208,43 @@ def _classify_origins(fr: FlowResult, n_base: int) -> tuple[str, ...]:
     return tuple(origins)
 
 
+# Where the vertex flow may end, in order (see run_vertex_flow).
+SIGMA_ENDS = (1e4, 1e5, 1e6)
+
+
 def run_vertex_flow(
     g: WeightedGraph,
     sel: EigenSelection,
     *,
-    sigma_max: float = 1e4,
     steps: int = 200,
     allow_degenerate: bool = False,
 ) -> FlowResult:
     """Track all branches of B_sigma from sigma = 0 toward the Dirichlet
     limit.
 
-    The grid is [0] followed by ``steps`` log-spaced points on
-    [1e-3, sigma_max], so sigma_max must be finite and > 1e-3 and steps at
-    least 2 (one point would stop the flow at 1e-3). Branches
-    never decrease and lambda_k is the lowest eigenvalue of the sigma =
-    infinity Dirichlet problem, of multiplicity nu, so converged_count
-    counts the branches still at or below lambda_k at sigma_max. The
-    certificate (count_identity_ok, EigenSelection.certify) asks that it
-    equal the exact Dirichlet multiplicity (limit_multiplicity, read off
-    L + P, where both flows end) and that converged + crossings = k + ghosts
-    (the k lowest of L and one zero per ghost start at or below lambda_k,
-    and each crosses it or converges to it); a sigma_max too small for the
-    branches bound higher to pass lambda_k fails it. branch_origins labels
-    every branch 'ghost' or 'spectrum'.
+    The grid is [0] followed by ``steps`` >= 2 log-spaced points from 1e-3
+    to the end (one point would stop the flow at 1e-3). Branches never
+    decrease and lambda_k is the lowest eigenvalue of the sigma = infinity
+    Dirichlet problem, of multiplicity nu_D (limit_multiplicity, read off
+    L + P, where both flows end). The end is the first of SIGMA_ENDS where
+    ghost_schur_count finds at most nu_D eigenvalues at or below lambda_k
+    plus its group tolerance, else the last; converged_count counts the
+    branches at or below lambda_k there. The certificate (count_identity_ok,
+    EigenSelection.certify) asks that it equal nu_D and that converged +
+    crossings = k + ghosts (the k lowest of L and one zero per ghost start
+    at or below lambda_k, and each crosses it or converges to it); a branch
+    bound higher but not past lambda_k at the last end fails it.
+    branch_origins labels every branch 'ghost' or 'spectrum'.
     """
-    if not 1e-3 < sigma_max < np.inf:
-        raise ValueError(f"sigma_max must be finite and > 1e-3, got {sigma_max}")
     check_steps(steps)
     warnings = sel.check_assumptions(allow_degenerate)
     pert = build_perturbation(g, sel)
-    grid = np.concatenate([[0.0], np.logspace(-3.0, np.log10(sigma_max), steps)])
-    fr = track_branches(
-        lambda s: bilinear_matrix(pert, s), grid, sel.lambda_k,
-        count=ghost_schur_count(pert, sel.psi),
-    )
     nu_d = limit_multiplicity(pert, sel.lambda_k)
+    count = ghost_schur_count(pert, sel.psi)
+    top = sel.lambda_k + group_tolerance(sel.lambda_k)
+    end = next((s for s in SIGMA_ENDS if count(s, top) <= nu_d), SIGMA_ENDS[-1])
+    grid = np.concatenate([[0.0], np.logspace(-3.0, np.log10(end), steps)])
+    fr = track_branches(lambda s: bilinear_matrix(pert, s), grid, sel.lambda_k, count=count)
     nu, total = fr.converged_count, fr.converged_count + len(fr.crossings)
     ok = nu == nu_d and total == sel.k + len(pert.w)
     warnings += sel.certify(

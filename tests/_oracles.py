@@ -102,3 +102,26 @@ def count_below_by_ghost_schur(B, n_base: int, t: float) -> int:
     if np.max(np.abs(S)) > np.max(np.abs(shifted)):
         return int(np.sum(np.linalg.eigvalsh(shifted) < 0))
     return int(np.sum(d < 0) + np.sum(np.linalg.eigvalsh(S) < 0))
+
+
+def limit_graph(n: int, edges, psi, diag=()) -> tuple[int, tuple, tuple]:
+    """The sigma -> infinity subdivision along psi's sign-change edges, as
+    the arguments (vertex count, edges, diagonal) of a WeightedGraph.
+
+    Each edge (i, j, w) with psi_i psi_j < 0 is deleted, and a ghost vertex,
+    numbered from n in edge order, is joined to i with weight
+    w (1 - psi_j / psi_i) and to j with weight w (1 - psi_i / psi_j). Edges
+    and diag are those of the base graph (diag empty for none).
+    """
+    psi = np.asarray(psi, dtype=float)
+    kept, ghost_edges = [], []
+    for i, j, w in edges:
+        if psi[i] * psi[j] < 0:
+            ghost = n + len(ghost_edges) // 2
+            ghost_edges += [(i, ghost, w * (1.0 - psi[j] / psi[i])),
+                            (j, ghost, w * (1.0 - psi[i] / psi[j]))]
+        else:
+            kept.append((i, j, w))
+    n_ghost = len(ghost_edges) // 2
+    diag = tuple(float(d) for d in diag) or (0.0,) * n
+    return n + n_ghost, tuple(kept) + tuple(ghost_edges), diag + (0.0,) * n_ghost

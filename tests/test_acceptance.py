@@ -31,7 +31,7 @@ from nodalflow.families import (
     interval,
     petersen,
 )
-from nodalflow.graph_core import betti_1, laplacian
+from nodalflow.graph_core import WeightedGraph, betti_1, laplacian
 from nodalflow.nodal import (
     nodal_decomposition,
     perturb_to_nonzero,
@@ -43,12 +43,11 @@ from nodalflow.vertex_flow import (
     bilinear_matrix,
     check_edge_equivalence,
     derivative_identity_check,
-    limit_graph,
     restrict_eigenvector,
     run_vertex_flow,
 )
 
-from _oracles import flood_fill_nodal_count
+from _oracles import flood_fill_nodal_count, limit_graph
 from test_cli_io import run_cli
 
 
@@ -307,7 +306,7 @@ def test_criterion_07_limit_identification():
     for name, g, k in _goldens():
         sel = _select(g, k)
         pert = build_perturbation(g, sel)
-        lim = limit_graph(g, pert)
+        lim = WeightedGraph(*limit_graph(g.n, g.edges, sel.psi, g.diag_extra))
         dspec = dirichlet_spectrum(dirichlet_problem(lim, tuple(range(g.n))))
         bspec = eigendecompose(bilinear_matrix(pert, 1e4))
         lowest = np.sort(bspec.eigenvalues)[: g.n]
@@ -333,7 +332,7 @@ def test_criterion_08_dirichlet_structure():
     for name, g, k in _goldens():
         sel = _select(g, k)
         pert = build_perturbation(g, sel)
-        lim = limit_graph(g, pert)
+        lim = WeightedGraph(*limit_graph(g.n, g.edges, sel.psi, g.diag_extra))
         base = tuple(range(g.n))
         for rep in component_first_eigenpairs(lim, base):
             ok = ok and rep.simple and rep.signed

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nodalflow import fileio, graph_core
+from nodalflow import cli, fileio, graph_core, vertex_flow
 from nodalflow.cli import main
 from nodalflow.edge_flow import run_edge_flow
 from nodalflow.families import interval
@@ -15,8 +16,10 @@ from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import eigendecompose
 
+from _oracles import dense_laplacian, flood_fill_nodal_count, limit_graph
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -184,18 +187,24 @@ def test_cli_input_error_exit_codes(tmp_path, capsys):
     assert main(["nodal", "--graph", str(bad), "--k", "1"]) == 2
     bad.write_text('{"n": "3", "edges": ["011", [1, 2, "1.5"]]}')
     assert main(["nodal", "--graph", str(bad), "--k", "1"]) == 2
-    for sigma_max in ("1e-4", "-1"):
-        assert main(["flow", "--method", "vertex", "--graph", str(path), "--k", "2",
-                     "--sigma-max", sigma_max, "--out", str(tmp_path / "v")]) == 2
-        assert "sigma_max" in capsys.readouterr().err
-    # At sigma_max = 1 two branches bound for higher Dirichlet eigenvalues
-    # are still below lambda_5: the vertex certificate fails before any
-    # file is written.
+    # The vertex flow picks its own end: argparse refuses a --sigma-max.
+    with pytest.raises(SystemExit) as refused:
+        main(["flow", "--method", "vertex", "--graph", str(path), "--k", "2",
+              "--sigma-max", "1e4", "--out", str(tmp_path / "v")])
+    assert refused.value.code == 2
+    assert "--sigma-max" in capsys.readouterr().err
+
+
+def test_cli_vertex_certificate_failure_writes_nothing(tmp_path, capsys, monkeypatch):
+    # Ended at sigma = 1, two branches bound for higher Dirichlet
+    # eigenvalues are still below lambda_5: the vertex certificate fails
+    # before any file is written.
+    monkeypatch.setattr(vertex_flow, "SIGMA_ENDS", (1.0,))
     g75 = tmp_path / "g75.json"
     main(["generate", "--family", "grid", "--params", "7,5", "-o", str(g75)])
     capsys.readouterr()
     assert main(["flow", "--method", "vertex", "--graph", str(g75), "--k", "5",
-                 "--sigma-max", "1", "--steps", "60", "--out", str(tmp_path / "g")]) == 2
+                 "--steps", "60", "--out", str(tmp_path / "g")]) == 2
     assert "vertex certificate failed" in capsys.readouterr().err
     assert not list(tmp_path.glob("g.*"))
 
@@ -288,6 +297,45 @@ def test_cli_dirichlet_interval(tmp_path, capsys):
     assert out["multiplicity_of_lambda_k"] == 3
     assert len(out["dirichlet_eigenvalues"]) == 7
     assert out["simple"] is True
+
+
+def test_cli_dirichlet_matches_the_limit_graph_oracle(tmp_path, capsys):
+    # The command reads the limit off L + P; the oracle's subdivision graph
+    # at sigma = infinity, restricted to the base vertices, gives the same
+    # spectrum and components.
+    path = tmp_path / "g75.json"
+    main(["generate", "--family", "grid", "--params", "7,5", "-o", str(path)])
+    assert main(["dirichlet", "--graph", str(path), "--k", "5"]) == 0
+    out = json.loads(capsys.readouterr().out.strip())
+    g, _ = fileio.load_graph(path)
+    sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
+    n_lim, edges, diag = limit_graph(g.n, g.edges, sel.psi, g.diag_extra)
+    L = (dense_laplacian(n_lim, edges) + np.diag(diag))[: g.n, : g.n]
+    ref = np.linalg.eigvalsh(L)
+    assert np.max(np.abs(np.array(out["dirichlet_eigenvalues"]) - ref)) < 1e-12
+    inside = [(i, j, w) for i, j, w in edges if j < g.n]
+    assert out["d_connected_components"] == flood_fill_nodal_count(g.n, inside, sel.psi) == 3
+    assert out["multiplicity_of_lambda_k"] == 3
+
+
+def _parser_long_options():
+    """Every long option of the CLI's subcommands but --help."""
+    ap = cli._build_parser()
+    (sub,) = (a for a in ap._actions if a.dest == "command")
+    return {
+        opt for p in sub.choices.values() for a in p._actions
+        for opt in a.option_strings if opt.startswith("--") and opt != "--help"
+    }
+
+
+def test_readme_names_every_cli_flag_and_no_other():
+    text = README.read_text()
+    options = _parser_long_options()
+    assert {"--graph", "--k", "--method", "--steps", "--plot"} <= options
+    assert not [o for o in sorted(options) if o not in text]
+    # pip's flag on the install lines is the one that is not the CLI's.
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", text)) - {"--no-build-isolation"}
+    assert named <= options, sorted(named - options)
 
 
 def test_cli_subprocess_byte_identical_flow(tmp_path):

@@ -11,14 +11,22 @@ from nodalflow.dirichlet import (
 from nodalflow.edge_flow import build_perturbation, flow_matrix, sign_preserving_graph
 from nodalflow.errors import EmptyInterior, NotAComponent
 from nodalflow.families import generate_connected_er, grid, interval, petersen
-from nodalflow.graph_core import laplacian
+from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import nodal_decomposition, select_eigenpair
 from nodalflow.spectra import eigendecompose, multiplicity_of
-from nodalflow.vertex_flow import limit_graph, restrict_eigenvector
+from nodalflow.vertex_flow import restrict_eigenvector
+
+from _oracles import limit_graph
 
 
 def select(g, k):
     return select_eigenpair(eigendecompose(laplacian(g)), k)
+
+
+def limit_of(g, sel):
+    """The oracle's sigma -> infinity subdivision of g along sel's
+    sign-change edges."""
+    return WeightedGraph(*limit_graph(g.n, g.edges, sel.psi, g.diag_extra))
 
 
 def test_dirichlet_problem_path_interior():
@@ -48,6 +56,17 @@ def test_dirichlet_problem_validation():
         d_connected_components(g, ())
 
 
+@pytest.mark.parametrize("interior", [(-1, 0), (0, 99)], ids=["negative", "past-n"])
+def test_interior_out_of_range_is_refused_alike(interior):
+    # A negative index must not wrap into the component labels, and one past
+    # n must not fail with a bare IndexError: every Dirichlet entry point
+    # refuses both as dirichlet_problem does.
+    g = grid(4, 3)
+    for f in (dirichlet_problem, d_connected_components, component_first_eigenpairs):
+        with pytest.raises(ValueError, match="interior vertices out of range for n=12"):
+            f(g, interior)
+
+
 def test_d_connected_components_split_interior():
     g = interval(7)
     # Removing vertex 3 from the interior splits the path in two.
@@ -58,8 +77,7 @@ def test_d_connected_components_split_interior():
 def test_d_components_of_limit_graph_are_strong_domains():
     for g, k in ((interval(7), 3), (petersen(7, 3), 7)):
         sel = select(g, k)
-        pert = build_perturbation(g, sel)
-        comps = d_connected_components(limit_graph(g, pert), range(g.n))
+        comps = d_connected_components(limit_of(g, sel), range(g.n))
         nd = nodal_decomposition(g, sel)
         assert comps == nd.strong_domains
 
@@ -70,8 +88,7 @@ def test_dirichlet_matrix_of_limit_base_matches_sigma_one_flow():
     for g, k in ((interval(4), 2), (petersen(7, 3), 7), (grid(7, 5), 5), (er, 20)):
         sel = select(g, k)
         pert = build_perturbation(g, sel)
-        pert = build_perturbation(g, sel)
-        dp = dirichlet_problem(limit_graph(g, pert), range(g.n))
+        dp = dirichlet_problem(limit_of(g, sel), range(g.n))
         L1 = laplacian(sign_preserving_graph(g, pert)).matrix
         np.testing.assert_allclose(dp.matrix, L1, atol=1e-12)
         np.testing.assert_allclose(dp.matrix, flow_matrix(pert, 1.0).matrix, atol=1e-12)
@@ -80,8 +97,7 @@ def test_dirichlet_matrix_of_limit_base_matches_sigma_one_flow():
 def test_lambda_k_multiplicity_in_dirichlet_spectrum():
     g = interval(7)
     sel = select(g, 3)
-    pert = build_perturbation(g, sel)
-    spec = dirichlet_spectrum(dirichlet_problem(limit_graph(g, pert), range(g.n)))
+    spec = dirichlet_spectrum(dirichlet_problem(limit_of(g, sel), range(g.n)))
     assert multiplicity_of(spec, sel.lambda_k) == 3
     np.testing.assert_allclose(spec.eigenvalues[:3], sel.lambda_k, atol=1e-10)
 
@@ -89,8 +105,7 @@ def test_lambda_k_multiplicity_in_dirichlet_spectrum():
 def test_component_first_eigenpairs_golden():
     for g, k, nu in ((interval(7), 3, 3), (petersen(7, 3), 7, 3)):
         sel = select(g, k)
-        pert = build_perturbation(g, sel)
-        reports = component_first_eigenpairs(limit_graph(g, pert), range(g.n))
+        reports = component_first_eigenpairs(limit_of(g, sel), range(g.n))
         assert len(reports) == nu
         for rep in reports:
             assert rep.simple
@@ -102,7 +117,7 @@ def test_restricted_eigenvector_satisfies_dirichlet_equation():
     g = petersen(7, 3)
     sel = select(g, 7)
     pert = build_perturbation(g, sel)
-    lim = limit_graph(g, pert)
+    lim = limit_of(g, sel)
     for comp in d_connected_components(lim, range(g.n)):
         restricted = restrict_eigenvector(g, pert, np.asarray(sel.psi), comp)
         dp = dirichlet_problem(lim, comp)

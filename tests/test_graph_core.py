@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodalflow.dirichlet import component_first_eigenpairs, dirichlet_problem
-from nodalflow.edge_flow import build_perturbation, run_edge_flow
+from nodalflow.edge_flow import build_perturbation, run_edge_flow, sign_preserving_graph
 from nodalflow.errors import NotConnected
 from nodalflow.families import grid_eigenvector_oracle, interval
 from nodalflow.graph_core import (
@@ -19,7 +19,6 @@ from nodalflow.graph_core import (
 )
 from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import eigendecompose
-from nodalflow.vertex_flow import limit_graph
 
 from _oracles import dense_laplacian
 
@@ -113,7 +112,7 @@ def records():
     spec = eigendecompose(laplacian(g))
     sel = select_eigenpair(spec, 2)
     pert = build_perturbation(g, sel)
-    lim, base = limit_graph(g, pert), range(g.n)
+    lim, base = sign_preserving_graph(g, pert), range(g.n)
     made = (
         laplacian(g), spec, sel, pert, run_edge_flow(g, sel, steps=5),
         dirichlet_problem(lim, base), component_first_eigenpairs(lim, base)[0],

@@ -386,9 +386,13 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     bisection = [s for s in solves if s[2]]
     assert bisection
     assert set(bisection) == {(vertex_flow.__name__, False, True, g.n)}
-    # The certificate's Dirichlet solve is edge_flow's limit_multiplicity.
+    # The certificate's Dirichlet solve is edge_flow's limit_multiplicity,
+    # and the count that picks the flow's end is one more on the Schur
+    # complement.
     rest = [s for s in solves if s not in tracked and s not in bisection]
-    assert rest == [(edge_flow.__name__, False, False, g.n)]
+    assert rest == [
+        (edge_flow.__name__, False, False, g.n), (vertex_flow.__name__, False, False, g.n)
+    ]
 
     solves.clear()
     nodal_count_direct(g, sel)

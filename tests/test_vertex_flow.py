@@ -20,11 +20,10 @@ from nodalflow.vertex_flow import (
     extension_coefficients,
     ghost_schur_count,
     graph_at,
-    limit_graph,
     run_vertex_flow,
 )
 
-from _oracles import count_below_by_ghost_schur
+from _oracles import count_below_by_ghost_schur, limit_graph
 
 
 def select(g, k):
@@ -44,10 +43,12 @@ def test_subdivide_structure_path():
 
 
 def test_limit_graph_keeps_the_sign_preserving_edges():
+    # The oracle's sigma -> infinity subdivision keeps exactly the edges of
+    # the package's sign-preserving graph, and adds one ghost per cut edge.
     g = grid(7, 5)
     sel = select(g, 5)
     pert = build_perturbation(g, sel)
-    lim = limit_graph(g, pert)
+    lim = WeightedGraph(*limit_graph(g.n, g.edges, sel.psi, g.diag_extra))
     kept = tuple(e for e in lim.edges if e[1] < g.n)
     assert kept == sign_preserving_graph(g, pert).edges
     n_sign_change = len(nodal_decomposition(g, sel).sign_change_edges)
@@ -108,14 +109,21 @@ def test_graph_at_weight_schedule():
 
 
 def test_limit_graph_full_ghost_weights():
+    # The ghost half-edges of the oracle's limit graph carry the record's
+    # half-weights in full, and its Laplacian on the base is L + P.
     g = interval(4)
-    pert = build_perturbation(g, select(g, 2))
+    sel = select(g, 2)
+    pert = build_perturbation(g, sel)
     (q_ij,), (q_ji,) = pert.q_ij, pert.q_ji
-    gl = limit_graph(g, pert)
+    gl = WeightedGraph(*limit_graph(g.n, g.edges, sel.psi, g.diag_extra))
     weights = {(a, b): ww for a, b, ww in gl.edges}
     assert (1, 2) not in weights
     assert weights[(1, 4)] == pytest.approx(1.0 + q_ji)
     assert weights[(2, 4)] == pytest.approx(1.0 + q_ij)
+    (at_i,), (at_j,) = pert.half_weights
+    assert (weights[(1, 4)], weights[(2, 4)]) == pytest.approx((at_i, at_j), rel=1e-14)
+    L_lim = laplacian(gl).matrix[: g.n, : g.n]
+    np.testing.assert_allclose(L_lim, flow_matrix(pert, 1.0).matrix, atol=1e-14)
 
 
 def test_extension_coefficients_sum_to_one():
@@ -270,13 +278,17 @@ def test_run_vertex_flow_complete_degenerate():
     ],
     ids=["grid7x5-k5-1", "interval7-k7-1", "petersen-k7-1e3", "petersen-k7-1e2"],
 )
-def test_run_vertex_flow_certificate_at_small_sigma_max(g, k, sigma_max, nu):
+def test_run_vertex_flow_certificate_at_small_sigma_max(monkeypatch, g, k, sigma_max, nu):
+    # With sigma_max the only end on offer, the flow ends there whatever
+    # the count says, and the certificate judges what it reached.
+    monkeypatch.setattr(vertex_flow, "SIGMA_ENDS", (sigma_max,))
     sel = select(g, k)
     if sel.simple and nu is None:
         with pytest.raises(FlowConsistencyError, match="vertex certificate failed"):
-            run_vertex_flow(g, sel, sigma_max=sigma_max, steps=60)
+            run_vertex_flow(g, sel, steps=60)
         return
-    fr = run_vertex_flow(g, sel, sigma_max=sigma_max, steps=60, allow_degenerate=True)
+    fr = run_vertex_flow(g, sel, steps=60, allow_degenerate=True)
+    assert fr.sigma_grid[-1] == pytest.approx(sigma_max)
     if nu is None:
         assert fr.count_identity_ok is False
         assert any(w.startswith("vertex certificate failed") for w in fr.warnings)
@@ -287,11 +299,33 @@ def test_run_vertex_flow_certificate_at_small_sigma_max(g, k, sigma_max, nu):
         assert not any(w.startswith("vertex certificate") for w in fr.warnings)
 
 
+# Simple, nowhere-zero ER(20) flows at steps=40 whose branches bound for
+# Dirichlet eigenvalues just above lambda_k pass it only past sigma = 1e4,
+# with the end each one needs. Seeds 305 and 306 at p = 0.2 draw the same
+# connected graph.
+LATE_ENDS = [(0.2, 305, 17, 1e6), (0.2, 306, 17, 1e6), (0.3, 303, 20, 1e5),
+             (0.3, 304, 19, 1e5), (0.3, 305, 20, 1e5), (0.3, 306, 20, 1e5)]
+LATE_END_IDS = [f"er20-p{p}-s{seed}-k{k}" for p, seed, k, _ in LATE_ENDS]
+
+
+@pytest.mark.parametrize("p, seed, k, end", LATE_ENDS, ids=LATE_END_IDS)
+def test_run_vertex_flow_ends_by_its_count(p, seed, k, end):
+    # Each flow ends at the first of SIGMA_ENDS where the ghost Schur count
+    # is down to the Dirichlet multiplicity, and certifies there.
+    g = generate_connected_er(20, p, seed).graph
+    sel = select(g, k)
+    assert sel.simple and sel.nowhere_zero
+    fr = run_vertex_flow(g, sel, steps=40)
+    assert fr.sigma_grid[-1] == pytest.approx(end, rel=1e-12)
+    assert fr.count_identity_ok is True
+    assert fr.converged_count == nodal_decomposition(g, sel).nu
+
+
 def test_vertex_certificate_reads_the_limit_off_the_edge_flow_record(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the vertex flow rebuilt the limit graph")
+        raise AssertionError("the vertex flow built a subdivision graph")
 
-    monkeypatch.setattr(vertex_flow, "limit_graph", refuse)
+    monkeypatch.setattr(vertex_flow, "graph_at", refuse)
     monkeypatch.setattr(dirichlet, "dirichlet_problem", refuse)
     g = grid(4, 3)
     sel = select(g, 5)
@@ -302,7 +336,7 @@ def test_vertex_certificate_reads_the_limit_off_the_edge_flow_record(monkeypatch
 
 def test_run_vertex_flow_needs_two_steps():
     # One log-spaced point would stop the flow at sigma = 1e-3, short of
-    # sigma_max, and report a wrong converged count.
+    # its end, and report a wrong converged count.
     g = grid(7, 5)
     sel = select(g, 5)
     for steps in (1, 0):
@@ -322,6 +356,20 @@ def _threshold(pert, sel):
     start = np.linalg.eigvalsh(bilinear_matrix(pert, 0.0).matrix)
     lam = sel.lambda_k
     return lam + COUNT_TOL_REL * max(1.0, abs(lam), float(np.max(np.abs(start))))
+
+
+def _assert_brackets_hold_a_fall(g, sel, fr):
+    """Across every bracket of the vertex flow fr, the oracle's count of
+    eigenvalues of B(sigma) below track_branches' threshold falls by at
+    least the number of crossings reported in it."""
+    pert = build_perturbation(g, sel)
+    t = _threshold(pert, sel)
+    for (lo, hi), shared in Counter((c.sigma_lo, c.sigma_hi) for c in fr.crossings).items():
+        at_lo, at_hi = (
+            count_below_by_ghost_schur(bilinear_matrix(pert, s).matrix, g.n, t)
+            for s in (lo, hi)
+        )
+        assert at_lo - at_hi >= shared, (lo, hi, at_lo, at_hi, shared)
 
 
 @pytest.mark.parametrize(
@@ -413,16 +461,31 @@ def test_vertex_flow_brackets_hold_a_fall_of_the_ghost_schur_count(g, k, steps):
     # of crossings reported in it.
     sel = select(g, k)
     fr = run_vertex_flow(g, sel, steps=steps)
-    pert = build_perturbation(g, sel)
-    t = _threshold(pert, sel)
-    cells = Counter((c.sigma_lo, c.sigma_hi) for c in fr.crossings)
-    assert cells
-    for (lo, hi), shared in cells.items():
-        at_lo, at_hi = (
-            count_below_by_ghost_schur(bilinear_matrix(pert, s).matrix, g.n, t)
-            for s in (lo, hi)
+    assert fr.crossings
+    _assert_brackets_hold_a_fall(g, sel, fr)
+
+
+@pytest.mark.parametrize(
+    "p, seed, k",
+    [
+        pytest.param(
+            p, seed, k,
+            marks=[pytest.mark.xfail(strict=True, raises=AssertionError)] if p == 0.2 else [],
         )
-        assert at_lo - at_hi >= shared, (lo, hi, at_lo, at_hi, shared)
+        for p, seed, k, _ in LATE_ENDS
+    ],
+    ids=LATE_END_IDS,
+)
+def test_late_end_brackets_hold_a_fall(p, seed, k):
+    # The oracle check of the flows that end past 1e4. On p = 0.2, near
+    # sigma = 1.9e5 and 1.98e5, the crossing branches rise about 6e-10 per
+    # unit sigma, so the count's rounding blurs where they pass t over about
+    # 1e-4 in sigma. Both brackets miss the fall: a 40-digit count of
+    # [197993.7344822, 197993.7344828] reads 9 at both ends and puts the
+    # fall 4e-5 lower, and the oracle reads no fall in either.
+    g = generate_connected_er(20, p, seed).graph
+    sel = select(g, k)
+    _assert_brackets_hold_a_fall(g, sel, run_vertex_flow(g, sel, steps=40))
 
 
 def test_check_edge_equivalence_small():
