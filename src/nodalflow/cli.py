@@ -18,33 +18,23 @@ from .edge_flow import sign_preserving_graph
 from .errors import AssumptionViolated, NodalFlowError
 from .families import FamilySpec, generate
 from .graph_core import WeightedGraph, connected_components, laplacian
-from .nodal import edge_signs, select_eigenpair, strong_domains_allowing_zeros, zero_vertices
+from .nodal import EigenSelection, edge_signs, select_eigenpair, strong_domains_allowing_zeros
+from .nodal import zero_vertices
 from .spectra import eigendecompose, multiplicity_of
 from .vertex_flow import run_vertex_flow
 
 _FAMILY_ALIASES = {"er": "erdos_renyi"}
 
 
-def _row_for_k(g: WeightedGraph, spectrum, k: int) -> dict:
-    """One scan/nodal row from the spectrum of g's Laplacian. Rows
-    violating an assumption still carry a count: degenerate rows use the
-    multiplicity identity, zero-vertex rows the zero-tolerant combinatorial
-    count."""
+def _count_for_k(g: WeightedGraph, spectrum, k: int) -> tuple[EigenSelection, int]:
+    """The selection at k from the spectrum of g's Laplacian and its strong
+    nodal domain count. Selections violating an assumption still get a
+    count: degenerate ones by the multiplicity identity, zero-vertex ones
+    by the zero-tolerant combinatorial count."""
     sel = select_eigenpair(spectrum, k)
     if sel.nowhere_zero:
-        nu = nodal_count_direct(g, sel, allow_degenerate=True).nu
-    else:
-        nu = len(strong_domains_allowing_zeros(g, sel.psi)[0])
-    return {
-        "k": sel.k,
-        "requested_k": k,
-        "lambda_k": sel.lambda_k,
-        "nu": nu,
-        "deficiency": sel.k - nu,
-        "n_sign_change_edges": int(np.count_nonzero(edge_signs(g, sel.psi) < 0)),
-        "simple": sel.simple,
-        "nowhere_zero": sel.nowhere_zero,
-    }
+        return sel, nodal_count_direct(g, sel, allow_degenerate=True).nu
+    return sel, len(strong_domains_allowing_zeros(g, sel.psi)[0])
 
 
 def _cmd_generate(args) -> int:
@@ -65,10 +55,18 @@ def _cmd_generate(args) -> int:
 
 def _cmd_nodal(args) -> int:
     g, _ = fileio.load_graph(args.graph)
-    row = _row_for_k(g, eigendecompose(laplacian(g)), args.k)
-    del row["requested_k"]
+    sel, nu = _count_for_k(g, eigendecompose(laplacian(g)), args.k)
+    row = {
+        "k": sel.k,
+        "lambda_k": sel.lambda_k,
+        "nu": nu,
+        "deficiency": sel.k - nu,
+        "n_sign_change_edges": int(np.count_nonzero(edge_signs(g, sel.psi) < 0)),
+        "simple": sel.simple,
+        "nowhere_zero": sel.nowhere_zero,
+    }
     print(fileio.canonical_json(row))
-    return 0 if row["simple"] and row["nowhere_zero"] else 3
+    return 0 if sel.simple and sel.nowhere_zero else 3
 
 
 def _cmd_flow(args) -> int:
@@ -113,20 +111,20 @@ def _cmd_flow(args) -> int:
 def _cmd_scan(args) -> int:
     g, _ = fileio.load_graph(args.graph)
     spectrum = eigendecompose(laplacian(g))
-    rows = [_row_for_k(g, spectrum, k) for k in range(1, g.n + 1)]
+    counts = [_count_for_k(g, spectrum, k) for k in range(1, g.n + 1)]
     print("k,lambda_k,nu,deficiency,simple,nowhere_zero,group")
-    for row in rows:
+    for sel, nu in counts:
         print(
-            f"{row['requested_k']},{fileio.format_float(row['lambda_k'])},"
-            f"{row['nu']},{row['deficiency']},"
-            f"{str(row['simple']).lower()},{str(row['nowhere_zero']).lower()},"
-            f"{row['k']}"
+            f"{sel.requested_k},{fileio.format_float(sel.lambda_k)},"
+            f"{nu},{sel.k - nu},"
+            f"{str(sel.simple).lower()},{str(sel.nowhere_zero).lower()},"
+            f"{sel.k}"
         )
     if args.plot:
         plot_rows = [
-            {"k": r["requested_k"], "nu": r["nu"], "simple": r["simple"],
-             "nowhere_zero": r["nowhere_zero"]}
-            for r in rows
+            {"k": sel.requested_k, "nu": nu, "simple": sel.simple,
+             "nowhere_zero": sel.nowhere_zero}
+            for sel, nu in counts
         ]
         fileio.write_text(args.plot, svg.scan_scatter_svg(plot_rows))
     return 0

@@ -84,10 +84,23 @@ def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
     return LaplacianMatrix(pert.laplacian + sigma * pert.matrix)
 
 
-def limit_multiplicity(pert: EdgePerturbation, lambda_k: float) -> int:
+def limit_multiplicity(pert: EdgePerturbation, sel: EigenSelection) -> int:
     """Multiplicity of lambda_k in L + P, where both flows end (the vertex
-    flow's Dirichlet limit on the base), by one values-only solve."""
-    return multiplicity_of(eigendecompose(flow_matrix(pert, 1.0), vectors=False), lambda_k)
+    flow's Dirichlet limit on the base), pert being built from sel.
+
+    L + P is block diagonal over psi's two sign classes: a sign-change edge
+    has entry -w + 1.0 * w = 0.0 exactly, and every other edge joins one
+    class. So the count is summed over the two diagonal blocks, one
+    values-only solve each on the full matrix's bits. A class is empty only
+    where psi has one sign (k = 1), and is not solved.
+    """
+    M, positive = flow_matrix(pert, 1.0).matrix, sel.psi > 0
+    nu = 0
+    for S in (np.flatnonzero(positive), np.flatnonzero(~positive)):
+        if len(S):
+            block = LaplacianMatrix(M[S][:, S])
+            nu += multiplicity_of(eigendecompose(block, vectors=False), sel.lambda_k)
+    return nu
 
 
 def sign_preserving_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedGraph:
@@ -122,11 +135,12 @@ def nodal_count_direct(
 ) -> DirectCount:
     """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed.
 
-    One values-only eigensolve (limit_multiplicity); L is the Laplacian g
-    keeps, so counting many eigenpairs of one graph assembles it once.
+    One values-only eigensolve per sign class of psi, on its block of L + P
+    (limit_multiplicity); L is the Laplacian g keeps, so counting many
+    eigenpairs of one graph assembles it once.
     """
     sel.check_assumptions(allow_degenerate)
-    nu = limit_multiplicity(build_perturbation(g, sel), sel.lambda_k)
+    nu = limit_multiplicity(build_perturbation(g, sel), sel)
     return DirectCount(
         k=sel.k,
         lambda_k=sel.lambda_k,

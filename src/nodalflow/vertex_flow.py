@@ -226,10 +226,10 @@ def run_vertex_flow(
     to the end (one point would stop the flow at 1e-3). Branches never
     decrease and lambda_k is the lowest eigenvalue of the sigma = infinity
     Dirichlet problem, of multiplicity nu_D (limit_multiplicity, read off
-    L + P, where both flows end). The end is the first of SIGMA_ENDS where
-    ghost_schur_count finds at most nu_D eigenvalues at or below lambda_k
-    plus its group tolerance, else the last; converged_count counts the
-    branches at or below lambda_k there. The certificate (count_identity_ok,
+    psi's two sign-class blocks of L + P, where both flows end). The end is
+    the first of SIGMA_ENDS where ghost_schur_count finds at most nu_D
+    eigenvalues at or below lambda_k plus its group tolerance, else the
+    last; converged_count counts the branches at or below lambda_k there. The certificate (count_identity_ok,
     EigenSelection.certify) asks that it equal nu_D and that converged +
     crossings = k + ghosts (the k lowest of L and one zero per ghost start
     at or below lambda_k, and each crosses it or converges to it); a branch
@@ -239,7 +239,7 @@ def run_vertex_flow(
     check_steps(steps)
     warnings = sel.check_assumptions(allow_degenerate)
     pert = build_perturbation(g, sel)
-    nu_d = limit_multiplicity(pert, sel.lambda_k)
+    nu_d = limit_multiplicity(pert, sel)
     count = ghost_schur_count(pert, sel.psi)
     top = sel.lambda_k + group_tolerance(sel.lambda_k)
     end = next((s for s in SIGMA_ENDS if count(s, top) <= nu_d), SIGMA_ENDS[-1])

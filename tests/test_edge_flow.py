@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalflow import edge_flow
 from nodalflow.cli import main
@@ -11,6 +13,7 @@ from nodalflow.edge_flow import (
     build_perturbation,
     derivative_identity_check,
     flow_matrix,
+    limit_multiplicity,
     nodal_count_direct,
     run_edge_flow,
     sign_preserving_graph,
@@ -20,7 +23,7 @@ from nodalflow.families import complete, generate_connected_er, grid, interval, 
 from nodalflow.fileio import save_graph
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import perturb_to_nonzero, select_eigenpair
-from nodalflow.spectra import eigendecompose
+from nodalflow.spectra import eigendecompose, multiplicity_of
 
 
 def select(g, k):
@@ -128,6 +131,68 @@ def test_nodal_count_direct_interval_tree_deficiency_zero():
             selp = select_eigenpair(specp, k)
             assert selp.nowhere_zero
             assert nodal_count_direct(gp, selp).deficiency == 0
+
+
+@st.composite
+def spread_weighted_graphs(draw):
+    """A connected graph on 3-12 vertices: a random spanning tree plus extra
+    edges, weights 10^x for x in [-3, 3] (ratios up to 1e6), and a diagonal
+    that is zero or of the weights' spread at each vertex."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    parents = [draw(st.integers(min_value=0, max_value=v - 1)) for v in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+    edges = sorted({(p, v) for v, p in enumerate(parents, start=1)} | set(extra))
+    exponent = st.floats(min_value=-3.0, max_value=3.0)
+    weights = [10.0 ** draw(exponent) for _ in edges]
+    diag = [draw(st.sampled_from([0.0, 10.0 ** draw(exponent)])) for _ in range(n)]
+    return WeightedGraph(n, tuple((i, j, w) for (i, j), w in zip(edges, weights)), diag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spread_weighted_graphs())
+def test_limit_multiplicity_counts_on_the_sign_blocks(g):
+    # L + P is exactly block diagonal over psi's sign classes, so the count
+    # on the two blocks equals the count on the whole matrix, at every index
+    # with a nowhere-zero psi, degenerate or not.
+    spectrum = eigendecompose(laplacian(g))
+    for k in range(1, g.n + 1):
+        sel = select_eigenpair(spectrum, k)
+        if not sel.nowhere_zero:
+            continue
+        pert = build_perturbation(g, sel)
+        M = flow_matrix(pert, 1.0).matrix
+        positive = sel.psi > 0
+        assert np.all(M[np.ix_(positive, ~positive)] == 0.0)
+        whole = eigendecompose(M, vectors=False)
+        assert limit_multiplicity(pert, sel) == multiplicity_of(whole, sel.lambda_k)
+
+
+@pytest.mark.parametrize(
+    "g,k,nu",
+    [
+        (grid(7, 5), 5, 3), (petersen(7, 3), 7, 3), (interval(6), 4, 4), (complete(5), 2, 2),
+        (grid(4, 3), 1, 1), (WeightedGraph(3, ((0, 1, 2.0), (1, 2, 5.0)), (0.5, 0.0, 3.0)), 1, 1),
+    ],
+    ids=["grid75-k5", "petersen-k7", "path6-k4", "k5-k2", "grid43-k1", "path3-diag-k1"],
+)
+def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu):
+    # One values-only solve per non-empty sign class, of that class's size,
+    # and the count is the strong nodal domain count. At k = 1 psi has one
+    # sign, so there is exactly one solve, of size n.
+    sel = select(g, k)
+    pert = build_perturbation(g, sel)
+    sizes, solve = [], edge_flow.eigendecompose
+
+    def recorded(M, **kwargs):
+        sizes.append((len(M.matrix), kwargs.get("vectors", True)))
+        return solve(M, **kwargs)
+
+    monkeypatch.setattr(edge_flow, "eigendecompose", recorded)
+    assert limit_multiplicity(pert, sel) == nu
+    classes = [int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))]
+    assert sizes == [(size, False) for size in classes if size]
+    assert len(sizes) == (1 if k == 1 else 2)
 
 
 def test_run_edge_flow_interval_no_crossings():

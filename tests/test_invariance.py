@@ -13,8 +13,10 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from nodalflow.edge_flow import run_edge_flow
+from nodalflow.edge_flow import nodal_count_direct, run_edge_flow
 from nodalflow.families import generate_connected_er, grid
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import select_eigenpair
@@ -64,3 +66,29 @@ def test_flows_are_invariant_under_relabelling_and_scaling(case, c):
     assert len(vertex.crossings) == len(vertex0.crossings)
     if c == 1.0:
         assert _brackets(vertex) == _brackets(vertex0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=5, max_value=14),
+    p=st.sampled_from([0.2, 0.3, 0.5]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    k=st.integers(min_value=1, max_value=14),
+    c=st.floats(min_value=1e-3, max_value=1e3),
+)
+@example(n=11, p=0.3, seed=42, k=3, c=1e-3).xfail(
+    raises=AssertionError,
+    reason="a Dirichlet value 4.1e-6 above lambda_3 falls inside group_tolerance's"
+    " absolute floor of 1e-8 once the weights are scaled by 1e-3",
+)
+def test_direct_count_is_invariant_under_relabelling_and_scaling(n, p, seed, k, c):
+    # A simple lambda_k fixes psi up to sign, so relabelling permutes it and
+    # scaling leaves it; nu is the multiplicity of lambda_k (times c) in
+    # L + P (times c).
+    g = generate_connected_er(n, p, seed).graph
+    sel = select_eigenpair(eigendecompose(laplacian(g)), min(k, n))
+    assume(sel.simple and sel.nowhere_zero)
+    h = _relabelled_scaled(g, seed, c)
+    moved = select_eigenpair(eigendecompose(laplacian(h)), min(k, n))
+    assert moved.simple and moved.nowhere_zero
+    assert nodal_count_direct(h, moved).nu == nodal_count_direct(g, sel).nu

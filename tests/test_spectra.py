@@ -387,16 +387,17 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     assert bisection
     assert set(bisection) == {(vertex_flow.__name__, False, True, g.n)}
     # The certificate's Dirichlet solve is edge_flow's limit_multiplicity,
-    # and the count that picks the flow's end is one more on the Schur
-    # complement.
+    # one solve on each sign class's block of L + P, and the count that
+    # picks the flow's end is one more on the Schur complement.
+    classes = [int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))]
+    assert all(classes) and sum(classes) == g.n
+    limit = [(edge_flow.__name__, False, False, size) for size in classes]
     rest = [s for s in solves if s not in tracked and s not in bisection]
-    assert rest == [
-        (edge_flow.__name__, False, False, g.n), (vertex_flow.__name__, False, False, g.n)
-    ]
+    assert rest == limit + [(vertex_flow.__name__, False, False, g.n)]
 
     solves.clear()
     nodal_count_direct(g, sel)
-    assert solves == [(edge_flow.__name__, False, False, g.n)]
+    assert solves == limit
 
 
 def test_crossing_bisection_never_clusters(monkeypatch):
@@ -498,5 +499,5 @@ def test_only_tracked_grid_points_use_divide_and_conquer(monkeypatch, tmp_path):
     assert any(s[4] for s in others)
     assert sum(s[0] == spectra_name and not s[3] for s in others) == 3
     # The vertex certificate's Dirichlet solve and nodal_count_direct, both
-    # limit_multiplicity.
-    assert others.count((edge_flow.__name__, None, False, False, False)) == 2
+    # limit_multiplicity, one solve per sign class of psi.
+    assert others.count((edge_flow.__name__, None, False, False, False)) == 4
