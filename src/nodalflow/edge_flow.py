@@ -9,6 +9,7 @@ the multiplicity of lambda_k equals the strong nodal domain count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -20,16 +21,20 @@ from .spectra import (
     derivative_residual,
     eigendecompose,
     group_tolerance,
+    inertia_resolves,
     multiplicity_of,
     track_branches,
+    window_count,
 )
 
 
 @dataclass(frozen=True)
 class EdgePerturbation:
-    """psi's sign-change edges i < j with weight w, in edge order, and the
-    fixed terms of both flows: P (matrix), L (laplacian) and the vertex
-    flow's ghost half-edges (half_weights). Both flows end at L + P.
+    """psi's sign-change edges i < j with weight w, in edge order, their
+    ratios, and L (laplacian), the graph's own Laplacian. The record keeps
+    only these arrays; the fixed terms derived from them, P (matrix) and
+    its diagonal, and the vertex flow's ghost half-edges (half_weights),
+    are computed when read. Both flows end at L + P.
 
     q_ij = -psi_i / psi_j is positive exactly because the edge changes sign;
     q_ij * q_ji = 1, so each edge's block of P is PSD of rank 1 with kernel
@@ -41,11 +46,31 @@ class EdgePerturbation:
     w: np.ndarray
     q_ij: np.ndarray
     q_ji: np.ndarray
-    matrix: np.ndarray
     laplacian: np.ndarray
 
     def __post_init__(self):
-        freeze_arrays(self, "i", "j", "w", "q_ij", "q_ji", "matrix", "laplacian")
+        freeze_arrays(self, "i", "j", "w", "q_ij", "q_ji", "laplacian")
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """P's diagonal, read-only: w q_ji at i and w q_ij at j, summed in
+        edge order, i before j, as a loop over the edges would sum them, so
+        every bit of the result is reproducible."""
+        ends = np.column_stack((self.i, self.j)).ravel()
+        terms = np.column_stack((self.w * self.q_ji, self.w * self.q_ij)).ravel()
+        diag = np.bincount(ends, terms, len(self.laplacian))
+        diag.setflags(write=False)
+        return diag
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """P, read-only and assembled on first read: w at (i, j) and (j, i)
+        and the diagonal above."""
+        P = np.zeros_like(self.laplacian)
+        P[self.i, self.j] = P[self.j, self.i] = self.w
+        P[np.diag_indices(len(P))] = self.diagonal
+        P.setflags(write=False)
+        return P
 
     @property
     def half_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -55,19 +80,13 @@ class EdgePerturbation:
 
 
 def build_perturbation(g: WeightedGraph, sel: EigenSelection) -> EdgePerturbation:
-    """Select the sign-change edges of the selected eigenvector, compute
-    their ratios and assemble P from them; L is g's own Laplacian."""
+    """Select the sign-change edges of the selected eigenvector and compute
+    their ratios; L is g's own Laplacian. Nothing n x n is built: P is
+    assembled only where a flow reads it (EdgePerturbation.matrix)."""
     psi = sel.psi
     cut = sign_change_mask(g, psi)
     i, j, w = (a[cut] for a in g.edge_arrays)
-    q_ij, q_ji = -psi[i] / psi[j], -psi[j] / psi[i]
-    P = np.zeros((g.n, g.n))
-    P[i, j] = P[j, i] = w
-    # Diagonal terms are summed in edge order, i before j, as a loop over the
-    # edges would sum them, so every bit of the result is reproducible.
-    diag = np.column_stack((w * q_ji, w * q_ij)).ravel()
-    P[np.diag_indices(g.n)] = np.bincount(np.column_stack((i, j)).ravel(), diag, g.n)
-    return EdgePerturbation(i, j, w, q_ij, q_ji, P, laplacian(g).matrix)
+    return EdgePerturbation(i, j, w, -psi[i] / psi[j], -psi[j] / psi[i], laplacian(g).matrix)
 
 
 def check_steps(steps: int) -> None:
@@ -90,16 +109,24 @@ def limit_multiplicity(pert: EdgePerturbation, sel: EigenSelection) -> int:
 
     L + P is block diagonal over psi's two sign classes: a sign-change edge
     has entry -w + 1.0 * w = 0.0 exactly, and every other edge joins one
-    class. So the count is summed over the two diagonal blocks, one
-    values-only solve each on the full matrix's bits. A class is empty only
-    where psi has one sign (k = 1), and is not solved.
+    class. Within a class P is diagonal, so a block is L's block plus P's
+    diagonal there, bit for bit, and L + P is never built. Each block is
+    counted by window_count (inertia, no eigensolve), or by a values-only
+    solve where its window is below rounding (inertia_resolves). A class is
+    empty only where psi has one sign (k = 1), and is skipped.
     """
-    M, positive = flow_matrix(pert, 1.0).matrix, sel.psi > 0
+    L, diagonal, lam = pert.laplacian, pert.diagonal, sel.lambda_k
+    positive = sel.psi > 0
     nu = 0
     for S in (np.flatnonzero(positive), np.flatnonzero(~positive)):
         if len(S):
-            block = LaplacianMatrix(M[S][:, S])
-            nu += multiplicity_of(eigendecompose(block, vectors=False), sel.lambda_k)
+            block = L[S][:, S]
+            block[np.diag_indices(len(S))] += diagonal[S]
+            block = LaplacianMatrix(block)
+            if inertia_resolves(block, lam):
+                nu += window_count(block, lam)
+            else:
+                nu += multiplicity_of(eigendecompose(block, vectors=False), lam)
     return nu
 
 
@@ -135,9 +162,10 @@ def nodal_count_direct(
 ) -> DirectCount:
     """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed.
 
-    One values-only eigensolve per sign class of psi, on its block of L + P
-    (limit_multiplicity); L is the Laplacian g keeps, so counting many
-    eigenpairs of one graph assembles it once.
+    Counted on each sign class's block of L + P (limit_multiplicity), by
+    inertia where it resolves the window and by a values-only solve
+    elsewhere; nothing n x n is built but the Laplacian g keeps, so
+    counting many eigenpairs of one graph assembles it once.
     """
     sel.check_assumptions(allow_degenerate)
     nu = limit_multiplicity(build_perturbation(g, sel), sel)

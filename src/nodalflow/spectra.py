@@ -37,6 +37,9 @@ BRACKET_WIDTH = 1e-6
 FD_STEP = 1e-5
 # Entries smaller than this are skipped by the sign-normalization convention.
 SIGN_TOL = 1e-12
+# Factor on n * eps * ||M||_inf that bounds the rounding of a count by
+# inertia (see inertia_resolves).
+INERTIA_ROUNDING = 64.0
 
 
 def group_tolerance(value):
@@ -129,6 +132,43 @@ def eigendecompose(M, *, vectors: bool = True, driver: str | None = None) -> Spe
 def multiplicity_of(spectrum: Spectrum, value: float) -> int:
     """Number of eigenvalues within the relative group tolerance of value."""
     return int(np.sum(np.abs(spectrum.eigenvalues - value) <= group_tolerance(value)))
+
+
+def _count_below(A: np.ndarray, t: float, *, closed: bool) -> int:
+    """Number of eigenvalues of the symmetric A below t, or at or below t if
+    closed, by Sylvester's law of inertia: the negative eigenvalues of D in
+    the Bunch-Kaufman factorization A - tI = L D L^T (LAPACK dsytrf).
+    A 1 x 1 pivot counts by its sign, an exact zero one as an eigenvalue
+    equal to t; a 2 x 2 pivot is indefinite by the pivoting rule, so it holds
+    exactly one negative eigenvalue."""
+    n = len(A)
+    shifted = A.copy()
+    shifted.flat[:: n + 1] -= t
+    # A workspace of 64 columns lets dsytrf factor in blocks, not by columns.
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(shifted, lwork=64 * n)
+    one = ipiv > 0  # the two rows of a 2 x 2 pivot hold negative ipiv
+    d = np.diagonal(ldu)[one]
+    below = np.count_nonzero(d < 0) + np.count_nonzero(~one) // 2
+    return int(below + np.count_nonzero(d == 0)) if closed else int(below)
+
+
+def window_count(M, value: float) -> int:
+    """Number of eigenvalues of the symmetric M in multiplicity_of's closed
+    window [value - tol, value + tol], tol = group_tolerance(value), with no
+    eigensolve: N(<= value + tol) - N(< value - tol), one factorization each
+    (_count_below). Trusted only where inertia_resolves(M, value)."""
+    A = _as_matrix(M)
+    tol = group_tolerance(value)
+    return _count_below(A, value + tol, closed=True) - _count_below(A, value - tol, closed=False)
+
+
+def inertia_resolves(M, value: float) -> bool:
+    """Whether window_count's window around value is wider than the rounding
+    of its factorizations, bounded by INERTIA_ROUNDING * n * eps * ||M||_inf;
+    where it is not, a count by inertia and one by eigenvalues may differ."""
+    A = _as_matrix(M)
+    bound = INERTIA_ROUNDING * len(A) * np.finfo(float).eps * np.abs(A).sum(axis=1).max()
+    return bool(group_tolerance(value) > bound)
 
 
 @dataclass(frozen=True)

@@ -225,8 +225,9 @@ def run_vertex_flow(
     The grid is [0] followed by ``steps`` >= 2 log-spaced points from 1e-3
     to the end (one point would stop the flow at 1e-3). Branches never
     decrease and lambda_k is the lowest eigenvalue of the sigma = infinity
-    Dirichlet problem, of multiplicity nu_D (limit_multiplicity, read off
-    psi's two sign-class blocks of L + P, where both flows end). The end is
+    Dirichlet problem, of multiplicity nu_D (limit_multiplicity, counted by
+    inertia on psi's two sign-class blocks of L + P, where both flows end,
+    with no eigensolve where the count resolves its window). The end is
     the first of SIGMA_ENDS where ghost_schur_count finds at most nu_D
     eigenvalues at or below lambda_k plus its group tolerance, else the
     last; converged_count counts the branches at or below lambda_k there. The certificate (count_identity_ok,

@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodalflow import edge_flow
+from nodalflow import edge_flow, spectra
 from nodalflow.cli import main
 from nodalflow.edge_flow import (
     EdgePerturbation,
@@ -22,7 +22,7 @@ from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsi
 from nodalflow.families import complete, generate_connected_er, grid, interval, petersen
 from nodalflow.fileio import save_graph
 from nodalflow.graph_core import WeightedGraph, laplacian
-from nodalflow.nodal import perturb_to_nonzero, select_eigenpair
+from nodalflow.nodal import nodal_decomposition, perturb_to_nonzero, select_eigenpair
 from nodalflow.spectra import eigendecompose, multiplicity_of
 
 
@@ -62,6 +62,38 @@ def test_perturbation_matrix_read_only():
     pert = build_perturbation(g, select(g, 2))
     with pytest.raises(ValueError):
         pert.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("g,k", [(grid(7, 5), 5), (petersen(7, 3), 7)], ids=["grid75", "petersen"])
+def test_perturbation_matrix_is_derived_from_the_edge_arrays(monkeypatch, g, k):
+    # P and its diagonal are read off the record's arrays on first read,
+    # once, read-only, and bit for bit as a loop over the edges assembles
+    # them. Counting nu reads only the diagonal: the blocks it counts are
+    # L + P's blocks bit for bit, and P itself is never built.
+    sel = select(g, k)
+    pert = build_perturbation(g, sel)
+    blocks, count = [], edge_flow.window_count
+
+    def recorded(M, value):
+        blocks.append(M.matrix)
+        return count(M, value)
+
+    monkeypatch.setattr(edge_flow, "window_count", recorded)
+    limit_multiplicity(pert, sel)
+    assert len(blocks) == 2 and "matrix" not in vars(pert)
+    M = pert.laplacian + pert.matrix
+    positive = sel.psi > 0
+    for block, S in zip(blocks, (positive, ~positive)):
+        assert np.array_equal(block, M[S][:, S])
+
+    P = np.zeros((g.n, g.n))
+    for i, j, w, q_ij, q_ji in zip(pert.i, pert.j, pert.w, pert.q_ij, pert.q_ji):
+        P[i, j] = P[j, i] = w
+        P[i, i] += w * q_ji
+        P[j, j] += w * q_ij
+    assert np.array_equal(pert.matrix, P) and np.array_equal(pert.diagonal, np.diag(P))
+    assert pert.matrix is pert.matrix and pert.diagonal is pert.diagonal
+    assert not pert.matrix.flags.writeable and not pert.diagonal.flags.writeable
 
 
 def test_flow_matrix_endpoints_and_range():
@@ -149,8 +181,22 @@ def spread_weighted_graphs(draw):
     return WeightedGraph(n, tuple((i, j, w) for (i, j), w in zip(edges, weights)), diag)
 
 
+def graded(diag_5: float) -> WeightedGraph:
+    """A 7-vertex graph whose psi at k = 2 has entries from 0.64 down to
+    4e-10, so P's entries, and L + P's blocks, are graded over about 1e9;
+    diag_extra is zero except diag_5 at vertex 5."""
+    edges = ((0, 1, 1.0), (0, 2, 1.0), (0, 4, 1.0), (1, 3, 1.000000137244776), (1, 5, 1.0),
+             (2, 6, 0.11547819846894582), (3, 4, 1.0), (3, 6, 1.0))
+    return WeightedGraph(7, edges, (0.0,) * 5 + (diag_5, 0.0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(spread_weighted_graphs())
+@example(graded(1.1547819846894583)).xfail(
+    raises=AssertionError,
+    reason="block norms of 1e7 to 1.4e8 put the whole-matrix solve's rounding above the"
+    " 1e-8 window at k = 2: it finds 1 where the blocks and the strong domains give 2",
+)
 def test_limit_multiplicity_counts_on_the_sign_blocks(g):
     # L + P is exactly block diagonal over psi's sign classes, so the count
     # on the two blocks equals the count on the whole matrix, at every index
@@ -168,31 +214,57 @@ def test_limit_multiplicity_counts_on_the_sign_blocks(g):
         assert limit_multiplicity(pert, sel) == multiplicity_of(whole, sel.lambda_k)
 
 
-@pytest.mark.parametrize(
-    "g,k,nu",
-    [
-        (grid(7, 5), 5, 3), (petersen(7, 3), 7, 3), (interval(6), 4, 4), (complete(5), 2, 2),
-        (grid(4, 3), 1, 1), (WeightedGraph(3, ((0, 1, 2.0), (1, 2, 5.0)), (0.5, 0.0, 3.0)), 1, 1),
-    ],
-    ids=["grid75-k5", "petersen-k7", "path6-k4", "k5-k2", "grid43-k1", "path3-diag-k1"],
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a block of norm 7.6e8 is below rounding for the 1e-8 window, and its"
+    " values-only solve finds 1 eigenvalue at lambda_2 where there are 2 strong domains",
 )
-def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu):
-    # One values-only solve per non-empty sign class, of that class's size,
-    # and the count is the strong nodal domain count. At k = 1 psi has one
-    # sign, so there is exactly one solve, of size n.
+def test_limit_multiplicity_counts_the_strong_domains_on_graded_weights():
+    # The count by inertia alone finds 2; the fallback keeps the
+    # eigensolve's 1, which no window of 1e-8 can resolve at this norm.
+    g = graded(10.0)
+    sel = select(g, 2)
+    assert limit_multiplicity(build_perturbation(g, sel), sel) == nodal_decomposition(g, sel).nu
+
+
+@pytest.mark.parametrize(
+    "g,k,nu,by_inertia",
+    [
+        (grid(7, 5), 5, 3, True), (petersen(7, 3), 7, 3, True), (interval(6), 4, 4, True),
+        (complete(5), 2, 2, True), (grid(4, 3), 1, 1, True),
+        (WeightedGraph(3, ((0, 1, 2.0), (1, 2, 5.0)), (0.5, 0.0, 3.0)), 1, 1, True),
+        (graded(1.1547819846894583), 2, 2, False),
+    ],
+    ids=["grid75-k5", "petersen-k7", "path6-k4", "k5-k2", "grid43-k1", "path3-diag-k1",
+         "graded-k2"],
+)
+def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu, by_inertia):
+    # Each non-empty sign class is counted on its own block: two
+    # factorizations of the class's size, at the window's closed top and
+    # open bottom, or, where the window is below their rounding (the graded
+    # blocks), one values-only solve. The count is the strong nodal domain
+    # count. At k = 1 psi has one sign, so one block of size n is counted.
     sel = select(g, k)
     pert = build_perturbation(g, sel)
-    sizes, solve = [], edge_flow.eigendecompose
+    calls, count_below, solve = [], spectra._count_below, edge_flow.eigendecompose
 
-    def recorded(M, **kwargs):
-        sizes.append((len(M.matrix), kwargs.get("vectors", True)))
+    def factored(A, t, *, closed):
+        calls.append(("factor", len(A), closed))
+        return count_below(A, t, closed=closed)
+
+    def solved(M, **kwargs):
+        calls.append(("solve", len(M.matrix), kwargs.get("vectors", True)))
         return solve(M, **kwargs)
 
-    monkeypatch.setattr(edge_flow, "eigendecompose", recorded)
+    monkeypatch.setattr(spectra, "_count_below", factored)
+    monkeypatch.setattr(edge_flow, "eigendecompose", solved)
     assert limit_multiplicity(pert, sel) == nu
-    classes = [int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))]
-    assert sizes == [(size, False) for size in classes if size]
-    assert len(sizes) == (1 if k == 1 else 2)
+    classes = [size for size in (int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))) if size]
+    assert len(classes) == (1 if k == 1 else 2)
+    per_class = [[("factor", size, True), ("factor", size, False)] if by_inertia
+                 else [("solve", size, False)] for size in classes]
+    assert calls == [call for block in per_class for call in block]
 
 
 def test_run_edge_flow_interval_no_crossings():
@@ -267,11 +339,15 @@ def test_run_edge_flow_monotone_branches():
 
 @pytest.fixture
 def half_penalty(monkeypatch):
-    """run_edge_flow with P / 2 in place of P: the flow stops short of the
-    sigma = 1 matrix whose multiplicity of lambda_k is nu."""
+    """run_edge_flow with P / 2 in place of P (P is linear in w, and halving
+    is exact, so the record with w / 2 derives P / 2 bit for bit): the flow
+    stops short of the sigma = 1 matrix whose multiplicity of lambda_k is
+    nu."""
     def half(g, sel):
         pert = build_perturbation(g, sel)
-        return dataclasses.replace(pert, matrix=0.5 * pert.matrix)
+        halved = dataclasses.replace(pert, w=0.5 * pert.w)
+        assert np.array_equal(halved.matrix, 0.5 * pert.matrix)
+        return halved
 
     monkeypatch.setattr(edge_flow, "build_perturbation", half)
 
@@ -345,7 +421,7 @@ def test_derivative_identity_rejects_degenerate():
     # Two disjoint unit edges give eigenvalue 2 with multiplicity 2.
     g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
     ends, none = np.zeros(0, dtype=int), np.zeros(0)
-    pert = EdgePerturbation(ends, ends, none, none, none, np.zeros((4, 4)), laplacian(g).matrix)
+    pert = EdgePerturbation(ends, ends, none, none, none, laplacian(g).matrix)
     u = np.array([1.0, -1.0, 0.0, 0.0])
     with pytest.raises(DegenerateEigenvalue):
         derivative_identity_check(pert, 0.5, u)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nodalflow import cli, dirichlet, edge_flow, spectra, vertex_flow
 from nodalflow.edge_flow import (
@@ -11,17 +13,20 @@ from nodalflow.edge_flow import (
     nodal_count_direct,
     run_edge_flow,
 )
-from nodalflow.families import grid, petersen
+from nodalflow.families import complete, cycle, grid, interval, petersen
 from nodalflow.fileio import save_graph
 from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import (
     SIGN_TOL,
+    _count_below,
     _sign_normalize,
     eigendecompose,
     group_tolerance,
+    inertia_resolves,
     multiplicity_of,
     track_branches,
+    window_count,
 )
 from nodalflow.vertex_flow import bilinear_matrix, run_vertex_flow
 
@@ -102,6 +107,90 @@ def test_multiplicity_of():
     assert multiplicity_of(spec, 2.0) == 2
     assert multiplicity_of(spec, 4.0) == 1
     assert multiplicity_of(spec, 1.7) == 0
+
+
+def _assert_counts_like_eigvalsh(M, t):
+    """_count_below at t, open and closed, against eigvalsh; no eigenvalue
+    may be within 1e-6 of t, where the two could differ by rounding."""
+    vals = np.linalg.eigvalsh(M)
+    assert np.min(np.abs(vals - t)) >= 1e-6
+    expected = int(np.sum(vals <= t))
+    assert _count_below(M, t, closed=True) == _count_below(M, t, closed=False) == expected
+
+
+def _zero_diagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    M = np.triu(rng.standard_normal((n, n)), 1)
+    return M + M.T
+
+
+@pytest.mark.parametrize(
+    "M",
+    [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+     _zero_diagonal(4, 1), _zero_diagonal(6, 2), _zero_diagonal(9, 3)],
+    ids=["2x2", "3x3", "4x4", "6x6", "9x9"],
+)
+def test_count_below_reads_two_by_two_pivots(M):
+    # A zero diagonal leaves Bunch-Kaufman no 1 x 1 pivot at t = 0, so the
+    # factorization holds 2 x 2 blocks, each one negative eigenvalue.
+    _, ipiv, _ = scipy.linalg.lapack.dsytrf(M)
+    assert np.any(ipiv < 0)
+    _assert_counts_like_eigvalsh(M, 0.0)
+
+
+@pytest.mark.parametrize(
+    "g,t,at_or_below,below",
+    [(interval(2), 0.0, 1, 0), (interval(2), 2.0, 2, 1), (interval(3), 0.0, 1, 0),
+     (interval(3), 1.0, 2, 1), (interval(3), 3.0, 3, 2), (cycle(4), 2.0, 3, 1),
+     (complete(4), 0.0, 1, 0), (complete(4), 4.0, 4, 1)],
+    ids=["P2-0", "P2-2", "P3-0", "P3-1", "P3-3", "C4-2", "K4-0", "K4-4"],
+)
+def test_count_below_at_an_exactly_singular_shift(g, t, at_or_below, below):
+    # L - tI is exactly singular and its factorization meets exact zero
+    # pivots: each is an eigenvalue equal to t, counted at or below t and
+    # not below it. C4 at t = 2 also takes a 2 x 2 pivot.
+    L = laplacian(g).matrix
+    assert _count_below(L, t, closed=True) == at_or_below
+    assert _count_below(L, t, closed=False) == below
+
+
+def test_window_count_closes_both_edges():
+    # Eigenvalues exactly on value - tol, value and value + tol are in the
+    # window; their neighbouring doubles outside it, and far values, are not.
+    value = 1.0
+    tol = group_tolerance(value)
+    lo, hi = value - tol, value + tol
+    inside = [lo, value, hi]
+    outside = [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 0.5, 3.0]
+    D = np.diag(inside + outside)
+    assert window_count(D, value) == 3
+    assert _count_below(D, hi, closed=True) == 5
+    assert _count_below(D, hi, closed=False) == 4
+    assert _count_below(D, lo, closed=False) == 2
+    assert _count_below(D, lo, closed=True) == 3
+
+
+def test_inertia_resolves_only_above_rounding():
+    # The window is 1e-8 wide at value 1: it resolves a block of norm 1 and
+    # not one of norm 1e8, whose rounding bound is 64 * 2 * eps * 1e8.
+    assert inertia_resolves(np.eye(2), 1.0)
+    assert not inertia_resolves(np.diag([1.0, 1e8]), 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: arrays(float, (n, n), elements=st.floats(min_value=-10.0, max_value=10.0))
+    ),
+    st.booleans(),
+    st.floats(min_value=-25.0, max_value=25.0),
+)
+def test_count_below_matches_eigvalsh(A, zero_diagonal, t):
+    # A zero diagonal makes 2 x 2 pivots likely wherever |t| is small.
+    M = np.triu(A, 1 if zero_diagonal else 0)
+    M = M + np.triu(M, 1).T
+    assume(np.min(np.abs(np.linalg.eigvalsh(M) - t)) >= 1e-6)
+    _assert_counts_like_eigvalsh(M, t)
 
 
 def test_track_branches_rejects_bad_grid():
@@ -370,6 +459,13 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     g = grid(4, 3)
     sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
     solves = _record_solves(monkeypatch, spectra, edge_flow, vertex_flow)
+    factored, count_below = [], spectra._count_below
+
+    def recorded(A, t, *, closed):
+        factored.append((len(A), closed))
+        return count_below(A, t, closed=closed)
+
+    monkeypatch.setattr(spectra, "_count_below", recorded)
 
     fr = track_branches(turning, np.linspace(0.0, 1.0, 14), 1.2)
     assert sum(vectors for _, vectors, _, _ in solves) == len(fr.sigma_grid)
@@ -386,18 +482,21 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     bisection = [s for s in solves if s[2]]
     assert bisection
     assert set(bisection) == {(vertex_flow.__name__, False, True, g.n)}
-    # The certificate's Dirichlet solve is edge_flow's limit_multiplicity,
-    # one solve on each sign class's block of L + P, and the count that
-    # picks the flow's end is one more on the Schur complement.
+    # The certificate's Dirichlet count is edge_flow's limit_multiplicity,
+    # which solves nothing: it factors each sign class's block of L + P
+    # twice. The count that picks the flow's end is the one remaining solve,
+    # on the Schur complement.
     classes = [int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))]
     assert all(classes) and sum(classes) == g.n
-    limit = [(edge_flow.__name__, False, False, size) for size in classes]
+    limit = [(size, closed) for size in classes for closed in (True, False)]
     rest = [s for s in solves if s not in tracked and s not in bisection]
-    assert rest == limit + [(vertex_flow.__name__, False, False, g.n)]
+    assert rest == [(vertex_flow.__name__, False, False, g.n)]
+    assert factored == limit
 
     solves.clear()
+    factored.clear()
     nodal_count_direct(g, sel)
-    assert solves == limit
+    assert solves == [] and factored == limit
 
 
 def test_crossing_bisection_never_clusters(monkeypatch):
@@ -498,6 +597,6 @@ def test_only_tracked_grid_points_use_divide_and_conquer(monkeypatch, tmp_path):
     assert base == [(cli.__name__, None, True, False, False)] * 2
     assert any(s[4] for s in others)
     assert sum(s[0] == spectra_name and not s[3] for s in others) == 3
-    # The vertex certificate's Dirichlet solve and nodal_count_direct, both
-    # limit_multiplicity, one solve per sign class of psi.
-    assert others.count((edge_flow.__name__, None, False, False, False)) == 4
+    # The vertex certificate's Dirichlet count and nodal_count_direct, both
+    # limit_multiplicity, count by inertia and solve nothing.
+    assert not any(s[0] == edge_flow.__name__ for s in solves)
