@@ -13,14 +13,14 @@ import sys
 import numpy as np
 
 from . import fileio, svg
-from .edge_flow import build_perturbation, flow_matrix, nodal_count_direct, run_edge_flow
-from .edge_flow import sign_preserving_graph
+from .edge_flow import build_perturbation, limit_multiplicity, nodal_count_direct
+from .edge_flow import run_edge_flow, sign_blocks, sign_preserving_graph
 from .errors import AssumptionViolated, NodalFlowError
 from .families import FamilySpec, generate
 from .graph_core import WeightedGraph, connected_components, laplacian
 from .nodal import EigenSelection, edge_signs, select_eigenpair, strong_domains_allowing_zeros
 from .nodal import zero_vertices
-from .spectra import eigendecompose, multiplicity_of
+from .spectra import eigendecompose
 from .vertex_flow import run_vertex_flow
 
 _FAMILY_ALIASES = {"er": "erdos_renyi"}
@@ -142,16 +142,18 @@ def _cmd_dirichlet(args) -> int:
         )
         return 3
     # The Dirichlet limit on the base vertices is L + P, the Laplacian of the
-    # sign-preserving graph, whose components are the D-connected ones.
+    # sign-preserving graph, whose components are the D-connected ones. Its
+    # spectrum is that of psi's sign-class blocks, and lambda_k's
+    # multiplicity is the count nodal prints as nu.
     pert = build_perturbation(g, sel)
-    dspec = eigendecompose(flow_matrix(pert, 1.0), vectors=False)
+    values = [eigendecompose(b, vectors=False).eigenvalues for b in sign_blocks(pert, sel)]
     domains = connected_components(sign_preserving_graph(g, pert))
     out = {
         "k": sel.k,
         "lambda_k": sel.lambda_k,
         "d_connected_components": len(domains),
-        "dirichlet_eigenvalues": [float(v) for v in dspec.eigenvalues],
-        "multiplicity_of_lambda_k": multiplicity_of(dspec, sel.lambda_k),
+        "dirichlet_eigenvalues": np.sort(np.concatenate(values)).tolist(),
+        "multiplicity_of_lambda_k": limit_multiplicity(pert, sel),
         "simple": sel.simple,
         "nowhere_zero": sel.nowhere_zero,
     }

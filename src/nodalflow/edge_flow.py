@@ -19,13 +19,11 @@ from .spectra import (
     FD_STEP,
     FlowResult,
     derivative_residual,
-    eigendecompose,
     group_tolerance,
-    inertia_resolves,
-    multiplicity_of,
     track_branches,
     window_count,
 )
+from .spectra import eigendecompose  # noqa: F401  (a binding perfbench/selftest.py traces)
 
 
 @dataclass(frozen=True)
@@ -103,31 +101,36 @@ def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
     return LaplacianMatrix(pert.laplacian + sigma * pert.matrix)
 
 
-def limit_multiplicity(pert: EdgePerturbation, sel: EigenSelection) -> int:
-    """Multiplicity of lambda_k in L + P, where both flows end (the vertex
-    flow's Dirichlet limit on the base), pert being built from sel.
+def sign_blocks(pert: EdgePerturbation, sel: EigenSelection) -> list[LaplacianMatrix]:
+    """psi's sign-class blocks of L + P, pert being built from sel, positive
+    class first; a class is empty only where psi has one sign (k = 1), and
+    is skipped.
 
-    L + P is block diagonal over psi's two sign classes: a sign-change edge
-    has entry -w + 1.0 * w = 0.0 exactly, and every other edge joins one
-    class. Within a class P is diagonal, so a block is L's block plus P's
-    diagonal there, bit for bit, and L + P is never built. Each block is
-    counted by window_count (inertia, no eigensolve), or by a values-only
-    solve where its window is below rounding (inertia_resolves). A class is
-    empty only where psi has one sign (k = 1), and is skipped.
+    L + P is block diagonal over the two classes: a sign-change edge has
+    entry -w + 1.0 * w = 0.0 exactly, and every other edge joins one class.
+    Within a class P is diagonal, so a block is L's block plus P's diagonal
+    there, bit for bit, and L + P is never built.
     """
-    L, diagonal, lam = pert.laplacian, pert.diagonal, sel.lambda_k
+    L, diagonal = pert.laplacian, pert.diagonal
     positive = sel.psi > 0
-    nu = 0
+    blocks = []
     for S in (np.flatnonzero(positive), np.flatnonzero(~positive)):
         if len(S):
             block = L[S][:, S]
             block[np.diag_indices(len(S))] += diagonal[S]
-            block = LaplacianMatrix(block)
-            if inertia_resolves(block, lam):
-                nu += window_count(block, lam)
-            else:
-                nu += multiplicity_of(eigendecompose(block, vectors=False), lam)
-    return nu
+            blocks.append(LaplacianMatrix(block))
+    return blocks
+
+
+def limit_multiplicity(pert: EdgePerturbation, sel: EigenSelection) -> int:
+    """Multiplicity of lambda_k in L + P, where both flows end (the vertex
+    flow's Dirichlet limit on the base), pert being built from sel: the sum
+    over sign_blocks of window_count, Sylvester's inertia of two LDL^T
+    factorizations per block, with no eigensolve. The package's only count
+    of nu in the limit: scan, nodal, dirichlet and the vertex certificate
+    all read it.
+    """
+    return sum(window_count(block, sel.lambda_k) for block in sign_blocks(pert, sel))
 
 
 def sign_preserving_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedGraph:
@@ -162,10 +165,10 @@ def nodal_count_direct(
 ) -> DirectCount:
     """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed.
 
-    Counted on each sign class's block of L + P (limit_multiplicity), by
-    inertia where it resolves the window and by a values-only solve
-    elsewhere; nothing n x n is built but the Laplacian g keeps, so
-    counting many eigenpairs of one graph assembles it once.
+    Counted by inertia on each sign class's block of L + P
+    (limit_multiplicity), with no eigensolve; nothing n x n is built but the
+    Laplacian g keeps, so counting many eigenpairs of one graph assembles
+    it once.
     """
     sel.check_assumptions(allow_degenerate)
     nu = limit_multiplicity(build_perturbation(g, sel), sel)

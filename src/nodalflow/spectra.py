@@ -37,9 +37,6 @@ BRACKET_WIDTH = 1e-6
 FD_STEP = 1e-5
 # Entries smaller than this are skipped by the sign-normalization convention.
 SIGN_TOL = 1e-12
-# Factor on n * eps * ||M||_inf that bounds the rounding of a count by
-# inertia (see inertia_resolves).
-INERTIA_ROUNDING = 64.0
 
 
 def group_tolerance(value):
@@ -156,19 +153,13 @@ def window_count(M, value: float) -> int:
     """Number of eigenvalues of the symmetric M in multiplicity_of's closed
     window [value - tol, value + tol], tol = group_tolerance(value), with no
     eigensolve: N(<= value + tol) - N(< value - tol), one factorization each
-    (_count_below). Trusted only where inertia_resolves(M, value)."""
+    (_count_below). No rounding bound is checked: where a solve's rounding
+    (n * eps * ||M||) exceeds the window, as on strongly graded blocks, this
+    count and multiplicity_of on a solve's eigenvalues may differ, and
+    neither is certain."""
     A = _as_matrix(M)
     tol = group_tolerance(value)
     return _count_below(A, value + tol, closed=True) - _count_below(A, value - tol, closed=False)
-
-
-def inertia_resolves(M, value: float) -> bool:
-    """Whether window_count's window around value is wider than the rounding
-    of its factorizations, bounded by INERTIA_ROUNDING * n * eps * ||M||_inf;
-    where it is not, a count by inertia and one by eigenvalues may differ."""
-    A = _as_matrix(M)
-    bound = INERTIA_ROUNDING * len(A) * np.finfo(float).eps * np.abs(A).sum(axis=1).max()
-    return bool(group_tolerance(value) > bound)
 
 
 @dataclass(frozen=True)

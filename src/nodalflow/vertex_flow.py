@@ -30,32 +30,11 @@ import numpy as np
 from .edge_flow import EdgePerturbation, build_perturbation, check_steps, flow_matrix
 from .edge_flow import limit_multiplicity, sign_preserving_graph
 from .errors import NotAComponent
-from .graph_core import Edge, LaplacianMatrix, WeightedGraph, components
+from .graph_core import LaplacianMatrix, WeightedGraph, components
 from .graph_core import laplacian  # noqa: F401  (a binding perfbench/selftest.py traces)
 from .nodal import EigenSelection
 from .spectra import COUNT_TOL_REL, FD_STEP, FlowResult, derivative_residual, eigendecompose
 from .spectra import group_tolerance, track_branches
-
-
-def _edges(i, j, w) -> tuple[Edge, ...]:
-    """Edge tuples from arrays of endpoints and weights."""
-    return tuple(zip(i.tolist(), j.tolist(), w.tolist()))
-
-
-def _ghost_edges(pert: EdgePerturbation, scale: float) -> tuple[Edge, ...]:
-    """Edge p's ghost n + p, n = len(pert.laplacian) the base vertex count,
-    joined to i and j at scale times pert.half_weights."""
-    at_i, at_j = pert.half_weights
-    ghosts = len(pert.laplacian) + np.arange(len(pert.w))
-    return _edges(pert.i, ghosts, scale * at_i) + _edges(pert.j, ghosts, scale * at_j)
-
-
-def _with_kept_edges(g: WeightedGraph, pert: EdgePerturbation, edges=()) -> WeightedGraph:
-    """The graph on g's vertices and pert's ghosts with g's edges outside
-    pert (the kept edges), g's diagonal and ``edges``."""
-    kept, diag = sign_preserving_graph(g, pert).edges, tuple(g.diag_extra)
-    n_ghost = len(pert.w)
-    return WeightedGraph(g.n + n_ghost, kept + edges, diag + (0.0,) * n_ghost)
 
 
 def _check_sigma(sigma: float) -> None:
@@ -70,14 +49,21 @@ def graph_at(g: WeightedGraph, pert: EdgePerturbation, sigma: float) -> Weighted
     Sign-change edges keep weight w / (1 + sigma); their ghost half-edges
     carry sigma / (1 + sigma) of their full weight. At sigma = 0 the ghost
     edges vanish (zero weight means absence) and g is recovered on the
-    first g.n vertices.
+    first g.n vertices. Edge p's ghost is vertex g.n + p, with no diagonal.
+    The edges come as g's edges off pert (sign_preserving_graph's), then
+    pert's edges, then the ghost half-edges at the i ends, then at the j
+    ends, each in pert's order.
     """
     _check_sigma(sigma)
-    s = sigma / (1.0 + sigma)
-    edges = _edges(pert.i, pert.j, pert.w / (1.0 + sigma))
+    s, n_ghost = sigma / (1.0 + sigma), len(pert.w)
+    ends = [(pert.i, pert.j, pert.w / (1.0 + sigma))]
     if s > 0:
-        edges += _ghost_edges(pert, s)
-    return _with_kept_edges(g, pert, edges)
+        ghosts = g.n + np.arange(n_ghost)
+        at_i, at_j = pert.half_weights
+        ends += [(pert.i, ghosts, s * at_i), (pert.j, ghosts, s * at_j)]
+    edges = tuple(e for i, j, w in ends for e in zip(i.tolist(), j.tolist(), w.tolist()))
+    kept = sign_preserving_graph(g, pert).edges
+    return WeightedGraph(g.n + n_ghost, kept + edges, tuple(g.diag_extra) + (0.0,) * n_ghost)
 
 
 def bilinear_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
@@ -227,10 +213,10 @@ def run_vertex_flow(
     decrease and lambda_k is the lowest eigenvalue of the sigma = infinity
     Dirichlet problem, of multiplicity nu_D (limit_multiplicity, counted by
     inertia on psi's two sign-class blocks of L + P, where both flows end,
-    with no eigensolve where the count resolves its window). The end is
-    the first of SIGMA_ENDS where ghost_schur_count finds at most nu_D
-    eigenvalues at or below lambda_k plus its group tolerance, else the
-    last; converged_count counts the branches at or below lambda_k there. The certificate (count_identity_ok,
+    with no eigensolve). The end is the first of SIGMA_ENDS where
+    ghost_schur_count finds at most nu_D eigenvalues at or below lambda_k
+    plus its group tolerance, else the last; converged_count counts the
+    branches at or below lambda_k there. The certificate (count_identity_ok,
     EigenSelection.certify) asks that it equal nu_D and that converged +
     crossings = k + ghosts (the k lowest of L and one zero per ghost start
     at or below lambda_k, and each crosses it or converges to it); a branch

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -214,37 +215,30 @@ def test_limit_multiplicity_counts_on_the_sign_blocks(g):
         assert limit_multiplicity(pert, sel) == multiplicity_of(whole, sel.lambda_k)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="a block of norm 7.6e8 is below rounding for the 1e-8 window, and its"
-    " values-only solve finds 1 eigenvalue at lambda_2 where there are 2 strong domains",
-)
 def test_limit_multiplicity_counts_the_strong_domains_on_graded_weights():
-    # The count by inertia alone finds 2; the fallback keeps the
-    # eigensolve's 1, which no window of 1e-8 can resolve at this norm.
+    # A block of norm 7.6e8: a values-only solve finds 1 eigenvalue at
+    # lambda_2, as its rounding exceeds the 1e-8 window; inertia finds 2.
     g = graded(10.0)
     sel = select(g, 2)
     assert limit_multiplicity(build_perturbation(g, sel), sel) == nodal_decomposition(g, sel).nu
 
 
 @pytest.mark.parametrize(
-    "g,k,nu,by_inertia",
+    "g,k,nu",
     [
-        (grid(7, 5), 5, 3, True), (petersen(7, 3), 7, 3, True), (interval(6), 4, 4, True),
-        (complete(5), 2, 2, True), (grid(4, 3), 1, 1, True),
-        (WeightedGraph(3, ((0, 1, 2.0), (1, 2, 5.0)), (0.5, 0.0, 3.0)), 1, 1, True),
-        (graded(1.1547819846894583), 2, 2, False),
+        (grid(7, 5), 5, 3), (petersen(7, 3), 7, 3), (interval(6), 4, 4), (complete(5), 2, 2),
+        (grid(4, 3), 1, 1), (WeightedGraph(3, ((0, 1, 2.0), (1, 2, 5.0)), (0.5, 0.0, 3.0)), 1, 1),
+        (graded(1.1547819846894583), 2, 2),
     ],
     ids=["grid75-k5", "petersen-k7", "path6-k4", "k5-k2", "grid43-k1", "path3-diag-k1",
          "graded-k2"],
 )
-def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu, by_inertia):
+def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu):
     # Each non-empty sign class is counted on its own block: two
     # factorizations of the class's size, at the window's closed top and
-    # open bottom, or, where the window is below their rounding (the graded
-    # blocks), one values-only solve. The count is the strong nodal domain
-    # count. At k = 1 psi has one sign, so one block of size n is counted.
+    # open bottom, and no eigensolve, graded blocks included. The count is
+    # the strong nodal domain count. At k = 1 psi has one sign, so one block
+    # of size n is counted.
     sel = select(g, k)
     pert = build_perturbation(g, sel)
     calls, count_below, solve = [], spectra._count_below, edge_flow.eigendecompose
@@ -262,9 +256,51 @@ def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu, by_ine
     assert limit_multiplicity(pert, sel) == nu
     classes = [size for size in (int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))) if size]
     assert len(classes) == (1 if k == 1 else 2)
-    per_class = [[("factor", size, True), ("factor", size, False)] if by_inertia
-                 else [("solve", size, False)] for size in classes]
-    assert calls == [call for block in per_class for call in block]
+    assert calls == [call for size in classes for call in
+                     (("factor", size, True), ("factor", size, False))]
+
+
+@pytest.mark.parametrize("diag_5", [10.0, 1.1547819846894583], ids=["graded-A", "graded-B"])
+def test_nodal_and_dirichlet_print_one_count(tmp_path, capsys, diag_5):
+    # nodal's nu and dirichlet's multiplicity of lambda_k are one count,
+    # limit_multiplicity's, and both equal the D-connected components here.
+    path = tmp_path / "graded.json"
+    save_graph(path, graded(diag_5))
+    outs = []
+    for command in ("nodal", "dirichlet"):
+        assert main([command, "--graph", str(path), "--k", "2"]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    nodal, dirichlet = outs
+    assert nodal["nu"] == dirichlet["multiplicity_of_lambda_k"] == 2
+    assert dirichlet["d_connected_components"] == 2
+
+
+def spread_example() -> WeightedGraph:
+    """A 3-vertex path whose psi at k = 3 spans 1.3e8. Vertex 2 has no
+    neighbour in its sign class, so its diagonal entry of L + P is an
+    eigenvalue of its block: it lands 8.95e-6 below lambda_3, outside the
+    1.8e-6 window."""
+    return WeightedGraph(3, ((0, 1, 0.01773101927111224), (0, 2, 0.014402746297192742)),
+                         (0.01026972258434615, 180.71415029283233, 1.735805019007167))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="psi spans 1.3e8, so a Dirichlet value 8.95e-6 from lambda_3 falls outside the"
+    " group tolerance: nu reads 2 where there are 3 strong domains",
+)
+def test_nodal_count_direct_counts_the_strong_domains_on_spread_weights():
+    g = spread_example()
+    sel = select(g, 3)
+    assert nodal_count_direct(g, sel).nu == nodal_decomposition(g, sel).nu
+
+
+def test_edge_flow_refuses_the_spread_example():
+    # The flow's own certificate catches what the direct count misses.
+    g = spread_example()
+    with pytest.raises(FlowConsistencyError):
+        run_edge_flow(g, select(g, 3))
 
 
 def test_run_edge_flow_interval_no_crossings():

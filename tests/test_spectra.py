@@ -23,7 +23,6 @@ from nodalflow.spectra import (
     _sign_normalize,
     eigendecompose,
     group_tolerance,
-    inertia_resolves,
     multiplicity_of,
     track_branches,
     window_count,
@@ -168,13 +167,6 @@ def test_window_count_closes_both_edges():
     assert _count_below(D, hi, closed=False) == 4
     assert _count_below(D, lo, closed=False) == 2
     assert _count_below(D, lo, closed=True) == 3
-
-
-def test_inertia_resolves_only_above_rounding():
-    # The window is 1e-8 wide at value 1: it resolves a block of norm 1 and
-    # not one of norm 1e8, whose rounding bound is 64 * 2 * eps * 1e8.
-    assert inertia_resolves(np.eye(2), 1.0)
-    assert not inertia_resolves(np.diag([1.0, 1e8]), 1.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,8 @@
 ``ast`` in place of a linter. ``__init__.py`` is exempt: it re-exports, and
 its ``__all__`` must list exactly the names it imports. An import kept on
 purpose says so with ``# noqa: F401`` on its last line, as flake8 would read
-it."""
+it, and is kept only as a binding that perfbench/selftest.py's BINDINGS
+names."""
 
 import ast
 from pathlib import Path
@@ -13,23 +14,37 @@ import nodalflow
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodalflow"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SELFTEST = PACKAGE.parents[1] / "perfbench" / "selftest.py"
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by the imports of ``source`` that no name in it reads.
-    ``from __future__`` imports bind nothing and are skipped, and so are
-    imports marked ``# noqa: F401``."""
+def imports(source: str) -> list[tuple[str, bool]]:
+    """(name, kept) for each name bound by the imports of ``source``, kept
+    being whether the import is marked ``# noqa: F401``. ``from
+    __future__`` imports bind nothing and are skipped."""
     tree, lines = ast.parse(source), source.splitlines()
-    imported = [
-        alias.asname or alias.name.split(".")[0]
+    return [
+        (alias.asname or alias.name.split(".")[0], "# noqa: F401" in lines[node.end_lineno - 1])
         for node in ast.walk(tree)
         if isinstance(node, ast.Import)
         or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
-        if "# noqa: F401" not in lines[node.end_lineno - 1]
         for alias in node.names
     ]
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [name for name in imported if name not in read]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the unmarked imports of ``source`` that no name in it
+    reads."""
+    read = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    return [name for name, kept in imports(source) if not kept and name not in read]
+
+
+def benchmark_bindings() -> set[str]:
+    """perfbench/selftest.py's BINDINGS, the package names the benchmark's
+    tracer must find, evaluated from its source without importing it."""
+    tree = ast.parse(SELFTEST.read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["BINDINGS"])
+    return set(eval(compile(ast.Expression(value), str(SELFTEST), "eval")))
 
 
 def test_unused_imports_finds_what_is_never_read():
@@ -45,6 +60,15 @@ def test_unused_imports_finds_what_is_never_read():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_kept_import_is_a_benchmark_binding(module):
+    # An import marked noqa is kept only for the benchmark's tracer, so it
+    # must name a binding the tracer patches; any other is dead code.
+    kept = {f"nodalflow.{module[:-3]}.{name}"
+            for name, marked in imports((PACKAGE / module).read_text()) if marked}
+    assert kept - benchmark_bindings() == set()
 
 
 def test_package_exports_exactly_what_it_imports():
