@@ -153,7 +153,7 @@ def _cmd_dirichlet(args) -> int:
         "lambda_k": sel.lambda_k,
         "d_connected_components": len(domains),
         "dirichlet_eigenvalues": np.sort(np.concatenate(values)).tolist(),
-        "multiplicity_of_lambda_k": limit_multiplicity(pert, sel),
+        "multiplicity_of_lambda_k": limit_multiplicity(g, sel),
         "simple": sel.simple,
         "nowhere_zero": sel.nowhere_zero,
     }

@@ -13,15 +13,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_core import LaplacianMatrix, WeightedGraph, freeze_arrays, laplacian
+from .graph_core import LaplacianMatrix, WeightedGraph, edge_laplacian, freeze_arrays, laplacian
 from .nodal import EigenSelection, sign_change_mask
 from .spectra import (
     FD_STEP,
     FlowResult,
+    _count_below,
     derivative_residual,
     group_tolerance,
     track_branches,
-    window_count,
 )
 from .spectra import eigendecompose  # noqa: F401  (a binding perfbench/selftest.py traces)
 
@@ -104,7 +104,8 @@ def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
 def sign_blocks(pert: EdgePerturbation, sel: EigenSelection) -> list[LaplacianMatrix]:
     """psi's sign-class blocks of L + P, pert being built from sel, positive
     class first; a class is empty only where psi has one sign (k = 1), and
-    is skipped.
+    is skipped. Only dirichlet's printed eigenvalues read them; nu is
+    counted on the ground-state Laplacians instead (limit_multiplicity).
 
     L + P is block diagonal over the two classes: a sign-change edge has
     entry -w + 1.0 * w = 0.0 exactly, and every other edge joins one class.
@@ -122,15 +123,36 @@ def sign_blocks(pert: EdgePerturbation, sel: EigenSelection) -> list[LaplacianMa
     return blocks
 
 
-def limit_multiplicity(pert: EdgePerturbation, sel: EigenSelection) -> int:
+def limit_multiplicity(g: WeightedGraph, sel: EigenSelection) -> int:
     """Multiplicity of lambda_k in L + P, where both flows end (the vertex
-    flow's Dirichlet limit on the base), pert being built from sel: the sum
-    over sign_blocks of window_count, Sylvester's inertia of two LDL^T
-    factorizations per block, with no eigensolve. The package's only count
-    of nu in the limit: scan, nodal, dirichlet and the vertex certificate
-    all read it.
+    flow's Dirichlet limit on the base), P being built from sel: its
+    eigenvalues within tol = group_tolerance(lambda_k) of lambda_k, counted
+    by one LDL^T factorization per sign class of psi, with no eigensolve.
+    The package's only count of nu in the limit: scan, nodal, dirichlet and
+    the vertex certificate all read it.
+
+    On a class S, with D = diag(|psi_S|), L + P's block B has
+    D (B - lambda_k) D = L_psi, the Laplacian of S's sign-preserving edges
+    with weights w |psi_i psi_j| (the ground-state transform), built from
+    g's edge arrays: lambda_k, diag_extra, P and every ratio of psi's
+    entries cancel, as B psi_S = lambda_k psi_S. By Sylvester's law, B's
+    eigenvalues <= lambda_k + tol are those of L_psi - tol D^2 <= 0, and
+    none lies below lambda_k - tol. L_psi's kernel holds one vector per
+    strong nodal domain in S, so the count is never below the domain count.
     """
-    return sum(window_count(block, sel.lambda_k) for block in sign_blocks(pert, sel))
+    psi = sel.psi
+    kept = ~sign_change_mask(g, psi)
+    i, j, w = (a[kept] for a in g.edge_arrays)
+    w = w * np.abs(psi[i] * psi[j])
+    tol = group_tolerance(sel.lambda_k)
+    nu = 0
+    for S in (psi > 0, psi < 0):
+        if S.any():
+            index, inside = np.cumsum(S) - 1, S[i]
+            a, b = index[i[inside]], index[j[inside]]
+            L_psi = edge_laplacian(index[-1] + 1, a, b, w[inside], -tol * psi[S] ** 2)
+            nu += _count_below(L_psi, 0.0, closed=True)
+    return nu
 
 
 def sign_preserving_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedGraph:
@@ -165,13 +187,12 @@ def nodal_count_direct(
 ) -> DirectCount:
     """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed.
 
-    Counted by inertia on each sign class's block of L + P
-    (limit_multiplicity), with no eigensolve; nothing n x n is built but the
-    Laplacian g keeps, so counting many eigenpairs of one graph assembles
-    it once.
+    Counted by inertia on each sign class's ground-state Laplacian, built
+    from g's edge arrays (limit_multiplicity): one factorization per class,
+    no eigensolve, no EdgePerturbation and nothing n x n.
     """
     sel.check_assumptions(allow_degenerate)
-    nu = limit_multiplicity(build_perturbation(g, sel), sel)
+    nu = limit_multiplicity(g, sel)
     return DirectCount(
         k=sel.k,
         lambda_k=sel.lambda_k,

@@ -74,14 +74,20 @@ class WeightedGraph:
 
     @cached_property
     def _laplacian(self) -> LaplacianMatrix:
-        i, j, w = self.edge_arrays
-        L = np.zeros((self.n, self.n))
-        L[i, j] = L[j, i] = -w
-        # Degrees are summed in edge order, i before j, as a loop over the
-        # edges would sum them, so every bit of the result is reproducible.
-        deg = np.bincount(np.column_stack((i, j)).ravel(), np.repeat(w, 2), self.n)
-        L[np.diag_indices(self.n)] = deg + np.array(self.diag_extra)
-        return LaplacianMatrix(L)
+        diagonal = np.array(self.diag_extra)
+        return LaplacianMatrix(edge_laplacian(self.n, *self.edge_arrays, diagonal))
+
+
+def edge_laplacian(n: int, i, j, w, diagonal) -> np.ndarray:
+    """The n x n Laplacian of the edges (i, j) with weights w, plus the
+    per-vertex ``diagonal``: -w off the diagonal, degrees plus diagonal on
+    it. Degrees are summed in edge order, i before j, as a loop over the
+    edges would sum them, so every bit of the result is reproducible."""
+    L = np.zeros((n, n))
+    L[i, j] = L[j, i] = -w
+    deg = np.bincount(np.column_stack((i, j)).ravel(), np.repeat(w, 2), n)
+    L[np.diag_indices(n)] = deg + diagonal
+    return L
 
 
 def freeze_arrays(record, *names: str) -> None:

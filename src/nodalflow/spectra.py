@@ -149,19 +149,6 @@ def _count_below(A: np.ndarray, t: float, *, closed: bool) -> int:
     return int(below + np.count_nonzero(d == 0)) if closed else int(below)
 
 
-def window_count(M, value: float) -> int:
-    """Number of eigenvalues of the symmetric M in multiplicity_of's closed
-    window [value - tol, value + tol], tol = group_tolerance(value), with no
-    eigensolve: N(<= value + tol) - N(< value - tol), one factorization each
-    (_count_below). No rounding bound is checked: where a solve's rounding
-    (n * eps * ||M||) exceeds the window, as on strongly graded blocks, this
-    count and multiplicity_of on a solve's eigenvalues may differ, and
-    neither is certain."""
-    A = _as_matrix(M)
-    tol = group_tolerance(value)
-    return _count_below(A, value + tol, closed=True) - _count_below(A, value - tol, closed=False)
-
-
 @dataclass(frozen=True)
 class BranchCrossing:
     """One upward crossing of the reference value by a branch that starts

@@ -211,22 +211,23 @@ def run_vertex_flow(
     The grid is [0] followed by ``steps`` >= 2 log-spaced points from 1e-3
     to the end (one point would stop the flow at 1e-3). Branches never
     decrease and lambda_k is the lowest eigenvalue of the sigma = infinity
-    Dirichlet problem, of multiplicity nu_D (limit_multiplicity, counted by
-    inertia on psi's two sign-class blocks of L + P, where both flows end,
-    with no eigensolve). The end is the first of SIGMA_ENDS where
-    ghost_schur_count finds at most nu_D eigenvalues at or below lambda_k
-    plus its group tolerance, else the last; converged_count counts the
-    branches at or below lambda_k there. The certificate (count_identity_ok,
-    EigenSelection.certify) asks that it equal nu_D and that converged +
-    crossings = k + ghosts (the k lowest of L and one zero per ghost start
-    at or below lambda_k, and each crosses it or converges to it); a branch
-    bound higher but not past lambda_k at the last end fails it.
-    branch_origins labels every branch 'ghost' or 'spectrum'.
+    Dirichlet problem, of multiplicity nu_D (limit_multiplicity: L + P,
+    where both flows end, counted by inertia on psi's ground-state
+    Laplacians, one factorization per sign class and no eigensolve). The
+    end is the first of SIGMA_ENDS where ghost_schur_count finds at most
+    nu_D eigenvalues at or below lambda_k plus its group tolerance, else
+    the last; converged_count counts the branches at or below lambda_k
+    there. The certificate (count_identity_ok, EigenSelection.certify) asks
+    that it equal nu_D and that converged + crossings = k + ghosts (the k
+    lowest of L and one zero per ghost start at or below lambda_k, and each
+    crosses it or converges to it); a branch bound higher but not past
+    lambda_k at the last end fails it. branch_origins labels every branch
+    'ghost' or 'spectrum'.
     """
     check_steps(steps)
     warnings = sel.check_assumptions(allow_degenerate)
     pert = build_perturbation(g, sel)
-    nu_d = limit_multiplicity(pert, sel)
+    nu_d = limit_multiplicity(g, sel)
     count = ghost_schur_count(pert, sel.psi)
     top = sel.lambda_k + group_tolerance(sel.lambda_k)
     end = next((s for s in SIGMA_ENDS if count(s, top) <= nu_d), SIGMA_ENDS[-1])

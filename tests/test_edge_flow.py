@@ -2,12 +2,13 @@ import dataclasses
 import json
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodalflow import edge_flow, spectra
+from nodalflow import edge_flow
 from nodalflow.cli import main
 from nodalflow.edge_flow import (
     EdgePerturbation,
@@ -17,6 +18,7 @@ from nodalflow.edge_flow import (
     limit_multiplicity,
     nodal_count_direct,
     run_edge_flow,
+    sign_blocks,
     sign_preserving_graph,
 )
 from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
@@ -24,7 +26,7 @@ from nodalflow.families import complete, generate_connected_er, grid, interval, 
 from nodalflow.fileio import save_graph
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import nodal_decomposition, perturb_to_nonzero, select_eigenpair
-from nodalflow.spectra import eigendecompose, multiplicity_of
+from nodalflow.spectra import eigendecompose, group_tolerance
 
 
 def select(g, k):
@@ -66,21 +68,14 @@ def test_perturbation_matrix_read_only():
 
 
 @pytest.mark.parametrize("g,k", [(grid(7, 5), 5), (petersen(7, 3), 7)], ids=["grid75", "petersen"])
-def test_perturbation_matrix_is_derived_from_the_edge_arrays(monkeypatch, g, k):
+def test_perturbation_matrix_is_derived_from_the_edge_arrays(g, k):
     # P and its diagonal are read off the record's arrays on first read,
     # once, read-only, and bit for bit as a loop over the edges assembles
-    # them. Counting nu reads only the diagonal: the blocks it counts are
-    # L + P's blocks bit for bit, and P itself is never built.
+    # them. sign_blocks reads only the diagonal: its blocks are L + P's
+    # blocks bit for bit, and P itself is never built.
     sel = select(g, k)
     pert = build_perturbation(g, sel)
-    blocks, count = [], edge_flow.window_count
-
-    def recorded(M, value):
-        blocks.append(M.matrix)
-        return count(M, value)
-
-    monkeypatch.setattr(edge_flow, "window_count", recorded)
-    limit_multiplicity(pert, sel)
+    blocks = [block.matrix for block in sign_blocks(pert, sel)]
     assert len(blocks) == 2 and "matrix" not in vars(pert)
     M = pert.laplacian + pert.matrix
     positive = sel.psi > 0
@@ -191,17 +186,44 @@ def graded(diag_5: float) -> WeightedGraph:
     return WeightedGraph(7, edges, (0.0,) * 5 + (diag_5, 0.0))
 
 
+def spread_example() -> WeightedGraph:
+    """A 3-vertex path whose psi at k = 3 spans 1.3e8. Vertex 2 has no
+    neighbour in its sign class, so its diagonal entry of L + P, built from
+    a ratio of psi's entries, is an eigenvalue of its block: it lands
+    8.95e-6 below lambda_3, outside the 1.8e-6 window. The ground-state
+    count needs no such entry."""
+    return WeightedGraph(3, ((0, 1, 0.01773101927111224), (0, 2, 0.014402746297192742)),
+                         (0.01026972258434615, 180.71415029283233, 1.735805019007167))
+
+
+def spread_path() -> WeightedGraph:
+    """A 4-vertex path 2 - 0 - 1 - 3 whose psi at k = 4 spans 4e7 and has 4
+    strong domains; lambda_4 is simple."""
+    return WeightedGraph(4, ((0, 1, 0.1), (0, 2, 1.0), (1, 3, 1000.0)))
+
+
+def pencil_values(A: np.ndarray, psi_S: np.ndarray, tol: float) -> list:
+    """The eigenvalues of the pencil (L_psi, D^2), D = diag(|psi_S|), in 60
+    digits, A being L_psi - tol D^2 as limit_multiplicity factors it."""
+    with mpmath.workdps(60):
+        d = [1 / abs(mpmath.mpf(float(x))) for x in psi_S]
+        M = mpmath.matrix([[mpmath.mpf(float(A[r, c])) * d[r] * d[c] for c in range(len(d))]
+                           for r in range(len(d))])
+        return sorted(v + tol for v in mpmath.eigsy(M, eigvals_only=True))
+
+
 @settings(max_examples=150, deadline=None)
 @given(spread_weighted_graphs())
-@example(graded(1.1547819846894583)).xfail(
-    raises=AssertionError,
-    reason="block norms of 1e7 to 1.4e8 put the whole-matrix solve's rounding above the"
-    " 1e-8 window at k = 2: it finds 1 where the blocks and the strong domains give 2",
-)
+@example(graded(1.1547819846894583))
+@example(spread_path())
+@example(spread_example())
 def test_limit_multiplicity_counts_on_the_sign_blocks(g):
-    # L + P is exactly block diagonal over psi's sign classes, so the count
-    # on the two blocks equals the count on the whole matrix, at every index
-    # with a nowhere-zero psi, degenerate or not.
+    # L + P is exactly block diagonal over psi's sign classes. On each class
+    # the count is never below its strong domains, the kernel of its
+    # ground-state Laplacian L_psi, and it is above them only by values of
+    # the pencil (L_psi, D^2), built as the code builds it, that a 60-digit
+    # solve finds in (0, tol]: at every index with a nowhere-zero psi,
+    # degenerate or not.
     spectrum = eigendecompose(laplacian(g))
     for k in range(1, g.n + 1):
         sel = select_eigenpair(spectrum, k)
@@ -211,8 +233,25 @@ def test_limit_multiplicity_counts_on_the_sign_blocks(g):
         M = flow_matrix(pert, 1.0).matrix
         positive = sel.psi > 0
         assert np.all(M[np.ix_(positive, ~positive)] == 0.0)
-        whole = eigendecompose(M, vectors=False)
-        assert limit_multiplicity(pert, sel) == multiplicity_of(whole, sel.lambda_k)
+        factored, count_below = [], edge_flow._count_below
+
+        def recorded(A, t, *, closed):
+            factored.append((A, count_below(A, t, closed=closed)))
+            return factored[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(edge_flow, "_count_below", recorded)
+            nu = limit_multiplicity(g, sel)
+        classes = [S for S in (positive, ~positive) if S.any()]
+        assert len(factored) == len(classes) and nu == sum(c for _, c in factored)
+        domains = nodal_decomposition(g, sel).strong_domains
+        tol = group_tolerance(sel.lambda_k)
+        for S, (A, count) in zip(classes, factored):
+            own = sum(bool(S[d[0]]) for d in domains)
+            assert count >= own, (k, count, own)
+            if count > own:
+                values = pencil_values(A, sel.psi[S], tol)
+                assert values[count - 1] <= tol, (k, count, values)
 
 
 def test_limit_multiplicity_counts_the_strong_domains_on_graded_weights():
@@ -220,7 +259,7 @@ def test_limit_multiplicity_counts_the_strong_domains_on_graded_weights():
     # lambda_2, as its rounding exceeds the 1e-8 window; inertia finds 2.
     g = graded(10.0)
     sel = select(g, 2)
-    assert limit_multiplicity(build_perturbation(g, sel), sel) == nodal_decomposition(g, sel).nu
+    assert limit_multiplicity(g, sel) == nodal_decomposition(g, sel).nu
 
 
 @pytest.mark.parametrize(
@@ -234,14 +273,13 @@ def test_limit_multiplicity_counts_the_strong_domains_on_graded_weights():
          "graded-k2"],
 )
 def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu):
-    # Each non-empty sign class is counted on its own block: two
-    # factorizations of the class's size, at the window's closed top and
-    # open bottom, and no eigensolve, graded blocks included. The count is
-    # the strong nodal domain count. At k = 1 psi has one sign, so one block
-    # of size n is counted.
+    # Each non-empty sign class is counted on its own ground-state
+    # Laplacian: one factorization of the class's size, closed at 0, and no
+    # eigensolve, graded blocks included. The count is the strong nodal
+    # domain count. At k = 1 psi has one sign, so one class of size n is
+    # counted.
     sel = select(g, k)
-    pert = build_perturbation(g, sel)
-    calls, count_below, solve = [], spectra._count_below, edge_flow.eigendecompose
+    calls, count_below, solve = [], edge_flow._count_below, edge_flow.eigendecompose
 
     def factored(A, t, *, closed):
         calls.append(("factor", len(A), closed))
@@ -251,13 +289,22 @@ def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu):
         calls.append(("solve", len(M.matrix), kwargs.get("vectors", True)))
         return solve(M, **kwargs)
 
-    monkeypatch.setattr(spectra, "_count_below", factored)
+    monkeypatch.setattr(edge_flow, "_count_below", factored)
     monkeypatch.setattr(edge_flow, "eigendecompose", solved)
-    assert limit_multiplicity(pert, sel) == nu
+    assert limit_multiplicity(g, sel) == nu
     classes = [size for size in (int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))) if size]
     assert len(classes) == (1 if k == 1 else 2)
-    assert calls == [call for size in classes for call in
-                     (("factor", size, True), ("factor", size, False))]
+    assert calls == [("factor", size, True) for size in classes]
+
+
+def test_nodal_count_direct_builds_no_perturbation(monkeypatch):
+    # The count reads g's edge arrays and psi alone: no EdgePerturbation.
+    def refused(g, sel):
+        raise AssertionError("nodal_count_direct built an EdgePerturbation")
+
+    monkeypatch.setattr(edge_flow, "build_perturbation", refused)
+    for g, k, nu in ((grid(7, 5), 5, 3), (petersen(7, 3), 7, 3), (spread_path(), 4, 4)):
+        assert nodal_count_direct(g, select(g, k), allow_degenerate=True).nu == nu
 
 
 @pytest.mark.parametrize("diag_5", [10.0, 1.1547819846894583], ids=["graded-A", "graded-B"])
@@ -275,25 +322,22 @@ def test_nodal_and_dirichlet_print_one_count(tmp_path, capsys, diag_5):
     assert dirichlet["d_connected_components"] == 2
 
 
-def spread_example() -> WeightedGraph:
-    """A 3-vertex path whose psi at k = 3 spans 1.3e8. Vertex 2 has no
-    neighbour in its sign class, so its diagonal entry of L + P is an
-    eigenvalue of its block: it lands 8.95e-6 below lambda_3, outside the
-    1.8e-6 window."""
-    return WeightedGraph(3, ((0, 1, 0.01773101927111224), (0, 2, 0.014402746297192742)),
-                         (0.01026972258434615, 180.71415029283233, 1.735805019007167))
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="psi spans 1.3e8, so a Dirichlet value 8.95e-6 from lambda_3 falls outside the"
-    " group tolerance: nu reads 2 where there are 3 strong domains",
-)
-def test_nodal_count_direct_counts_the_strong_domains_on_spread_weights():
-    g = spread_example()
-    sel = select(g, 3)
-    assert nodal_count_direct(g, sel).nu == nodal_decomposition(g, sel).nu
+@pytest.mark.parametrize("g,k,nu", [(spread_example(), 3, 3), (spread_path(), 4, 4)],
+                         ids=["path3-k3", "path4-k4"])
+def test_nodal_count_direct_counts_the_strong_domains_on_spread_weights(
+    tmp_path, capsys, g, k, nu
+):
+    # psi spans 1.3e8 and 4e7. A count on L + P's blocks, whose diagonal is
+    # built from ratios of psi's entries, put a Dirichlet value outside the
+    # window here, so nodal printed nu = 2 and 3 with exit 0; the
+    # ground-state count reads the strong domains.
+    sel = select(g, k)
+    assert sel.simple and sel.nowhere_zero
+    assert nodal_count_direct(g, sel).nu == nodal_decomposition(g, sel).nu == nu
+    path = tmp_path / "spread.json"
+    save_graph(path, g)
+    assert main(["nodal", "--graph", str(path), "--k", str(k)]) == 0
+    assert json.loads(capsys.readouterr().out)["nu"] == nu
 
 
 def test_edge_flow_refuses_the_spread_example():

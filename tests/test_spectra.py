@@ -25,7 +25,6 @@ from nodalflow.spectra import (
     group_tolerance,
     multiplicity_of,
     track_branches,
-    window_count,
 )
 from nodalflow.vertex_flow import bilinear_matrix, run_vertex_flow
 
@@ -153,20 +152,13 @@ def test_count_below_at_an_exactly_singular_shift(g, t, at_or_below, below):
     assert _count_below(L, t, closed=False) == below
 
 
-def test_window_count_closes_both_edges():
-    # Eigenvalues exactly on value - tol, value and value + tol are in the
-    # window; their neighbouring doubles outside it, and far values, are not.
-    value = 1.0
-    tol = group_tolerance(value)
-    lo, hi = value - tol, value + tol
-    inside = [lo, value, hi]
-    outside = [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 0.5, 3.0]
-    D = np.diag(inside + outside)
-    assert window_count(D, value) == 3
-    assert _count_below(D, hi, closed=True) == 5
-    assert _count_below(D, hi, closed=False) == 4
-    assert _count_below(D, lo, closed=False) == 2
-    assert _count_below(D, lo, closed=True) == 3
+def test_count_below_takes_t_only_when_closed():
+    # Eigenvalues exactly on t are counted at or below t and not below it;
+    # their neighbouring doubles fall on their own sides.
+    t = 1.0 + group_tolerance(1.0)
+    D = np.diag([np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf), 0.5, 3.0])
+    assert _count_below(D, t, closed=True) == 3
+    assert _count_below(D, t, closed=False) == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -451,13 +443,13 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     g = grid(4, 3)
     sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
     solves = _record_solves(monkeypatch, spectra, edge_flow, vertex_flow)
-    factored, count_below = [], spectra._count_below
+    factored, count_below = [], edge_flow._count_below
 
     def recorded(A, t, *, closed):
         factored.append((len(A), closed))
         return count_below(A, t, closed=closed)
 
-    monkeypatch.setattr(spectra, "_count_below", recorded)
+    monkeypatch.setattr(edge_flow, "_count_below", recorded)
 
     fr = track_branches(turning, np.linspace(0.0, 1.0, 14), 1.2)
     assert sum(vectors for _, vectors, _, _ in solves) == len(fr.sigma_grid)
@@ -475,12 +467,12 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     assert bisection
     assert set(bisection) == {(vertex_flow.__name__, False, True, g.n)}
     # The certificate's Dirichlet count is edge_flow's limit_multiplicity,
-    # which solves nothing: it factors each sign class's block of L + P
-    # twice. The count that picks the flow's end is the one remaining solve,
-    # on the Schur complement.
+    # which solves nothing: it factors each sign class's ground-state
+    # Laplacian once. The count that picks the flow's end is the one
+    # remaining solve, on the Schur complement.
     classes = [int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))]
     assert all(classes) and sum(classes) == g.n
-    limit = [(size, closed) for size in classes for closed in (True, False)]
+    limit = [(size, True) for size in classes]
     rest = [s for s in solves if s not in tracked and s not in bisection]
     assert rest == [(vertex_flow.__name__, False, False, g.n)]
     assert factored == limit
