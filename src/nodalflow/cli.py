@@ -14,10 +14,10 @@ import numpy as np
 
 from . import fileio, svg
 from .edge_flow import build_perturbation, limit_multiplicity, nodal_count_direct
-from .edge_flow import run_edge_flow, sign_blocks, sign_preserving_graph
+from .edge_flow import run_edge_flow, sign_blocks
 from .errors import AssumptionViolated, NodalFlowError
 from .families import FamilySpec, generate
-from .graph_core import WeightedGraph, connected_components, laplacian
+from .graph_core import WeightedGraph, laplacian
 from .nodal import EigenSelection, edge_signs, select_eigenpair, strong_domains_allowing_zeros
 from .nodal import zero_vertices
 from .spectra import eigendecompose
@@ -142,12 +142,12 @@ def _cmd_dirichlet(args) -> int:
         )
         return 3
     # The Dirichlet limit on the base vertices is L + P, the Laplacian of the
-    # sign-preserving graph, whose components are the D-connected ones. Its
-    # spectrum is that of psi's sign-class blocks, and lambda_k's
-    # multiplicity is the count nodal prints as nu.
+    # sign-preserving graph, whose components, the D-connected ones, are
+    # psi's strong nodal domains. Its spectrum is that of psi's sign-class
+    # blocks, and lambda_k's multiplicity is the count nodal prints as nu.
     pert = build_perturbation(g, sel)
     values = [eigendecompose(b, vectors=False).eigenvalues for b in sign_blocks(pert, sel)]
-    domains = connected_components(sign_preserving_graph(g, pert))
+    domains, _ = strong_domains_allowing_zeros(g, sel.psi)
     out = {
         "k": sel.k,
         "lambda_k": sel.lambda_k,

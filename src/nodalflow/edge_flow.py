@@ -151,7 +151,7 @@ def limit_multiplicity(g: WeightedGraph, sel: EigenSelection) -> int:
             index, inside = np.cumsum(S) - 1, S[i]
             a, b = index[i[inside]], index[j[inside]]
             L_psi = edge_laplacian(index[-1] + 1, a, b, w[inside], -tol * psi[S] ** 2)
-            nu += _count_below(L_psi, 0.0, closed=True)
+            nu += _count_below(L_psi, 0.0)
     return nu
 
 

@@ -131,22 +131,21 @@ def multiplicity_of(spectrum: Spectrum, value: float) -> int:
     return int(np.sum(np.abs(spectrum.eigenvalues - value) <= group_tolerance(value)))
 
 
-def _count_below(A: np.ndarray, t: float, *, closed: bool) -> int:
-    """Number of eigenvalues of the symmetric A below t, or at or below t if
-    closed, by Sylvester's law of inertia: the negative eigenvalues of D in
-    the Bunch-Kaufman factorization A - tI = L D L^T (LAPACK dsytrf).
-    A 1 x 1 pivot counts by its sign, an exact zero one as an eigenvalue
-    equal to t; a 2 x 2 pivot is indefinite by the pivoting rule, so it holds
-    exactly one negative eigenvalue."""
+def _count_below(A: np.ndarray, t: float) -> int:
+    """Number of eigenvalues of the symmetric A at or below t, by Sylvester's
+    law of inertia: the nonpositive eigenvalues of D in the Bunch-Kaufman
+    factorization A - tI = L D L^T (LAPACK dsytrf), with no eigensolve; every
+    count but the ghost Schur count (vertex_flow) goes through it. A 1 x 1
+    pivot counts by its sign, an exact zero one as an eigenvalue equal to t;
+    a 2 x 2 pivot is indefinite by the pivoting rule, so it holds exactly one
+    negative eigenvalue."""
     n = len(A)
     shifted = A.copy()
     shifted.flat[:: n + 1] -= t
     # A workspace of 64 columns lets dsytrf factor in blocks, not by columns.
     ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(shifted, lwork=64 * n)
     one = ipiv > 0  # the two rows of a 2 x 2 pivot hold negative ipiv
-    d = np.diagonal(ldu)[one]
-    below = np.count_nonzero(d < 0) + np.count_nonzero(~one) // 2
-    return int(below + np.count_nonzero(d == 0)) if closed else int(below)
+    return int(np.count_nonzero(np.diagonal(ldu)[one] <= 0) + np.count_nonzero(~one) // 2)
 
 
 @dataclass(frozen=True)
@@ -299,8 +298,8 @@ def _path_order(u: np.ndarray, v: np.ndarray) -> int:
 def _falls(count, lo, hi, n_lo, n_hi, t):
     """Cells of width <= BRACKET_WIDTH, in sigma order, one per unit fall of
     the number of eigenvalues <= t over [lo, hi], found by bisecting on that
-    count; n_lo and n_hi are the counts at the ends. Each midpoint asks the
-    flow once for count(mid, t) (see track_branches)."""
+    count; n_lo and n_hi are the counts at the ends. Each midpoint reads
+    count(mid, t) once: by default one factorization (see track_branches)."""
     if n_lo <= n_hi:
         return []
     if hi - lo <= BRACKET_WIDTH:
@@ -324,9 +323,9 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float, *, count=Non
         values at or below it plus its group tolerance
     count : callable (sigma, t) -> the number of eigenvalues of
         flow_matrix(sigma) at or below t, which the crossing bisection
-        reads; None counts them with one values-only eigendecompose of
-        flow_matrix(sigma). A flow with a cheaper exact count passes it
-        (the vertex flow counts on its ghost Schur complement).
+        reads; None factors flow_matrix(sigma) once by _count_below, with no
+        eigensolve. A flow with its own exact count passes it (the vertex
+        flow counts on its ghost Schur complement).
 
     A matched step where some branch value drops, or falls from above
     t = lambda_k + COUNT_TOL_REL * max(1, |lambda_k|, max |eigenvalue at the
@@ -343,9 +342,10 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float, *, count=Non
 
     The grid is walked once, one eigensolve with eigenvectors per point in
     the calling thread, by the ``evd`` driver; the bisection reads only
-    ``count``, which needs no eigenvectors. Degenerate clusters at the first
-    point are labelled by value path (see FlowResult), so labels and
-    crossings do not depend on the basis the solver returned.
+    ``count``, once per midpoint, which needs no eigenvectors. Degenerate
+    clusters at the first point are labelled by value path (see
+    FlowResult), so labels and crossings do not depend on the basis the
+    solver returned.
     Refinement floors out at 1e-6 * max(min(1, span), sigma), so log-spaced
     grids stay refinable near the origin; an interval at the floor that
     still fails sets refinement_exhausted instead.
@@ -356,7 +356,7 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float, *, count=Non
     span = sigmas[-1] - sigmas[0]
     if count is None:
         def count(sigma: float, t: float) -> int:
-            return int(np.sum(eigendecompose(flow_matrix(sigma), vectors=False).eigenvalues <= t))
+            return _count_below(_as_matrix(flow_matrix(sigma)), t)
 
     def evaluate(sigma: float) -> _Node:
         return _Node(sigma, eigendecompose(flow_matrix(sigma), driver="evd"))

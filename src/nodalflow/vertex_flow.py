@@ -13,7 +13,7 @@ order, which keeps every matrix and output bit-reproducible.
 The crossing bisection counts the eigenvalues of B(sigma) at or below t on
 the ghost Schur complement over the base vertices (ghost_schur_count), with
 psi deflated, and not on B(sigma) itself; where a ghost pivot is within the
-count margin of zero it falls back to a values-only solve of B(sigma).
+count margin of zero it counts B(sigma) by inertia, as track_branches does.
 
 Every function here reads the edge flow's record (EdgePerturbation) of the
 sign-change edges as it is: edge p's ghost is vertex n + p, n =
@@ -30,11 +30,11 @@ import numpy as np
 from .edge_flow import EdgePerturbation, build_perturbation, check_steps, flow_matrix
 from .edge_flow import limit_multiplicity, sign_preserving_graph
 from .errors import NotAComponent
-from .graph_core import LaplacianMatrix, WeightedGraph, components
+from .graph_core import LaplacianMatrix, WeightedGraph
 from .graph_core import laplacian  # noqa: F401  (a binding perfbench/selftest.py traces)
-from .nodal import EigenSelection
-from .spectra import COUNT_TOL_REL, FD_STEP, FlowResult, derivative_residual, eigendecompose
-from .spectra import group_tolerance, track_branches
+from .nodal import EigenSelection, strong_domains_allowing_zeros
+from .spectra import COUNT_TOL_REL, FD_STEP, FlowResult, _count_below, derivative_residual
+from .spectra import eigendecompose, group_tolerance, track_branches
 
 
 def _check_sigma(sigma: float) -> None:
@@ -99,7 +99,7 @@ def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
     rounding error away from zero: it is deflated by adding (1 + |t|) psi
     psi^T / |psi|^2, which lifts it above zero, and counted as 1. Where some
     |d| is within COUNT_TOL_REL * max(1, |t|, sigma) of zero the split is
-    not trusted and the count is a values-only solve of B(sigma)."""
+    not trusted and B(sigma) itself is counted by inertia (_count_below)."""
     n = len(pert.laplacian)
     at_i, at_j = pert.half_weights
     psi = np.asarray(psi, dtype=float)
@@ -110,8 +110,7 @@ def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
         s = sigma / (1.0 + sigma)
         d = s * (at_i + at_j) + sigma - t
         if np.any(np.abs(d) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)):
-            B = bilinear_matrix(pert, sigma)
-            return int(np.sum(eigendecompose(B, vectors=False).eigenvalues <= t))
+            return _count_below(bilinear_matrix(pert, sigma).matrix, t)
         c = s * s / d
         S = flow_matrix(pert, s).matrix + (1.0 + abs(t)) * unit_psi
         S[pert.i, pert.j] -= c * at_i * at_j
@@ -146,8 +145,8 @@ def restrict_eigenvector(
     """Restrict a base eigenvector to one strong nodal domain, zero-extended
     over the rest of the subdivision of g along pert (ghosts included).
 
-    ``component`` must be one of the components of g minus pert's edges
-    (exactly the strong nodal domains); otherwise NotAComponent is raised.
+    ``component`` must be one of psi's strong nodal domains (the components
+    of g minus pert's edges); otherwise NotAComponent is raised.
     The result satisfies the Dirichlet eigenvalue equation at psi's
     Rayleigh quotient on the component's interior rows.
     """
@@ -155,7 +154,7 @@ def restrict_eigenvector(
     if psi.shape != (g.n,):
         raise ValueError(f"expected base vector of length {g.n}")
     comp = tuple(sorted(int(v) for v in component))
-    if comp not in components(g.n, sign_preserving_graph(g, pert).edges):
+    if comp not in strong_domains_allowing_zeros(g, psi)[0]:
         raise NotAComponent(f"{comp} is not a D-connected component")
     out = np.zeros(g.n + len(pert.w))
     idx = np.array(comp, dtype=int)

@@ -26,7 +26,7 @@ from nodalflow.families import complete, generate_connected_er, grid, interval, 
 from nodalflow.fileio import save_graph
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import nodal_decomposition, perturb_to_nonzero, select_eigenpair
-from nodalflow.spectra import eigendecompose, group_tolerance
+from nodalflow.spectra import eigendecompose, group_tolerance, track_branches
 
 
 def select(g, k):
@@ -235,8 +235,8 @@ def test_limit_multiplicity_counts_on_the_sign_blocks(g):
         assert np.all(M[np.ix_(positive, ~positive)] == 0.0)
         factored, count_below = [], edge_flow._count_below
 
-        def recorded(A, t, *, closed):
-            factored.append((A, count_below(A, t, closed=closed)))
+        def recorded(A, t):
+            factored.append((A, count_below(A, t)))
             return factored[-1][1]
 
         with pytest.MonkeyPatch.context() as patch:
@@ -274,16 +274,16 @@ def test_limit_multiplicity_counts_the_strong_domains_on_graded_weights():
 )
 def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu):
     # Each non-empty sign class is counted on its own ground-state
-    # Laplacian: one factorization of the class's size, closed at 0, and no
+    # Laplacian: one factorization of the class's size, at or below 0, and no
     # eigensolve, graded blocks included. The count is the strong nodal
     # domain count. At k = 1 psi has one sign, so one class of size n is
     # counted.
     sel = select(g, k)
     calls, count_below, solve = [], edge_flow._count_below, edge_flow.eigendecompose
 
-    def factored(A, t, *, closed):
-        calls.append(("factor", len(A), closed))
-        return count_below(A, t, closed=closed)
+    def factored(A, t):
+        calls.append(("factor", len(A)))
+        return count_below(A, t)
 
     def solved(M, **kwargs):
         calls.append(("solve", len(M.matrix), kwargs.get("vectors", True)))
@@ -294,7 +294,7 @@ def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu):
     assert limit_multiplicity(g, sel) == nu
     classes = [size for size in (int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))) if size]
     assert len(classes) == (1 if k == 1 else 2)
-    assert calls == [("factor", size, True) for size in classes]
+    assert calls == [("factor", size) for size in classes]
 
 
 def test_nodal_count_direct_builds_no_perturbation(monkeypatch):
@@ -394,6 +394,37 @@ def test_run_edge_flow_crossing_on_grid_point(g, k, steps, at):
         assert 0 < c.sigma_hi - c.sigma_lo <= 1e-6
     for s in at:
         assert any(c.sigma_lo <= s <= c.sigma_hi for c in fr.crossings)
+
+
+@pytest.mark.parametrize(
+    "g, k, steps, crossings",
+    [(generate_connected_er(20, 0.3, 300).graph, 20, 33, 17), (grid(6, 6), 4, 60, 0),
+     (grid(6, 6), 33, 60, 8)],
+    ids=["er20-p0.3-s300-k20", "grid6x6-k4", "grid6x6-k33"],
+)
+def test_inertia_count_tracks_like_an_eigensolve_count(g, k, steps, crossings):
+    # track_branches' default count factors L + sigma P once per bisection
+    # midpoint. Counting the same matrix's eigvalsh values instead must give
+    # the same FlowResult bit for bit, also on grid 6x6, whose flows start
+    # from 13 degenerate clusters.
+    sel = select(g, k)
+    pert = build_perturbation(g, sel)
+
+    def solved(sigma, t):
+        return int(np.sum(np.linalg.eigvalsh(flow_matrix(pert, sigma).matrix) <= t))
+
+    flows = [
+        track_branches(lambda s: flow_matrix(pert, s), np.linspace(0.0, 1.0, steps),
+                       sel.lambda_k, count=count)
+        for count in (None, solved)
+    ]
+    assert len(flows[0].crossings) == crossings
+    for field in dataclasses.fields(flows[0]):
+        a, b = (getattr(fr, field.name) for fr in flows)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
 
 
 def test_run_edge_flow_psi_branch_constant():

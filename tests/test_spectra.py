@@ -108,12 +108,11 @@ def test_multiplicity_of():
 
 
 def _assert_counts_like_eigvalsh(M, t):
-    """_count_below at t, open and closed, against eigvalsh; no eigenvalue
-    may be within 1e-6 of t, where the two could differ by rounding."""
+    """_count_below at t against eigvalsh; no eigenvalue may be within 1e-6
+    of t, where the two could differ by rounding."""
     vals = np.linalg.eigvalsh(M)
     assert np.min(np.abs(vals - t)) >= 1e-6
-    expected = int(np.sum(vals <= t))
-    assert _count_below(M, t, closed=True) == _count_below(M, t, closed=False) == expected
+    assert _count_below(M, t) == int(np.sum(vals <= t))
 
 
 def _zero_diagonal(n, seed):
@@ -137,28 +136,26 @@ def test_count_below_reads_two_by_two_pivots(M):
 
 
 @pytest.mark.parametrize(
-    "g,t,at_or_below,below",
-    [(interval(2), 0.0, 1, 0), (interval(2), 2.0, 2, 1), (interval(3), 0.0, 1, 0),
-     (interval(3), 1.0, 2, 1), (interval(3), 3.0, 3, 2), (cycle(4), 2.0, 3, 1),
-     (complete(4), 0.0, 1, 0), (complete(4), 4.0, 4, 1)],
+    "g,t,at_or_below",
+    [(interval(2), 0.0, 1), (interval(2), 2.0, 2), (interval(3), 0.0, 1),
+     (interval(3), 1.0, 2), (interval(3), 3.0, 3), (cycle(4), 2.0, 3),
+     (complete(4), 0.0, 1), (complete(4), 4.0, 4)],
     ids=["P2-0", "P2-2", "P3-0", "P3-1", "P3-3", "C4-2", "K4-0", "K4-4"],
 )
-def test_count_below_at_an_exactly_singular_shift(g, t, at_or_below, below):
+def test_count_below_at_an_exactly_singular_shift(g, t, at_or_below):
     # L - tI is exactly singular and its factorization meets exact zero
-    # pivots: each is an eigenvalue equal to t, counted at or below t and
-    # not below it. C4 at t = 2 also takes a 2 x 2 pivot.
+    # pivots: each is an eigenvalue equal to t, counted at or below t. C4 at
+    # t = 2 also takes a 2 x 2 pivot.
     L = laplacian(g).matrix
-    assert _count_below(L, t, closed=True) == at_or_below
-    assert _count_below(L, t, closed=False) == below
+    assert _count_below(L, t) == at_or_below
 
 
 def test_count_below_takes_t_only_when_closed():
-    # Eigenvalues exactly on t are counted at or below t and not below it;
-    # their neighbouring doubles fall on their own sides.
+    # An eigenvalue exactly on t is counted at or below t; its neighbouring
+    # doubles fall on their own sides.
     t = 1.0 + group_tolerance(1.0)
     D = np.diag([np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf), 0.5, 3.0])
-    assert _count_below(D, t, closed=True) == 3
-    assert _count_below(D, t, closed=False) == 2
+    assert _count_below(D, t) == 3
 
 
 @settings(max_examples=200, deadline=None)
@@ -443,18 +440,32 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     g = grid(4, 3)
     sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
     solves = _record_solves(monkeypatch, spectra, edge_flow, vertex_flow)
+    depth, midpoints, bisected = _bisection_depth(monkeypatch), [], []
     factored, count_below = [], edge_flow._count_below
 
-    def recorded(A, t, *, closed):
-        factored.append((len(A), closed))
-        return count_below(A, t, closed=closed)
+    def recorded(A, t):
+        factored.append(len(A))
+        return count_below(A, t)
+
+    def in_bisection(A, t):
+        bisected.append((len(A), depth[0] > 0))
+        return count_below(A, t)
+
+    def family(sigma):
+        if depth[0]:
+            midpoints.append(sigma)
+        return turning(sigma)
 
     monkeypatch.setattr(edge_flow, "_count_below", recorded)
+    monkeypatch.setattr(spectra, "_count_below", in_bisection)
 
-    fr = track_branches(turning, np.linspace(0.0, 1.0, 14), 1.2)
-    assert sum(vectors for _, vectors, _, _ in solves) == len(fr.sigma_grid)
-    assert sum(not vectors for _, vectors, _, _ in solves) >= 1
-    assert all(vectors != bisection for _, vectors, bisection, _ in solves)
+    # The default bisection factors the family's matrix once per midpoint
+    # and solves nothing: every solve is a grid point's, with vectors.
+    fr = track_branches(family, np.linspace(0.0, 1.0, 14), 1.2)
+    assert fr.crossings and midpoints
+    assert bisected == [(len(turning(0.0)), True)] * len(midpoints)
+    assert sum(vectors for _, vectors, _, _ in solves) == len(fr.sigma_grid) == len(solves)
+    assert not any(bisection for _, _, bisection, _ in solves)
 
     solves.clear()
     fr = run_vertex_flow(g, sel, steps=20)
@@ -472,15 +483,14 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     # remaining solve, on the Schur complement.
     classes = [int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))]
     assert all(classes) and sum(classes) == g.n
-    limit = [(size, True) for size in classes]
     rest = [s for s in solves if s not in tracked and s not in bisection]
     assert rest == [(vertex_flow.__name__, False, False, g.n)]
-    assert factored == limit
+    assert factored == classes
 
     solves.clear()
     factored.clear()
     nodal_count_direct(g, sel)
-    assert solves == [] and factored == limit
+    assert solves == [] and factored == classes
 
 
 def test_crossing_bisection_never_clusters(monkeypatch):
@@ -579,7 +589,9 @@ def test_only_tracked_grid_points_use_divide_and_conquer(monkeypatch, tmp_path):
     # solve, derivative_residual and nodal_count_direct are all among them.
     base = [s for s in others if s[0] == cli.__name__]
     assert base == [(cli.__name__, None, True, False, False)] * 2
-    assert any(s[4] for s in others)
+    # Inside the crossing bisection only the vertex flow's ghost Schur count
+    # solves; track_branches' own count factors and never solves.
+    assert {s[0] for s in others if s[4]} == {vertex_flow.__name__}
     assert sum(s[0] == spectra_name and not s[3] for s in others) == 3
     # The vertex certificate's Dirichlet count and nodal_count_direct, both
     # limit_multiplicity, count by inertia and solve nothing.

@@ -390,7 +390,8 @@ def test_ghost_schur_count_matches_the_full_count(g, k):
 
 def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
     # At the sigma where s (h_i + h_j) + sigma = t for one ghost, the Schur
-    # complement would divide by (nearly) zero; the count solves B(sigma).
+    # complement would divide by (nearly) zero; the count factors B(sigma)
+    # once, as track_branches' default count does, and solves nothing.
     g = grid(7, 5)
     sel = select(g, 5)
     pert = build_perturbation(g, sel)
@@ -401,22 +402,29 @@ def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
     b = 1.0 + h - t
     sigma = 0.5 * (-b + np.sqrt(b * b + 4.0 * t))
     assert abs(sigma / (1.0 + sigma) * h + sigma - t) <= COUNT_TOL_REL * t
-    solved = []
+    built, factored, solved, count_below = [], [], [], vertex_flow._count_below
     monkeypatch.setattr(
-        vertex_flow, "bilinear_matrix", lambda p, s: solved.append(s) or bilinear_matrix(p, s)
+        vertex_flow, "bilinear_matrix", lambda p, s: built.append(s) or bilinear_matrix(p, s)
+    )
+    monkeypatch.setattr(
+        vertex_flow, "_count_below", lambda A, t: factored.append(len(A)) or count_below(A, t)
+    )
+    monkeypatch.setattr(
+        vertex_flow, "eigendecompose", lambda M, **kw: solved.append(M) or eigendecompose(M, **kw)
     )
     count = ghost_schur_count(pert, sel.psi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         n = count(sigma, t)
-    assert solved == [sigma]
+    assert built == [sigma]
+    assert factored == [g.n + len(pert.w)] and solved == []
     assert n == int(np.sum(np.linalg.eigvalsh(bilinear_matrix(pert, sigma).matrix) <= t))
 
 
 def test_schur_count_tracks_like_the_full_count():
     # Over the vertex flow's matrix, track_branches gives the same result
-    # bit for bit whether the bisection counts on B(sigma) or on the ghost
-    # Schur complement.
+    # bit for bit whether the bisection counts on B(sigma), by inertia (the
+    # default), or on the ghost Schur complement.
     g = grid(7, 5)
     sel = select(g, 5)
     pert = build_perturbation(g, sel)
