@@ -13,11 +13,11 @@ import sys
 import numpy as np
 
 from . import fileio, svg
-from .edge_flow import build_perturbation, limit_multiplicity, nodal_count_direct
-from .edge_flow import run_edge_flow, sign_blocks
+from .edge_flow import build_perturbation, flow_matrix, limit_multiplicity
+from .edge_flow import nodal_count_direct, run_edge_flow
 from .errors import AssumptionViolated, NodalFlowError
 from .families import FamilySpec, generate
-from .graph_core import WeightedGraph, laplacian
+from .graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from .nodal import EigenSelection, edge_signs, select_eigenpair, strong_domains_allowing_zeros
 from .nodal import zero_vertices
 from .spectra import eigendecompose
@@ -35,6 +35,20 @@ def _count_for_k(g: WeightedGraph, spectrum, k: int) -> tuple[EigenSelection, in
     if sel.nowhere_zero:
         return sel, nodal_count_direct(g, sel, allow_degenerate=True).nu
     return sel, len(strong_domains_allowing_zeros(g, sel.psi)[0])
+
+
+def _nowhere_zero_selection(args, undefined: str) -> tuple[WeightedGraph, EigenSelection | None]:
+    """The graph at --graph and its selection at --k, or (g, None) once the
+    zero entries are reported, with what they leave ``undefined``."""
+    g, _ = fileio.load_graph(args.graph)
+    sel = select_eigenpair(eigendecompose(laplacian(g)), args.k)
+    if sel.nowhere_zero:
+        return g, sel
+    print(
+        f"eigenvector {args.k} has zero entries at {zero_vertices(sel.psi)}; {undefined}",
+        file=sys.stderr,
+    )
+    return g, None
 
 
 def _cmd_generate(args) -> int:
@@ -70,15 +84,8 @@ def _cmd_nodal(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    g, _ = fileio.load_graph(args.graph)
-    spectrum = eigendecompose(laplacian(g))
-    sel = select_eigenpair(spectrum, args.k)
-    if not sel.nowhere_zero:
-        print(
-            f"eigenvector {args.k} has zero entries at {zero_vertices(sel.psi)}; "
-            "the flow is undefined (perturb first)",
-            file=sys.stderr,
-        )
+    g, sel = _nowhere_zero_selection(args, "the flow is undefined (perturb first)")
+    if sel is None:
         return 3
     if args.method == "edge":
         fr = run_edge_flow(g, sel, steps=args.steps, allow_degenerate=True)
@@ -131,22 +138,17 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    g, _ = fileio.load_graph(args.graph)
-    spectrum = eigendecompose(laplacian(g))
-    sel = select_eigenpair(spectrum, args.k)
-    if not sel.nowhere_zero:
-        print(
-            f"eigenvector {args.k} has zero entries at {zero_vertices(sel.psi)}; "
-            "sign classes are undefined",
-            file=sys.stderr,
-        )
+    g, sel = _nowhere_zero_selection(args, "sign classes are undefined")
+    if sel is None:
         return 3
     # The Dirichlet limit on the base vertices is L + P, the Laplacian of the
     # sign-preserving graph, whose components, the D-connected ones, are
-    # psi's strong nodal domains. Its spectrum is that of psi's sign-class
-    # blocks, and lambda_k's multiplicity is the count nodal prints as nu.
-    pert = build_perturbation(g, sel)
-    values = [eigendecompose(b, vectors=False).eigenvalues for b in sign_blocks(pert, sel)]
+    # psi's strong nodal domains. It is block diagonal over psi's sign
+    # classes (limit_multiplicity), so its spectrum is that of the blocks;
+    # lambda_k's multiplicity is the count nodal prints as nu.
+    M = flow_matrix(build_perturbation(g, sel), 1.0).matrix
+    blocks = (M[np.ix_(S, S)] for S in (sel.psi > 0, sel.psi < 0) if S.any())
+    values = [eigendecompose(LaplacianMatrix(b), vectors=False).eigenvalues for b in blocks]
     domains, _ = strong_domains_allowing_zeros(g, sel.psi)
     out = {
         "k": sel.k,

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_core import LaplacianMatrix, WeightedGraph, edge_laplacian, freeze_arrays, laplacian
+from .graph_core import LaplacianMatrix, WeightedGraph, edge_matrix, freeze_arrays, laplacian
 from .nodal import EigenSelection, sign_change_mask
 from .spectra import (
     FD_STEP,
@@ -31,8 +31,8 @@ class EdgePerturbation:
     """psi's sign-change edges i < j with weight w, in edge order, their
     ratios, and L (laplacian), the graph's own Laplacian. The record keeps
     only these arrays; the fixed terms derived from them, P (matrix) and
-    its diagonal, and the vertex flow's ghost half-edges (half_weights),
-    are computed when read. Both flows end at L + P.
+    the vertex flow's ghost half-edges (half_weights), are computed when
+    read. Both flows end at L + P, flow_matrix(pert, 1.0).
 
     q_ij = -psi_i / psi_j is positive exactly because the edge changes sign;
     q_ij * q_ji = 1, so each edge's block of P is PSD of rank 1 with kernel
@@ -50,23 +50,11 @@ class EdgePerturbation:
         freeze_arrays(self, "i", "j", "w", "q_ij", "q_ji", "laplacian")
 
     @cached_property
-    def diagonal(self) -> np.ndarray:
-        """P's diagonal, read-only: w q_ji at i and w q_ij at j, summed in
-        edge order, i before j, as a loop over the edges would sum them, so
-        every bit of the result is reproducible."""
-        ends = np.column_stack((self.i, self.j)).ravel()
-        terms = np.column_stack((self.w * self.q_ji, self.w * self.q_ij)).ravel()
-        diag = np.bincount(ends, terms, len(self.laplacian))
-        diag.setflags(write=False)
-        return diag
-
-    @cached_property
     def matrix(self) -> np.ndarray:
-        """P, read-only and assembled on first read: w at (i, j) and (j, i)
-        and the diagonal above."""
-        P = np.zeros_like(self.laplacian)
-        P[self.i, self.j] = P[self.j, self.i] = self.w
-        P[np.diag_indices(len(P))] = self.diagonal
+        """P, read-only and assembled on first read: w at (i, j) and (j, i),
+        and on the diagonal w q_ji at i and w q_ij at j (edge_matrix)."""
+        w = self.w
+        P = edge_matrix(len(self.laplacian), self.i, self.j, w, w * self.q_ji, w * self.q_ij, 0.0)
         P.setflags(write=False)
         return P
 
@@ -101,28 +89,6 @@ def flow_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
     return LaplacianMatrix(pert.laplacian + sigma * pert.matrix)
 
 
-def sign_blocks(pert: EdgePerturbation, sel: EigenSelection) -> list[LaplacianMatrix]:
-    """psi's sign-class blocks of L + P, pert being built from sel, positive
-    class first; a class is empty only where psi has one sign (k = 1), and
-    is skipped. Only dirichlet's printed eigenvalues read them; nu is
-    counted on the ground-state Laplacians instead (limit_multiplicity).
-
-    L + P is block diagonal over the two classes: a sign-change edge has
-    entry -w + 1.0 * w = 0.0 exactly, and every other edge joins one class.
-    Within a class P is diagonal, so a block is L's block plus P's diagonal
-    there, bit for bit, and L + P is never built.
-    """
-    L, diagonal = pert.laplacian, pert.diagonal
-    positive = sel.psi > 0
-    blocks = []
-    for S in (np.flatnonzero(positive), np.flatnonzero(~positive)):
-        if len(S):
-            block = L[S][:, S]
-            block[np.diag_indices(len(S))] += diagonal[S]
-            blocks.append(LaplacianMatrix(block))
-    return blocks
-
-
 def limit_multiplicity(g: WeightedGraph, sel: EigenSelection) -> int:
     """Multiplicity of lambda_k in L + P, where both flows end (the vertex
     flow's Dirichlet limit on the base), P being built from sel: its
@@ -131,14 +97,17 @@ def limit_multiplicity(g: WeightedGraph, sel: EigenSelection) -> int:
     The package's only count of nu in the limit: scan, nodal, dirichlet and
     the vertex certificate all read it.
 
-    On a class S, with D = diag(|psi_S|), L + P's block B has
-    D (B - lambda_k) D = L_psi, the Laplacian of S's sign-preserving edges
-    with weights w |psi_i psi_j| (the ground-state transform), built from
-    g's edge arrays: lambda_k, diag_extra, P and every ratio of psi's
-    entries cancel, as B psi_S = lambda_k psi_S. By Sylvester's law, B's
-    eigenvalues <= lambda_k + tol are those of L_psi - tol D^2 <= 0, and
-    none lies below lambda_k - tol. L_psi's kernel holds one vector per
-    strong nodal domain in S, so the count is never below the domain count.
+    L + P is block diagonal over psi's sign classes: a sign-change edge's
+    entry is -w + w = 0, and every other edge joins one class. On a class
+    S, with D = diag(|psi_S|), L + P's block B has D (B - lambda_k) D =
+    L_psi, the Laplacian of S's sign-preserving edges with weights
+    w |psi_i psi_j| (the ground-state transform), built from g's edge
+    arrays by edge_matrix, as L is: lambda_k, diag_extra, P and every
+    ratio of psi's entries cancel, as B psi_S = lambda_k psi_S. By
+    Sylvester's law, B's eigenvalues <= lambda_k + tol are those of
+    L_psi - tol D^2 <= 0, and none lies below lambda_k - tol. L_psi's
+    kernel holds one vector per strong nodal domain in S, so the count is
+    never below the domain count.
     """
     psi = sel.psi
     kept = ~sign_change_mask(g, psi)
@@ -149,8 +118,8 @@ def limit_multiplicity(g: WeightedGraph, sel: EigenSelection) -> int:
     for S in (psi > 0, psi < 0):
         if S.any():
             index, inside = np.cumsum(S) - 1, S[i]
-            a, b = index[i[inside]], index[j[inside]]
-            L_psi = edge_laplacian(index[-1] + 1, a, b, w[inside], -tol * psi[S] ** 2)
+            a, b, w_S = index[i[inside]], index[j[inside]], w[inside]
+            L_psi = edge_matrix(index[-1] + 1, a, b, -w_S, w_S, w_S, -tol * psi[S] ** 2)
             nu += _count_below(L_psi, 0.0)
     return nu
 

@@ -74,20 +74,22 @@ class WeightedGraph:
 
     @cached_property
     def _laplacian(self) -> LaplacianMatrix:
-        diagonal = np.array(self.diag_extra)
-        return LaplacianMatrix(edge_laplacian(self.n, *self.edge_arrays, diagonal))
+        i, j, w = self.edge_arrays
+        return LaplacianMatrix(edge_matrix(self.n, i, j, -w, w, w, np.array(self.diag_extra)))
 
 
-def edge_laplacian(n: int, i, j, w, diagonal) -> np.ndarray:
-    """The n x n Laplacian of the edges (i, j) with weights w, plus the
-    per-vertex ``diagonal``: -w off the diagonal, degrees plus diagonal on
-    it. Degrees are summed in edge order, i before j, as a loop over the
-    edges would sum them, so every bit of the result is reproducible."""
-    L = np.zeros((n, n))
-    L[i, j] = L[j, i] = -w
-    deg = np.bincount(np.column_stack((i, j)).ravel(), np.repeat(w, 2), n)
-    L[np.diag_indices(n)] = deg + diagonal
-    return L
+def edge_matrix(n: int, i, j, off, at_i, at_j, diagonal) -> np.ndarray:
+    """The n x n symmetric matrix with ``off`` at (i, j) and (j, i) for the
+    edges (i, j), and on the diagonal each edge's end terms, at_i at i and
+    at_j at j, plus the per-vertex ``diagonal``. End terms are summed in
+    edge order, i before j, as a loop over the edges would sum them, so
+    every bit of the result is reproducible. A Laplacian has off = -w and
+    at_i = at_j = w."""
+    M = np.zeros((n, n))
+    M[i, j] = M[j, i] = off
+    ends = np.bincount(np.column_stack((i, j)).ravel(), np.column_stack((at_i, at_j)).ravel(), n)
+    M[np.diag_indices(n)] = ends + diagonal
+    return M
 
 
 def freeze_arrays(record, *names: str) -> None:

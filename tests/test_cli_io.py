@@ -1,5 +1,8 @@
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nodalflow
 from nodalflow import cli, fileio, graph_core, vertex_flow
 from nodalflow.cli import main
 from nodalflow.edge_flow import run_edge_flow
-from nodalflow.families import interval
+from nodalflow.families import grid, interval
 from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import eigendecompose
@@ -64,6 +68,15 @@ def test_serialize_parse_round_trip():
     assert g2.diag_extra == g.diag_extra
     assert meta2 == meta
     assert fileio.serialize_graph(g2, meta2) == text
+
+
+def test_serialize_parse_round_trip_without_edges():
+    g = WeightedGraph(1, ())
+    text = fileio.serialize_graph(g)
+    assert json.loads(text) == {"n": 1, "edges": []}
+    g2, meta = fileio.parse_graph(text)
+    assert (g2.n, g2.edges, g2.diag_extra, meta) == (1, (), (0.0,), None)
+    assert fileio.serialize_graph(g2) == text
 
 
 def test_serialize_omits_empty_sections():
@@ -299,16 +312,22 @@ def test_cli_dirichlet_interval(tmp_path, capsys):
     assert out["simple"] is True
 
 
-def test_cli_dirichlet_matches_the_limit_graph_oracle(tmp_path, capsys):
-    # The command reads the limit off L + P; the oracle's subdivision graph
-    # at sigma = infinity, restricted to the base vertices, gives the same
-    # spectrum and components.
-    path = tmp_path / "g75.json"
-    main(["generate", "--family", "grid", "--params", "7,5", "-o", str(path)])
-    assert main(["dirichlet", "--graph", str(path), "--k", "5"]) == 0
+@pytest.mark.parametrize(
+    "family,params,k,code",
+    [("grid", "7,5", 5, 0), ("petersen", "7,3", 7, 3)],
+    ids=["grid75", "petersen"],
+)
+def test_cli_dirichlet_matches_the_limit_graph_oracle(tmp_path, capsys, family, params, k, code):
+    # The command slices psi's sign-class blocks out of L + P; the oracle's
+    # subdivision graph at sigma = infinity, restricted to the base
+    # vertices, gives the same spectrum and components. GP(7,3)'s lambda_7
+    # is degenerate, hence its exit code 3.
+    path = tmp_path / "g.json"
+    main(["generate", "--family", family, "--params", params, "-o", str(path)])
+    assert main(["dirichlet", "--graph", str(path), "--k", str(k)]) == code
     out = json.loads(capsys.readouterr().out.strip())
     g, _ = fileio.load_graph(path)
-    sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
+    sel = select_eigenpair(eigendecompose(laplacian(g)), k)
     n_lim, edges, diag = limit_graph(g.n, g.edges, sel.psi, g.diag_extra)
     L = (dense_laplacian(n_lim, edges) + np.diag(diag))[: g.n, : g.n]
     ref = np.linalg.eigvalsh(L)
@@ -316,6 +335,44 @@ def test_cli_dirichlet_matches_the_limit_graph_oracle(tmp_path, capsys):
     inside = [(i, j, w) for i, j, w in edges if j < g.n]
     assert out["d_connected_components"] == flood_fill_nodal_count(g.n, inside, sel.psi) == 3
     assert out["multiplicity_of_lambda_k"] == 3
+
+
+def test_cli_dirichlet_zero_vertex_refuses(tmp_path, capsys):
+    graph = tmp_path / "i7.json"
+    main(["generate", "--family", "interval", "--params", "7", "-o", str(graph)])
+    capsys.readouterr()
+    assert main(["dirichlet", "--graph", str(graph), "--k", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "eigenvector 2 has zero entries at (3,); sign classes are undefined\n"
+    )
+
+
+def test_cli_flow_refinement_floor_exit_code(tmp_path, capsys, monkeypatch):
+    # A flow whose tracking hit its refinement floor still writes its files,
+    # flagged, and exits 4.
+    def exhausted(*args, **kwargs):
+        return dataclasses.replace(run_edge_flow(*args, **kwargs), refinement_exhausted=True)
+
+    monkeypatch.setattr(cli, "run_edge_flow", exhausted)
+    graph = tmp_path / "i4.json"
+    fileio.save_graph(graph, interval(4))
+    out = tmp_path / "run"
+    assert main(["flow", "--method", "edge", "--graph", str(graph), "--k", "2",
+                 "--steps", "20", "--out", str(out)]) == 4
+    capsys.readouterr()
+    assert (tmp_path / "run.csv").read_text().startswith("sigma,branch_0")
+    summary = json.loads((tmp_path / "run.json").read_text())
+    assert summary["flags"]["refinement_exhausted"] is True
+
+
+def test_python_m_nodalflow_runs_main(tmp_path, capsys):
+    graph = tmp_path / "g43.json"
+    fileio.save_graph(graph, grid(4, 3))
+    code = main(["nodal", "--graph", str(graph), "--k", "3"])
+    r = run_cli("nodal", "--graph", str(graph), "--k", "3")
+    assert (r.stdout, r.returncode) == (capsys.readouterr().out, code)
 
 
 def _parser_long_options():
@@ -336,6 +393,20 @@ def test_readme_names_every_cli_flag_and_no_other():
     # pip's flag on the install lines is the one that is not the CLI's.
     named = set(re.findall(r"--[a-z][a-z0-9-]*", text)) - {"--no-build-isolation"}
     assert named <= options, sorted(named - options)
+
+
+def test_readme_qualified_names_resolve():
+    # A backticked `module.name` in the README, module being one of the
+    # package's submodules, must name something that module has.
+    modules = {m.name for m in pkgutil.iter_modules(nodalflow.__path__)}
+    named = re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)", README.read_text())
+    qualified = [(m, name) for m, name in named if m in modules]
+    assert qualified
+    missing = [
+        f"{m}.{name}" for m, name in qualified
+        if not hasattr(importlib.import_module(f"nodalflow.{m}"), name)
+    ]
+    assert not missing, missing
 
 
 def test_cli_subprocess_byte_identical_flow(tmp_path):

@@ -18,7 +18,6 @@ from nodalflow.edge_flow import (
     limit_multiplicity,
     nodal_count_direct,
     run_edge_flow,
-    sign_blocks,
     sign_preserving_graph,
 )
 from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
@@ -69,27 +68,18 @@ def test_perturbation_matrix_read_only():
 
 @pytest.mark.parametrize("g,k", [(grid(7, 5), 5), (petersen(7, 3), 7)], ids=["grid75", "petersen"])
 def test_perturbation_matrix_is_derived_from_the_edge_arrays(g, k):
-    # P and its diagonal are read off the record's arrays on first read,
-    # once, read-only, and bit for bit as a loop over the edges assembles
-    # them. sign_blocks reads only the diagonal: its blocks are L + P's
-    # blocks bit for bit, and P itself is never built.
-    sel = select(g, k)
-    pert = build_perturbation(g, sel)
-    blocks = [block.matrix for block in sign_blocks(pert, sel)]
-    assert len(blocks) == 2 and "matrix" not in vars(pert)
-    M = pert.laplacian + pert.matrix
-    positive = sel.psi > 0
-    for block, S in zip(blocks, (positive, ~positive)):
-        assert np.array_equal(block, M[S][:, S])
-
+    # P is read off the record's arrays on first read, once, read-only, and
+    # bit for bit as a loop over the edges assembles it.
+    pert = build_perturbation(g, select(g, k))
+    assert "matrix" not in vars(pert)
     P = np.zeros((g.n, g.n))
     for i, j, w, q_ij, q_ji in zip(pert.i, pert.j, pert.w, pert.q_ij, pert.q_ji):
         P[i, j] = P[j, i] = w
         P[i, i] += w * q_ji
         P[j, j] += w * q_ij
-    assert np.array_equal(pert.matrix, P) and np.array_equal(pert.diagonal, np.diag(P))
-    assert pert.matrix is pert.matrix and pert.diagonal is pert.diagonal
-    assert not pert.matrix.flags.writeable and not pert.diagonal.flags.writeable
+    assert np.array_equal(pert.matrix, P)
+    assert pert.matrix is pert.matrix
+    assert not pert.matrix.flags.writeable
 
 
 def test_flow_matrix_endpoints_and_range():

@@ -61,6 +61,16 @@ def test_rejects_negative_diag_extra():
             WeightedGraph(2, ((0, 1, 1.0),), diag_extra=(0.0, x))
 
 
+def test_rejects_an_empty_vertex_set():
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        WeightedGraph(0, ())
+
+
+def test_rejects_diag_extra_of_the_wrong_length():
+    with pytest.raises(ValueError, match="diag_extra has length 1, expected 2"):
+        WeightedGraph(2, ((0, 1, 1.0),), diag_extra=(1.0,))
+
+
 def test_m_counts_edges():
     g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
     assert g.m == 3
@@ -105,7 +115,7 @@ ARRAY_FIELDS = {
     "GridEigenOracle": ("eigenvector",),
 }
 # Arrays a record derives from its fields on first read.
-DERIVED_ARRAYS = {"EdgePerturbation": ("diagonal", "matrix")}
+DERIVED_ARRAYS = {"EdgePerturbation": ("matrix",)}
 
 
 @pytest.fixture(scope="module")
