@@ -13,8 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ZeroVertex
 from .graph_core import LaplacianMatrix, WeightedGraph, edge_matrix, freeze_arrays, laplacian
-from .nodal import EigenSelection, sign_change_mask
+from .nodal import EigenSelection, sign_change_mask, zero_vertices
 from .spectra import (
     FD_STEP,
     FlowResult,
@@ -93,35 +94,35 @@ def limit_multiplicity(g: WeightedGraph, sel: EigenSelection) -> int:
     """Multiplicity of lambda_k in L + P, where both flows end (the vertex
     flow's Dirichlet limit on the base), P being built from sel: its
     eigenvalues within tol = group_tolerance(lambda_k) of lambda_k, counted
-    by one LDL^T factorization per sign class of psi, with no eigensolve.
+    by inertia with no eigensolve; ZeroVertex unless psi is nowhere zero.
     The package's only count of nu in the limit: scan, nodal, dirichlet and
-    the vertex certificate all read it.
+    the vertex certificate read it.
 
     L + P is block diagonal over psi's sign classes: a sign-change edge's
     entry is -w + w = 0, and every other edge joins one class. On a class
     S, with D = diag(|psi_S|), L + P's block B has D (B - lambda_k) D =
     L_psi, the Laplacian of S's sign-preserving edges with weights
-    w |psi_i psi_j| (the ground-state transform), built from g's edge
-    arrays by edge_matrix, as L is: lambda_k, diag_extra, P and every
-    ratio of psi's entries cancel, as B psi_S = lambda_k psi_S. By
-    Sylvester's law, B's eigenvalues <= lambda_k + tol are those of
-    L_psi - tol D^2 <= 0, and none lies below lambda_k - tol. L_psi's
+    w |psi_i psi_j| (the ground-state transform): lambda_k, diag_extra, P
+    and every ratio of psi's entries cancel, as B psi_S = lambda_k psi_S.
+    By Sylvester's law, B's eigenvalues <= lambda_k + tol are those of
+    L_psi - tol D^2 <= 0, and none lies below lambda_k - tol; L_psi's
     kernel holds one vector per strong nodal domain in S, so the count is
-    never below the domain count.
+    never below the domain count. edge_matrix assembles one L_psi - tol D^2
+    with the vertices in class order, and _count_below factors each of its
+    two diagonal blocks once: no edge joins them and every diagonal entry
+    sums in edge order, so each is bit for bit its class's own matrix.
     """
-    psi = sel.psi
-    kept = ~sign_change_mask(g, psi)
-    i, j, w = (a[kept] for a in g.edge_arrays)
-    w = w * np.abs(psi[i] * psi[j])
-    tol = group_tolerance(sel.lambda_k)
-    nu = 0
-    for S in (psi > 0, psi < 0):
-        if S.any():
-            index, inside = np.cumsum(S) - 1, S[i]
-            a, b, w_S = index[i[inside]], index[j[inside]], w[inside]
-            L_psi = edge_matrix(index[-1] + 1, a, b, -w_S, w_S, w_S, -tol * psi[S] ** 2)
-            nu += _count_below(L_psi, 0.0)
-    return nu
+    if not sel.nowhere_zero:
+        raise ZeroVertex(zero_vertices(sel.psi))
+    psi, (i, j, w) = sel.psi, g.edge_arrays
+    product = psi[i] * psi[j]
+    kept = product > 0
+    w = w[kept] * product[kept]
+    order = np.argsort(psi < 0, kind="stable")  # the positive class first
+    at = np.argsort(order)  # each vertex's position in that order
+    tol, p = group_tolerance(sel.lambda_k), np.count_nonzero(psi > 0)
+    L_psi = edge_matrix(g.n, at[i[kept]], at[j[kept]], -w, w, w, -tol * psi[order] ** 2)
+    return sum(_count_below(B, 0.0) for B in (L_psi[:p, :p], L_psi[p:, p:]) if len(B))
 
 
 def sign_preserving_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedGraph:
@@ -156,9 +157,8 @@ def nodal_count_direct(
 ) -> DirectCount:
     """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed.
 
-    Counted by inertia on each sign class's ground-state Laplacian, built
-    from g's edge arrays (limit_multiplicity): one factorization per class,
-    no eigensolve, no EdgePerturbation and nothing n x n.
+    Counted by inertia on the ground-state Laplacian (limit_multiplicity):
+    one factorization per sign class, no eigensolve, no EdgePerturbation.
     """
     sel.check_assumptions(allow_degenerate)
     nu = limit_multiplicity(g, sel)

@@ -14,6 +14,7 @@ eigenspace the solver returns.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 
@@ -28,6 +29,8 @@ from .graph_core import LaplacianMatrix, freeze_arrays
 GROUP_TOL_REL = 1e-8
 # Minimum eigenvector overlap for an unambiguous branch match.
 OVERLAP_MIN = 0.5
+# 1/sqrt(2) plus a margin far above rounding: a larger overlap is a unique best match.
+DOMINANT_OVERLAP = 0.7072
 # Relative margin above the reference value of the threshold t whose upward
 # passages are the crossings (keeps branches that only reach it out).
 COUNT_TOL_REL = 1e-12
@@ -68,10 +71,10 @@ class Spectrum:
         return _cluster(self.eigenvalues)
 
     def group_of(self, index: int) -> tuple[int, ...]:
-        for g in self.groups:
-            if index in g:
-                return g
-        raise IndexError(index)
+        """The group holding index, by bisection on the groups' first indices."""
+        if not 0 <= index < self.n:
+            raise IndexError(index)
+        return self.groups[bisect_right(self.groups, index, key=lambda g: g[0]) - 1]
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -133,17 +136,17 @@ def multiplicity_of(spectrum: Spectrum, value: float) -> int:
 
 def _count_below(A: np.ndarray, t: float) -> int:
     """Number of eigenvalues of the symmetric A at or below t, by Sylvester's
-    law of inertia: the nonpositive eigenvalues of D in the Bunch-Kaufman
-    factorization A - tI = L D L^T (LAPACK dsytrf), with no eigensolve; every
-    count but the ghost Schur count (vertex_flow) goes through it. A 1 x 1
-    pivot counts by its sign, an exact zero one as an eigenvalue equal to t;
-    a 2 x 2 pivot is indefinite by the pivoting rule, so it holds exactly one
-    negative eigenvalue."""
+    law of inertia: the nonpositive eigenvalues of D in A - tI = L D L^T, the
+    Bunch-Kaufman factorization LAPACK dsytrf writes over one Fortran-order
+    copy of A, with no eigensolve; every count but the ghost Schur count
+    (vertex_flow) goes through it. A 1 x 1 pivot counts by its sign, an exact
+    zero one as an eigenvalue equal to t; a 2 x 2 pivot is indefinite by the
+    pivoting rule, so it holds exactly one negative eigenvalue."""
     n = len(A)
-    shifted = A.copy()
+    shifted = np.array(A, dtype=float, order="F")
     shifted.flat[:: n + 1] -= t
     # A workspace of 64 columns lets dsytrf factor in blocks, not by columns.
-    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(shifted, lwork=64 * n)
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(shifted, lwork=64 * n, overwrite_a=1)
     one = ipiv > 0  # the two rows of a 2 x 2 pivot hold negative ipiv
     return int(np.count_nonzero(np.diagonal(ldu)[one] <= 0) + np.count_nonzero(~one) // 2)
 
@@ -215,18 +218,21 @@ def _match_step(a: _Node, b: _Node, first: bool):
     """Match branches between adjacent nodes.
 
     Returns (ok, perm). perm[i] is the column of b continuing column i of
-    a. Degenerate clusters are compared as subspaces; equal-size full block
+    a, by linear_sum_assignment on the overlaps |a.vecs.T @ b.vecs|, or the
+    row maxima when all exceed DOMINANT_OVERLAP: rows and columns have unit
+    norm, so such maxima lie in distinct columns and are the unique optimum.
+    Degenerate clusters are compared as subspaces; equal-size full block
     maps get the arriving basis rotated into alignment. On success, b.vecs
     (and a.vecs when first) may be replaced by rotated copies.
     """
     O = np.abs(a.vecs.T @ b.vecs)
-    rows, cols = linear_sum_assignment(-O)
-    perm = np.empty(len(rows), dtype=int)
-    perm[rows] = cols
+    rows, perm = np.arange(len(O)), np.argmax(O, axis=1)
+    if not np.all(O[rows, perm] > DOMINANT_OVERLAP):
+        perm = linear_sum_assignment(-O)[1]  # its rows come back as 0..n-1
 
     rotations = []  # (Hb, target matrix)
     checked_blocks = set()
-    for i in rows[O[rows, cols] < OVERLAP_MIN]:
+    for i in rows[O[rows, perm] < OVERLAP_MIN]:
         Ga, Hb = a.spec.group_of(i), b.spec.group_of(perm[i])
         if len(Ga) == 1 and len(Hb) == 1:
             return False, perm

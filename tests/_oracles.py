@@ -125,3 +125,27 @@ def limit_graph(n: int, edges, psi, diag=()) -> tuple[int, tuple, tuple]:
     n_ghost = len(ghost_edges) // 2
     diag = tuple(float(d) for d in diag) or (0.0,) * n
     return n + n_ghost, tuple(kept) + tuple(ghost_edges), diag + (0.0,) * n_ghost
+
+
+def sign_class_blocks(n: int, edges, psi, tol: float) -> list[np.ndarray]:
+    """L_psi - tol D^2 of each non-empty sign class of psi, the positive
+    class first, each assembled on its class alone by a loop over the
+    edges in edge order: an edge (i, j, w) inside the class puts
+    -w |psi_i psi_j| at (i, j) and (j, i) and adds w |psi_i psi_j| to both
+    diagonal entries, i's first; then -tol psi_i^2 is added at each i."""
+    psi = np.asarray(psi, dtype=float)
+    blocks = []
+    for members in (np.flatnonzero(psi > 0), np.flatnonzero(psi < 0)):
+        if not len(members):
+            continue
+        index = {int(v): r for r, v in enumerate(members)}
+        B, ends = np.zeros((len(members), len(members))), np.zeros(len(members))
+        for i, j, w in edges:
+            if i in index and j in index:
+                a, b, x = index[i], index[j], w * abs(psi[i] * psi[j])
+                B[a, b] = B[b, a] = -x
+                ends[a] += x
+                ends[b] += x
+        B[np.diag_indices(len(members))] = ends + -tol * psi[members] ** 2
+        blocks.append(B)
+    return blocks

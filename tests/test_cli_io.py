@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nodalflow
-from nodalflow import cli, fileio, graph_core, vertex_flow
+from nodalflow import cli, dirichlet, edge_flow, fileio, graph_core, spectra, vertex_flow
 from nodalflow.cli import main
 from nodalflow.edge_flow import run_edge_flow
 from nodalflow.families import grid, interval
@@ -299,6 +299,39 @@ def test_cli_scan_petersen_rows(tmp_path, capsys):
     assert rows[7][6] == "7" and rows[8][6] == "7"
     assert float(rows[2][1]) == pytest.approx(1.2891707711757228, abs=1e-12)
     assert plot.read_text().startswith("<svg ")
+
+
+def test_cli_scan_assembles_one_matrix_per_row(tmp_path, capsys, monkeypatch):
+    # Each nowhere-zero row's nu is one class-ordered L_psi, assembled once
+    # and factored at most twice (once per sign class); nothing is solved
+    # after the base spectrum.
+    graph = tmp_path / "er60.json"
+    main(["generate", "--family", "er", "--params", "60,0.1", "--seed", "3", "-o", str(graph)])
+    calls = []
+
+    def tally(module, name, kind):
+        f = getattr(module, name)
+
+        def tallied(*args, **kwargs):
+            calls.append(kind)
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, tallied)
+
+    tally(edge_flow, "limit_multiplicity", "row")
+    tally(edge_flow, "edge_matrix", "assemble")
+    tally(edge_flow, "_count_below", "factor")
+    for module in (cli, dirichlet, edge_flow, spectra, vertex_flow):
+        tally(module, "eigendecompose", "solve")
+    assert main(["scan", "--graph", str(graph)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert len(rows) == 60
+    assert calls[:2] == ["solve", "row"] and calls.count("solve") == 1
+    per_row = " ".join(calls[1:]).split("row")[1:]
+    assert len(per_row) == sum(row[5] == "true" for row in rows) > 50
+    for work in per_row:
+        assert work.split().count("assemble") == 1
+        assert 1 <= work.split().count("factor") <= 2
 
 
 def test_cli_dirichlet_interval(tmp_path, capsys):

@@ -20,12 +20,19 @@ from nodalflow.edge_flow import (
     run_edge_flow,
     sign_preserving_graph,
 )
-from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
+from nodalflow.errors import (
+    AssumptionViolated,
+    DegenerateEigenvalue,
+    FlowConsistencyError,
+    ZeroVertex,
+)
 from nodalflow.families import complete, generate_connected_er, grid, interval, petersen
 from nodalflow.fileio import save_graph
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import nodal_decomposition, perturb_to_nonzero, select_eigenpair
 from nodalflow.spectra import eigendecompose, group_tolerance, track_branches
+
+from _oracles import sign_class_blocks
 
 
 def select(g, k):
@@ -285,6 +292,43 @@ def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu):
     classes = [size for size in (int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))) if size]
     assert len(classes) == (1 if k == 1 else 2)
     assert calls == [("factor", size) for size in classes]
+
+
+@pytest.mark.parametrize(
+    "g,k",
+    [
+        (grid(7, 5), 5), (petersen(7, 3), 7), (interval(6), 4), (graded(10.0), 2),
+        (graded(1.1547819846894583), 2), (spread_path(), 4), (spread_example(), 3),
+    ],
+    ids=["grid75-k5", "petersen-k7", "path6-k4", "graded-A", "graded-B", "spread-path-k4",
+         "spread-example-k3"],
+)
+def test_limit_multiplicity_factors_each_class_block_as_the_class_builds_it(monkeypatch, g, k):
+    # The class-ordered L_psi's diagonal blocks, as _count_below receives
+    # them, are bit for bit each class's matrix assembled on its own.
+    sel = select(g, k)
+    blocks, count_below = [], edge_flow._count_below
+
+    def recorded(A, t):
+        blocks.append(np.array(A))
+        return count_below(A, t)
+
+    monkeypatch.setattr(edge_flow, "_count_below", recorded)
+    limit_multiplicity(g, sel)
+    expected = sign_class_blocks(g.n, g.edges, sel.psi, group_tolerance(sel.lambda_k))
+    assert len(blocks) == len(expected) == 2
+    for got, want in zip(blocks, expected):
+        assert np.array_equal(got, want)
+
+
+def test_limit_multiplicity_refuses_a_zero_entry():
+    # psi at k = 2 on the path of 7 vertices vanishes at the middle vertex.
+    g = interval(7)
+    sel = select(g, 2)
+    assert not sel.nowhere_zero
+    with pytest.raises(ZeroVertex) as refused:
+        limit_multiplicity(g, sel)
+    assert refused.value.vertices == (3,)
 
 
 def test_nodal_count_direct_builds_no_perturbation(monkeypatch):

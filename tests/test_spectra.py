@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from nodalflow import cli, dirichlet, edge_flow, spectra, vertex_flow
 from nodalflow.edge_flow import (
@@ -69,6 +70,18 @@ def near_degenerate_spectra(draw):
 @given(near_degenerate_spectra())
 def test_cluster_matches_the_chain_rule_loop(vals):
     assert spectra._cluster(vals) == chain_cluster(vals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_degenerate_spectra())
+def test_group_of_finds_the_group_holding_each_index(vals):
+    spec = spectra.Spectrum(vals, np.eye(len(vals)))
+    groups = chain_cluster(vals)
+    for index in range(len(vals)):
+        assert spec.group_of(index) == next(g for g in groups if index in g)
+    for index in (-1, len(vals)):
+        with pytest.raises(IndexError):
+            spec.group_of(index)
 
 
 def test_eigendecompose_accepts_plain_ndarray():
@@ -280,6 +293,51 @@ def _nodes(values_a, values_b, vecs_b):
     """Adjacent walk nodes: eigenvectors I at a and vecs_b at b."""
     a = spectra._Node(0.0, spectra.Spectrum(np.array(values_a), np.eye(len(values_a))))
     return a, spectra._Node(1.0, spectra.Spectrum(np.array(values_b), vecs_b))
+
+
+def _recorded_assignments(monkeypatch) -> list:
+    calls, solve = [], spectra.linear_sum_assignment
+
+    def recorded(cost):
+        calls.append(cost)
+        return solve(cost)
+
+    monkeypatch.setattr(spectra, "linear_sum_assignment", recorded)
+    return calls
+
+
+def test_match_step_takes_dominant_row_maxima_as_the_assignment(monkeypatch):
+    # b's eigenvectors are a random orthogonal matrix near the identity, its
+    # columns shuffled and signed: every row's largest overlap exceeds
+    # DOMINANT_OVERLAP, so perm is the row maxima, which are
+    # linear_sum_assignment's optimum, and no assignment is solved.
+    calls = _recorded_assignments(monkeypatch)
+    rng = np.random.default_rng(11)
+    for n in (2, 5, 30, 120):
+        for _ in range(4):
+            X = rng.standard_normal((n, n)) * 0.2 / np.sqrt(n)
+            order = rng.permutation(n)
+            vecs_b = scipy.linalg.expm(X - X.T)[:, order] * rng.choice([-1.0, 1.0], n)
+            a, b = _nodes(np.arange(n, dtype=float), np.arange(n, dtype=float), vecs_b)
+            ok, perm = spectra._match_step(a, b, first=False)
+            assert ok and not calls
+            assert perm.tolist() == linear_sum_assignment(-np.abs(vecs_b))[1].tolist()
+            assert perm.tolist() == np.argsort(order).tolist()
+
+
+def test_match_step_solves_the_assignment_without_a_dominant_overlap(monkeypatch):
+    # Two columns turned by 45 degrees overlap both of theirs at 1/sqrt(2),
+    # below DOMINANT_OVERLAP: the assignment is solved, and perm is its.
+    calls = _recorded_assignments(monkeypatch)
+    c = np.sqrt(0.5)
+    vecs_b = np.eye(6)
+    vecs_b[np.ix_([2, 4], [2, 4])] = [[c, -c], [c, c]]
+    vecs_b = vecs_b[:, [1, 0, 2, 3, 5, 4]]
+    a, b = _nodes(np.arange(6.0), np.arange(6.0), vecs_b)
+    ok, perm = spectra._match_step(a, b, first=False)
+    assert ok and len(calls) == 1
+    assert perm.tolist() == linear_sum_assignment(-np.abs(vecs_b))[1].tolist()
+    assert perm[[0, 1, 3]].tolist() == [1, 0, 3]
 
 
 def test_match_step_rotates_an_arriving_degenerate_block_into_line():
