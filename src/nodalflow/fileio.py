@@ -8,6 +8,7 @@ fixed order, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -69,30 +70,31 @@ def _parse_field(data: dict, key: str, convert):
         raise ValueError(f"graph file has a malformed {key!r}: {exc}") from exc
 
 
-def _checked(x, types, what: str):
-    """x itself if it is an instance of types other than bool, else a TypeError."""
-    if isinstance(x, bool) or not isinstance(x, types):
-        raise TypeError(f"expected {what}, got {x!r}")
+def _int(x) -> int:
+    """x itself if it is a JSON integer (a bool's type is not int), else a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
     return x
 
 
-def _int(x) -> int:
-    return _checked(x, int, "an integer")
-
-
 def _real(x) -> float:
-    x = float(_checked(x, (int, float), "a number"))
-    if not np.isfinite(x):
+    if type(x) is int:
+        x = float(x)
+    elif type(x) is not float:
+        raise TypeError(f"expected a number, got {x!r}")
+    if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {x}")
     return x
 
 
 def _list(x) -> list:
-    return _checked(x, list, "a list")
+    if type(x) is not list:
+        raise TypeError(f"expected a list, got {x!r}")
+    return x
 
 
 def _edges(rows) -> tuple:
-    return tuple((_int(i), _int(j), _real(w)) for i, j, w in map(_list, _list(rows)))
+    return tuple([(_int(i), _int(j), _real(w)) for i, j, w in map(_list, _list(rows))])
 
 
 def parse_graph(text: str) -> tuple[WeightedGraph, dict | None]:
@@ -125,13 +127,14 @@ def save_graph(path, g: WeightedGraph, meta: dict | None = None) -> None:
 
 def branch_table_csv(fr: FlowResult) -> str:
     """CSV of all branches: header sigma,branch_0,...; one row per grid
-    point."""
+    point, formatted by one ``%.17g`` template from that point's column, so
+    only one row's values are Python floats at a time."""
     B = fr.n_branches
     header = "sigma," + ",".join(f"branch_{b}" for b in range(B))
+    row = ",".join(["%.17g"] * (B + 1))
     rows = [header]
-    for t, s in enumerate(fr.sigma_grid):
-        vals = ",".join(format_float(fr.branch_values[b, t]) for b in range(B))
-        rows.append(f"{format_float(s)},{vals}")
+    for s, column in zip(fr.sigma_grid.tolist(), fr.branch_values.T):
+        rows.append(row % (s, *column.tolist()))
     return "\n".join(rows) + "\n"
 
 

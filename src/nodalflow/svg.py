@@ -100,7 +100,7 @@ def _frame(canvas: _Canvas, xticks, yticks, to_x, to_y, xlab: str, ylab: str,
 def branch_chart_svg(fr: FlowResult, *, log_x: bool = False, title: str = "") -> str:
     """Line chart of every tracked branch with a dashed rule at the
     reference value. With log_x the sigma = 0 grid point (if any) is
-    dropped."""
+    dropped. Coordinates are printed to 2 decimals."""
     sigmas = np.asarray(fr.sigma_grid)
     values = np.asarray(fr.branch_values)
     if log_x:
@@ -131,10 +131,12 @@ def branch_chart_svg(fr: FlowResult, *, log_x: bool = False, title: str = "") ->
         f'<line x1="{_ML}" y1="{ry:.2f}" x2="{_W - _MR}" y2="{ry:.2f}" '
         f'stroke="#d62728" stroke-width="1" stroke-dasharray="6,4"/>'
     )
+    points = " ".join(["%.2f,%.2f"] * len(xs))
+    xy = np.empty(2 * len(xs))
+    xy[0::2] = to_x(xs)
     for b in range(values.shape[0]):
-        pts = " ".join(
-            f"{to_x(x):.2f},{to_y(v):.2f}" for x, v in zip(xs, values[b])
-        )
+        xy[1::2] = to_y(values[b])
+        pts = points % tuple(xy.tolist())
         color = _PALETTE[b % len(_PALETTE)]
         canvas.add(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'

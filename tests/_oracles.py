@@ -149,3 +149,68 @@ def sign_class_blocks(n: int, edges, psi, tol: float) -> list[np.ndarray]:
         B[np.diag_indices(len(members))] = ends + -tol * psi[members] ** 2
         blocks.append(B)
     return blocks
+
+
+def _format_float(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def branch_table_csv_by_value(fr) -> str:
+    """The branch table CSV with one format call per value: header
+    sigma,branch_0,...; one row per grid point, every value printed by
+    format(float(x), ".17g")."""
+    B = fr.n_branches
+    header = "sigma," + ",".join(f"branch_{b}" for b in range(B))
+    rows = [header]
+    for t, s in enumerate(fr.sigma_grid):
+        vals = ",".join(_format_float(fr.branch_values[b, t]) for b in range(B))
+        rows.append(f"{_format_float(s)},{vals}")
+    return "\n".join(rows) + "\n"
+
+
+def branch_chart_svg_by_value(fr, *, log_x: bool = False, title: str = "") -> str:
+    """The branch chart SVG with every polyline point mapped by scalar
+    closures and formatted one coordinate pair at a time. The frame, axes
+    and palette are the package's own (nodalflow.svg), so a comparison
+    with svg.branch_chart_svg checks the data mapping and point format."""
+    from nodalflow.svg import _H, _MB, _ML, _MR, _MT, _PALETTE, _W, _Canvas, _fmt, _frame, _ticks
+
+    sigmas = np.asarray(fr.sigma_grid)
+    values = np.asarray(fr.branch_values)
+    if log_x:
+        keep = sigmas > 0
+        sigmas, values = sigmas[keep], values[:, keep]
+        xs = np.log10(sigmas)
+    else:
+        xs = sigmas
+    xlo, xhi = float(xs[0]), float(xs[-1])
+    ylo = min(float(values.min()), fr.reference_value)
+    yhi = max(float(values.max()), fr.reference_value)
+    pad = 0.04 * (yhi - ylo or 1.0)
+    ylo, yhi = ylo - pad, yhi + pad
+
+    def to_x(v):
+        return _ML + (v - xlo) / (xhi - xlo or 1.0) * (_W - _ML - _MR)
+
+    def to_y(v):
+        return _H - _MB - (v - ylo) / (yhi - ylo) * (_H - _MT - _MB)
+
+    canvas = _Canvas(title)
+    xfmt = (lambda t: f"1e{t:.0f}") if log_x else _fmt
+    _frame(canvas, _ticks(xlo, xhi), _ticks(ylo, yhi), to_x, to_y,
+           "log10(sigma)" if log_x else "sigma", "eigenvalue", xfmt=xfmt)
+
+    ry = to_y(fr.reference_value)
+    canvas.add(
+        f'<line x1="{_ML}" y1="{ry:.2f}" x2="{_W - _MR}" y2="{ry:.2f}" '
+        f'stroke="#d62728" stroke-width="1" stroke-dasharray="6,4"/>'
+    )
+    for b in range(values.shape[0]):
+        pts = " ".join(
+            f"{to_x(x):.2f},{to_y(v):.2f}" for x, v in zip(xs, values[b])
+        )
+        color = _PALETTE[b % len(_PALETTE)]
+        canvas.add(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
+        )
+    return canvas.render()

@@ -10,17 +10,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nodalflow
-from nodalflow import cli, dirichlet, edge_flow, fileio, graph_core, spectra, vertex_flow
+from nodalflow import cli, dirichlet, edge_flow, fileio, graph_core, spectra, svg, vertex_flow
 from nodalflow.cli import main
 from nodalflow.edge_flow import run_edge_flow
 from nodalflow.families import grid, interval
 from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from nodalflow.nodal import select_eigenpair
 from nodalflow.spectra import eigendecompose
+from nodalflow.vertex_flow import run_vertex_flow
 
-from _oracles import dense_laplacian, flood_fill_nodal_count, limit_graph
+from _oracles import (
+    branch_chart_svg_by_value,
+    branch_table_csv_by_value,
+    dense_laplacian,
+    flood_fill_nodal_count,
+    limit_graph,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -109,9 +119,48 @@ def test_parse_graph_rejects_malformed():
         ('{"n": 3, "edges": [[0, 1, Infinity]]}', "'edges'"),
         ('{"n": 3, "edges": [], "diag": [NaN, 0, 0]}', "'diag'"),
         ('{"n": 3, "edges": [[0, 1, 1' + "0" * 400 + "]]}", "'edges'"),
+        ('{"n": 3, "edges": [[0, 1, 1.0, 2.0]]}', "'edges'"),
     ]:
         with pytest.raises(ValueError, match=part):
             fileio.parse_graph(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": true, "edges": []}', "'n': expected an integer, got True"),
+    ('{"n": 3, "edges": [[0, 1.0, 1.0]]}', "'edges': expected an integer, got 1.0"),
+    ('{"n": 3, "edges": [[0, 1, false]]}', "'edges': expected a number, got False"),
+    ('{"n": 3, "edges": [[0, 1, Infinity]]}', "'edges': expected a finite number, got inf"),
+    ('{"n": 3, "edges": [[0, 1, 1.0], 7]}', "'edges': expected a list, got 7"),
+    ('{"n": 3, "edges": [], "diag": [0, -Infinity, 0]}', "'diag': expected a finite number, got -inf"),
+])
+def test_parse_graph_names_the_field_and_the_value(text, message):
+    with pytest.raises(ValueError) as info:
+        fileio.parse_graph(text)
+    assert str(info.value) == f"graph file has a malformed {message}"
+
+
+@st.composite
+def extreme_graphs(draw):
+    """Graphs on 1-12 vertices with weights anywhere in the positive
+    doubles (subnormals and 1e308 included) and a diagonal with at least
+    one nonzero entry."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)) if pairs else []
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    weights = draw(st.lists(positive, min_size=len(chosen), max_size=len(chosen)))
+    diag = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=n, max_size=n))
+    diag[draw(st.integers(0, n - 1))] = draw(positive)
+    return WeightedGraph(n, tuple((i, j, w) for (i, j), w in zip(chosen, weights)), tuple(diag))
+
+
+@settings(max_examples=100, deadline=None)
+@given(extreme_graphs())
+def test_serialize_parse_round_trips_extreme_weights(g):
+    text = fileio.serialize_graph(g)
+    g2, meta = fileio.parse_graph(text)
+    assert (g2.n, g2.edges, g2.diag_extra, meta) == (g.n, g.edges, g.diag_extra, None)
+    assert fileio.serialize_graph(g2) == text
 
 
 def test_branch_table_csv_shape():
@@ -125,6 +174,81 @@ def test_branch_table_csv_shape():
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert len(first) == 5
+
+
+# Values anywhere in +-1e300, subnormals and -0.0 included; the bound keeps
+# differences of two values finite, as the chart's scale needs.
+_VALUES = st.floats(min_value=-1e300, max_value=1e300)
+
+
+def _flow_result(sigmas, values, reference):
+    return spectra.FlowResult(
+        sigma_grid=sigmas, branch_values=values, start_vectors=np.eye(len(values)),
+        reference_value=reference, crossings=(), converged_count=0,
+    )
+
+
+@st.composite
+def flow_results(draw):
+    """FlowResults with 1-30 branches on 2-50 increasing grid points,
+    sigma = 0 first or not, and branch values from _VALUES, or all equal
+    to a reference value within +-1e6 (a flat y-range). The grid is a
+    sorted set of integers up to 1e6 times 10^e for e in [-300, 290]."""
+    B, T = draw(st.integers(1, 30)), draw(st.integers(2, 50))
+    steps = draw(st.lists(st.integers(1, 10**6), min_size=T, max_size=T, unique=True))
+    sigmas = np.array(sorted(steps), dtype=float) * 10.0 ** draw(st.integers(-300, 290))
+    if draw(st.booleans()):
+        sigmas[0] = 0.0
+    if draw(st.booleans()):
+        reference = draw(st.floats(min_value=-1e6, max_value=1e6))
+        values = np.full((B, T), reference)
+    else:
+        reference = draw(_VALUES)
+        values = draw(arrays(np.float64, (B, T), elements=_VALUES))
+    return _flow_result(sigmas, values, reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow_results(), st.booleans())
+def test_writers_match_the_per_value_writers(fr, log_x):
+    assert fileio.branch_table_csv(fr) == branch_table_csv_by_value(fr)
+    # Both charts share one frame, whose scale is only defined for a y-range
+    # that is flat near 0 or wide against its magnitude and above 1e-300:
+    # a near-flat range far from 0 leaves no room for the pad or the tick
+    # step, and a range of subnormals none for the tick step's logarithm.
+    plotted = fr.branch_values[:, fr.sigma_grid > 0] if log_x else fr.branch_values
+    lo = min(plotted.min(), fr.reference_value)
+    hi = max(plotted.max(), fr.reference_value)
+    assume(lo == hi and abs(lo) <= 1e6 or hi - lo >= max(1e-9 * max(abs(lo), abs(hi)), 1e-300))
+    assert svg.branch_chart_svg(fr, log_x=log_x, title="t") == (
+        branch_chart_svg_by_value(fr, log_x=log_x, title="t")
+    )
+
+
+def test_writers_match_the_per_value_writers_at_the_extremes():
+    """Fixed draws: +-1e300, +-1e-300, subnormals and -0.0 in one table,
+    and a flat y-range with sigma = 0 first."""
+    extremes = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -2.5e-320, -0.0, 0.0]
+    grid = np.array([0.0, 5e-324, 1e-300, 1.0, 1e300])
+    values = np.array([extremes[:5], extremes[3:], extremes[::-1][:5]])
+    flat = np.full((2, 5), -0.0)
+    for v, ref in ((values, 1e300), (values, -0.0), (flat, -0.0), (flat, 1e-300)):
+        fr = _flow_result(grid, v, ref)
+        assert fileio.branch_table_csv(fr) == branch_table_csv_by_value(fr)
+        for log_x in (False, True):
+            assert svg.branch_chart_svg(fr, log_x=log_x) == branch_chart_svg_by_value(fr, log_x=log_x)
+
+
+@pytest.mark.parametrize("method", ["vertex", "edge"])
+def test_writers_match_the_per_value_writers_on_a_flow(method):
+    g = grid(4, 3)
+    sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
+    fr = run_vertex_flow(g, sel) if method == "vertex" else run_edge_flow(g, sel)
+    assert fileio.branch_table_csv(fr) == branch_table_csv_by_value(fr)
+    for log_x in (False, True):
+        assert svg.branch_chart_svg(fr, log_x=log_x, title=method) == (
+            branch_chart_svg_by_value(fr, log_x=log_x, title=method)
+        )
 
 
 def test_flow_summary_key_order():
