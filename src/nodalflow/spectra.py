@@ -10,6 +10,10 @@ continuous through them. Crossings of a reference value are bracketed by
 bisection on the number of eigenvalues at or below it, which needs no
 eigenvectors. Branch labels do not depend on which basis of a degenerate
 eigenspace the solver returns.
+
+scipy.optimize is imported only by linear_sum_assignment, on the first step
+that solves an assignment: the direct counts (nodal, scan, dirichlet) track
+no branch and never load it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from functools import cached_property, cmp_to_key
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateEigenvalue, EigFailure
 from .graph_core import LaplacianMatrix, freeze_arrays
@@ -214,6 +217,15 @@ def _procrustes(Vb_block: np.ndarray, target: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy.optimize.linear_sum_assignment(cost), imported on first call:
+    scipy.optimize also loads scipy.special, fft and spatial, a start-up
+    cost that a process tracking no branch would pay for nothing."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
 def _match_step(a: _Node, b: _Node, first: bool):
     """Match branches between adjacent nodes.
 
@@ -221,6 +233,7 @@ def _match_step(a: _Node, b: _Node, first: bool):
     a, by linear_sum_assignment on the overlaps |a.vecs.T @ b.vecs|, or the
     row maxima when all exceed DOMINANT_OVERLAP: rows and columns have unit
     norm, so such maxima lie in distinct columns and are the unique optimum.
+    Only that fallback imports scipy's solver (see linear_sum_assignment).
     Degenerate clusters are compared as subspaces; equal-size full block
     maps get the arriving basis rotated into alignment. On success, b.vecs
     (and a.vecs when first) may be replaced by rotated copies.

@@ -23,21 +23,43 @@ _ML, _MR, _MT, _MB = 72, 24, 40, 52
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+    """Ticks at the multiples of a 1-2-5 step of about (hi - lo) / count:
+    [lo] when hi <= lo, and none when the range is too narrow for a step,
+    which then underflows or is below half an ulp of some tick."""
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / count
+    if raw == 0.0:
+        return []
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
         if raw <= mult * mag:
             step = mult * mag
             break
+    else:  # mag underflowed below raw / 10
+        return []
     start = math.ceil(lo / step) * step
     ticks = []
     t = start
     while t <= hi + 1e-12 * abs(hi):
+        if t + step == t:
+            return []
         ticks.append(t)
         t += step
     return ticks
+
+
+def _y_axis(lo: float, hi: float) -> tuple[float, float, list[float]]:
+    """The y-range and its ticks for values from lo to hi: padded by 4% of
+    hi - lo (of 1 when they are equal), or, where that range has no ticks or
+    no width (a flat or near-flat range far from 0, whose pad is lost in
+    rounding, or a range of subnormals), by 4% of max(1, |lo|, |hi|)."""
+    pad = 0.04 * (hi - lo or 1.0)
+    ticks = _ticks(lo - pad, hi + pad)
+    if not (ticks and hi + pad > lo - pad):
+        pad = 0.04 * max(1.0, abs(lo), abs(hi))
+        ticks = _ticks(lo - pad, hi + pad)
+    return lo - pad, hi + pad, ticks
 
 
 def _fmt(x: float) -> str:
@@ -110,10 +132,8 @@ def branch_chart_svg(fr: FlowResult, *, log_x: bool = False, title: str = "") ->
     else:
         xs = sigmas
     xlo, xhi = float(xs[0]), float(xs[-1])
-    ylo = min(float(values.min()), fr.reference_value)
-    yhi = max(float(values.max()), fr.reference_value)
-    pad = 0.04 * (yhi - ylo or 1.0)
-    ylo, yhi = ylo - pad, yhi + pad
+    ylo, yhi, yticks = _y_axis(min(float(values.min()), fr.reference_value),
+                               max(float(values.max()), fr.reference_value))
 
     def to_x(v):
         return _ML + (v - xlo) / (xhi - xlo or 1.0) * (_W - _ML - _MR)
@@ -123,7 +143,7 @@ def branch_chart_svg(fr: FlowResult, *, log_x: bool = False, title: str = "") ->
 
     canvas = _Canvas(title)
     xfmt = (lambda t: f"1e{t:.0f}") if log_x else _fmt
-    _frame(canvas, _ticks(xlo, xhi), _ticks(ylo, yhi), to_x, to_y,
+    _frame(canvas, _ticks(xlo, xhi), yticks, to_x, to_y,
            "log10(sigma)" if log_x else "sigma", "eigenvalue", xfmt=xfmt)
 
     ry = to_y(fr.reference_value)

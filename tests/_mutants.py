@@ -1,0 +1,203 @@
+"""Mutants of the package that the test suite must kill, and their runner.
+
+Each entry of MUTANTS names a file of src/nodalflow, a text that occurs
+exactly once in src/nodalflow (tests/test_mutants.py checks that), the text
+that replaces it, and the tests that must fail with the change. A test id
+without a parameter part stands for its parametrized cases: it fails when
+one of them does. A mutant that survives is reported, never deleted.
+
+    python tests/_mutants.py           # every mutant
+    python tests/_mutants.py NAME ...  # the named mutants
+
+The runner copies the checkout into a temporary directory once, applies each
+mutant there in turn (restoring the file after it), runs pytest on the
+mutant's test ids in a fresh interpreter, and prints ``killed`` when every
+listed test fails, or ``survived`` with the ones that passed. The checkout
+itself is never written. It exits 1 if any mutant survived.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src") / "nodalflow"
+# Per mutant; a Hypothesis property that fails spends most of it shrinking.
+TIMEOUT_S = 900
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # in src/nodalflow
+    old: str
+    new: str
+    kills: tuple[str, ...]
+
+
+_EDGE = "tests/test_edge_flow.py::"
+_SPECTRA = "tests/test_spectra.py::"
+_CLI = "tests/test_cli_io.py::"
+_ACCEPT = "tests/test_acceptance.py::"
+_IMPORTS = "tests/test_unused_imports.py::test_module_uses_every_import"
+
+MUTANTS = (
+    # ν's class-ordered ground-state Laplacian.
+    Mutant(
+        "class-order-not-stable", "edge_flow.py",
+        'order = np.argsort(psi < 0, kind="stable")',
+        "order = np.argsort(psi < 0)",
+        (_EDGE + "test_limit_multiplicity_factors_each_class_block_as_the_class_builds_it"
+         "[grid75-k5]",),
+    ),
+    Mutant(
+        "class-position-not-inverted", "edge_flow.py",
+        "at = np.argsort(order)",
+        "at = order",
+        (_EDGE + "test_limit_multiplicity_factors_each_class_block_as_the_class_builds_it"
+         "[grid75-k5]",
+         _ACCEPT + "test_criterion_02_golden_nodal_counts"),
+    ),
+    Mutant(
+        "zero-vertex-not-refused", "edge_flow.py",
+        "    if not sel.nowhere_zero:\n        raise ZeroVertex(zero_vertices(sel.psi))\n",
+        "",
+        (_EDGE + "test_limit_multiplicity_refuses_a_zero_entry",
+         _IMPORTS + "[edge_flow.py]"),
+    ),
+    # _match_step's fast path and its assignment fallback.
+    Mutant(
+        "dominant-overlap-at-one-half", "spectra.py",
+        "DOMINANT_OVERLAP = 0.7072",
+        "DOMINANT_OVERLAP = 0.5",
+        (_SPECTRA + "test_match_step_solves_the_assignment_without_a_dominant_overlap",
+         _ACCEPT + "test_criterion_04_monotonicity_and_constancy_suite"),
+    ),
+    Mutant(
+        "fast-path-on-any-dominant-row", "spectra.py",
+        "if not np.all(O[rows, perm] > DOMINANT_OVERLAP):",
+        "if not np.any(O[rows, perm] > DOMINANT_OVERLAP):",
+        (_SPECTRA + "test_match_step_solves_the_assignment_without_a_dominant_overlap",
+         _ACCEPT + "test_criterion_04_monotonicity_and_constancy_suite"),
+    ),
+    Mutant(
+        "fallback-takes-row-maxima", "spectra.py",
+        "perm = linear_sum_assignment(-O)[1]",
+        "perm = np.argmax(O, axis=1)",
+        (_SPECTRA + "test_match_step_solves_the_assignment_without_a_dominant_overlap",
+         _CLI + "test_cold_start_flow_loads_the_solver_at_its_fallback"),
+    ),
+    Mutant(
+        "assignment-solver-imported-at-start-up", "spectra.py",
+        "import scipy.linalg\n",
+        "import scipy.linalg\nimport scipy.optimize\n",
+        (_CLI + "test_cold_start_counts_load_no_assignment_solver",
+         _CLI + "test_cold_start_flow_loads_the_solver_at_its_fallback"),
+    ),
+    # Spectrum.group_of.
+    Mutant(
+        "group-of-bisects-left", "spectra.py",
+        "from bisect import bisect_right",
+        "from bisect import bisect_left as bisect_right",
+        (_SPECTRA + "test_group_of_finds_the_group_holding_each_index",),
+    ),
+    Mutant(
+        "group-of-without-range-check", "spectra.py",
+        "        if not 0 <= index < self.n:\n            raise IndexError(index)\n",
+        "",
+        (_SPECTRA + "test_group_of_finds_the_group_holding_each_index",),
+    ),
+    # The flow's writers and the graph reader.
+    Mutant(
+        "csv-at-16-digits", "fileio.py",
+        'row = ",".join(["%.17g"] * (B + 1))',
+        'row = ",".join(["%.16g"] * (B + 1))',
+        (_CLI + "test_writers_match_the_per_value_writers_at_the_extremes",
+         _CLI + "test_writers_match_the_per_value_writers_on_a_flow"),
+    ),
+    Mutant(
+        "chart-x-and-y-slots-swapped", "svg.py",
+        "    xy[0::2] = to_x(xs)\n    for b in range(values.shape[0]):\n"
+        "        xy[1::2] = to_y(values[b])\n",
+        "    xy[1::2] = to_x(xs)\n    for b in range(values.shape[0]):\n"
+        "        xy[0::2] = to_y(values[b])\n",
+        (_CLI + "test_writers_match_the_per_value_writers_at_the_extremes",
+         _CLI + "test_writers_match_the_per_value_writers_on_a_flow"),
+    ),
+    Mutant(
+        "chart-pad-by-range-only", "svg.py",
+        "        pad = 0.04 * max(1.0, abs(lo), abs(hi))\n",
+        "        pad = 0.04 * (hi - lo or 1.0)\n",
+        (_CLI + "test_chart_frame_has_width_and_ticks_on_every_range",
+         _CLI + "test_chart_ticks_end_on_near_flat_and_subnormal_ranges",
+         _CLI + "test_cli_flow_charts_a_flat_range_far_from_zero"),
+    ),
+    Mutant(
+        "reader-takes-infinite-numbers", "fileio.py",
+        "    if not math.isfinite(x):\n"
+        '        raise ValueError(f"expected a finite number, got {x}")\n',
+        "",
+        (_CLI + "test_parse_graph_rejects_malformed",
+         _CLI + "test_parse_graph_names_the_field_and_the_value",
+         _IMPORTS + "[fileio.py]"),
+    ),
+)
+
+
+def _failed_ids(output: str) -> set[str]:
+    return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", output, flags=re.MULTILINE))
+
+
+def _fails(test_id: str, failed: set[str]) -> bool:
+    return test_id in failed or any(f.startswith(test_id + "[") for f in failed)
+
+
+def run(mutant: Mutant, copy: Path) -> list[str]:
+    """The listed tests of mutant that pass on copy with it applied."""
+    path = copy / PACKAGE / mutant.file
+    source = path.read_text()
+    path.write_text(source.replace(mutant.old, mutant.new, 1))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             *mutant.kills],
+            cwd=copy, capture_output=True, text=True, timeout=TIMEOUT_S,
+            env={**os.environ, "PYTHONPATH": str(copy / "src")},
+        )
+    except subprocess.TimeoutExpired:
+        return [f"(no result in {TIMEOUT_S} s)"]
+    finally:
+        path.write_text(source)
+    failed = _failed_ids(proc.stdout)
+    return [t for t in mutant.kills if not _fails(t, failed)]
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    survivors = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", ".hypothesis", ".pytest_cache", "__pycache__", "out"))
+        for m in chosen:
+            passed = run(m, copy)
+            survivors += bool(passed)
+            print(f"{'survived' if passed else 'killed':8}  {m.name}", flush=True)
+            for test_id in passed:
+                print(f"    passes: {test_id}", flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

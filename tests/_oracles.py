@@ -7,6 +7,8 @@ branch tracking, and multiplicity groups use a plain loop.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -170,10 +172,13 @@ def branch_table_csv_by_value(fr) -> str:
 
 def branch_chart_svg_by_value(fr, *, log_x: bool = False, title: str = "") -> str:
     """The branch chart SVG with every polyline point mapped by scalar
-    closures and formatted one coordinate pair at a time. The frame, axes
-    and palette are the package's own (nodalflow.svg), so a comparison
-    with svg.branch_chart_svg checks the data mapping and point format."""
-    from nodalflow.svg import _H, _MB, _ML, _MR, _MT, _PALETTE, _W, _Canvas, _fmt, _frame, _ticks
+    closures and formatted one coordinate pair at a time. The frame, axes,
+    y-range and palette are the package's own (nodalflow.svg), so a
+    comparison with svg.branch_chart_svg checks the data mapping and point
+    format; y_axis_unguarded checks the y-range."""
+    from nodalflow.svg import (
+        _H, _MB, _ML, _MR, _MT, _PALETTE, _W, _Canvas, _fmt, _frame, _ticks, _y_axis,
+    )
 
     sigmas = np.asarray(fr.sigma_grid)
     values = np.asarray(fr.branch_values)
@@ -184,10 +189,8 @@ def branch_chart_svg_by_value(fr, *, log_x: bool = False, title: str = "") -> st
     else:
         xs = sigmas
     xlo, xhi = float(xs[0]), float(xs[-1])
-    ylo = min(float(values.min()), fr.reference_value)
-    yhi = max(float(values.max()), fr.reference_value)
-    pad = 0.04 * (yhi - ylo or 1.0)
-    ylo, yhi = ylo - pad, yhi + pad
+    ylo, yhi, yticks = _y_axis(min(float(values.min()), fr.reference_value),
+                               max(float(values.max()), fr.reference_value))
 
     def to_x(v):
         return _ML + (v - xlo) / (xhi - xlo or 1.0) * (_W - _ML - _MR)
@@ -197,7 +200,7 @@ def branch_chart_svg_by_value(fr, *, log_x: bool = False, title: str = "") -> st
 
     canvas = _Canvas(title)
     xfmt = (lambda t: f"1e{t:.0f}") if log_x else _fmt
-    _frame(canvas, _ticks(xlo, xhi), _ticks(ylo, yhi), to_x, to_y,
+    _frame(canvas, _ticks(xlo, xhi), yticks, to_x, to_y,
            "log10(sigma)" if log_x else "sigma", "eigenvalue", xfmt=xfmt)
 
     ry = to_y(fr.reference_value)
@@ -214,3 +217,37 @@ def branch_chart_svg_by_value(fr, *, log_x: bool = False, title: str = "") -> st
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )
     return canvas.render()
+
+
+def ticks_unguarded(lo: float, hi: float, count: int = 5) -> list[float]:
+    """The chart's ticks by the 1-2-5 rule with no guard: ValueError where
+    the step underflows (a zero step's logarithm, or no 1-2-5 multiple of
+    its decade reaching it) or is lost in rounding at some tick, where the
+    loop would never end."""
+    if hi <= lo:
+        return [lo]
+    raw = (hi - lo) / count
+    mag = 10 ** math.floor(math.log10(raw))
+    steps = [mult * mag for mult in (1, 2, 5, 10) if raw <= mult * mag]
+    if not steps:
+        raise ValueError("no 1-2-5 step reaches the range")
+    step = steps[0]
+    ticks, t = [], math.ceil(lo / step) * step
+    while t <= hi + 1e-12 * abs(hi):
+        if t + step == t:
+            raise ValueError("a tick does not advance")
+        ticks.append(t)
+        t += step
+    return ticks
+
+
+def y_axis_unguarded(lo: float, hi: float):
+    """(ylo, yhi, ticks): lo and hi padded by 4% of hi - lo (of 1 when they
+    are equal) with ticks_unguarded's ticks, or None where that range has
+    no width or no ticks."""
+    pad = 0.04 * (hi - lo or 1.0)
+    ylo, yhi = lo - pad, hi + pad
+    try:
+        return (ylo, yhi, ticks_unguarded(ylo, yhi)) if yhi > ylo else None
+    except ValueError:
+        return None

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,22 +30,28 @@ from _oracles import (
     dense_laplacian,
     flood_fill_nodal_count,
     limit_graph,
+    ticks_unguarded,
+    y_axis_unguarded,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*argv):
-    """Run ``python -m nodalflow`` in a child interpreter that imports the
-    package from this checkout's src, installed or not."""
+def run_python(*args):
+    """Run ``python *args`` in a child interpreter that imports the package
+    from this checkout's src, installed or not."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "nodalflow", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*argv):
+    return run_python("-m", "nodalflow", *argv)
 
 
 def test_format_float_round_trips():
@@ -192,7 +198,7 @@ def _flow_result(sigmas, values, reference):
 def flow_results(draw):
     """FlowResults with 1-30 branches on 2-50 increasing grid points,
     sigma = 0 first or not, and branch values from _VALUES, or all equal
-    to a reference value within +-1e6 (a flat y-range). The grid is a
+    to a reference value from _VALUES (a flat y-range). The grid is a
     sorted set of integers up to 1e6 times 10^e for e in [-300, 290]."""
     B, T = draw(st.integers(1, 30)), draw(st.integers(2, 50))
     steps = draw(st.lists(st.integers(1, 10**6), min_size=T, max_size=T, unique=True))
@@ -200,7 +206,7 @@ def flow_results(draw):
     if draw(st.booleans()):
         sigmas[0] = 0.0
     if draw(st.booleans()):
-        reference = draw(st.floats(min_value=-1e6, max_value=1e6))
+        reference = draw(_VALUES)
         values = np.full((B, T), reference)
     else:
         reference = draw(_VALUES)
@@ -208,21 +214,24 @@ def flow_results(draw):
     return _flow_result(sigmas, values, reference)
 
 
+def assert_chart_matches_the_oracles(fr, log_x, title=""):
+    """branch_chart_svg is byte-equal to the per-value writer, and its
+    y-range is the 4% pad's wherever that has width and ticks."""
+    plotted = fr.branch_values[:, fr.sigma_grid > 0] if log_x else fr.branch_values
+    lo = min(float(plotted.min()), fr.reference_value)
+    hi = max(float(plotted.max()), fr.reference_value)
+    unguarded = y_axis_unguarded(lo, hi)
+    assert unguarded is None or svg._y_axis(lo, hi) == unguarded
+    assert svg.branch_chart_svg(fr, log_x=log_x, title=title) == (
+        branch_chart_svg_by_value(fr, log_x=log_x, title=title)
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(flow_results(), st.booleans())
 def test_writers_match_the_per_value_writers(fr, log_x):
     assert fileio.branch_table_csv(fr) == branch_table_csv_by_value(fr)
-    # Both charts share one frame, whose scale is only defined for a y-range
-    # that is flat near 0 or wide against its magnitude and above 1e-300:
-    # a near-flat range far from 0 leaves no room for the pad or the tick
-    # step, and a range of subnormals none for the tick step's logarithm.
-    plotted = fr.branch_values[:, fr.sigma_grid > 0] if log_x else fr.branch_values
-    lo = min(plotted.min(), fr.reference_value)
-    hi = max(plotted.max(), fr.reference_value)
-    assume(lo == hi and abs(lo) <= 1e6 or hi - lo >= max(1e-9 * max(abs(lo), abs(hi)), 1e-300))
-    assert svg.branch_chart_svg(fr, log_x=log_x, title="t") == (
-        branch_chart_svg_by_value(fr, log_x=log_x, title="t")
-    )
+    assert_chart_matches_the_oracles(fr, log_x, "t")
 
 
 def test_writers_match_the_per_value_writers_at_the_extremes():
@@ -236,7 +245,7 @@ def test_writers_match_the_per_value_writers_at_the_extremes():
         fr = _flow_result(grid, v, ref)
         assert fileio.branch_table_csv(fr) == branch_table_csv_by_value(fr)
         for log_x in (False, True):
-            assert svg.branch_chart_svg(fr, log_x=log_x) == branch_chart_svg_by_value(fr, log_x=log_x)
+            assert_chart_matches_the_oracles(fr, log_x)
 
 
 @pytest.mark.parametrize("method", ["vertex", "edge"])
@@ -246,9 +255,58 @@ def test_writers_match_the_per_value_writers_on_a_flow(method):
     fr = run_vertex_flow(g, sel) if method == "vertex" else run_edge_flow(g, sel)
     assert fileio.branch_table_csv(fr) == branch_table_csv_by_value(fr)
     for log_x in (False, True):
-        assert svg.branch_chart_svg(fr, log_x=log_x, title=method) == (
-            branch_chart_svg_by_value(fr, log_x=log_x, title=method)
-        )
+        assert_chart_matches_the_oracles(fr, log_x, method)
+
+
+@st.composite
+def value_ranges(draw):
+    """(lo, hi) with lo from _VALUES and hi at most 40 ulps above it (flat,
+    near-flat, or subnormal near 0) or anywhere above it up to 1e300."""
+    lo = draw(_VALUES)
+    if draw(st.booleans()):
+        return lo, float(lo + draw(st.integers(0, 40)) * abs(np.spacing(lo)))
+    return lo, draw(st.floats(min_value=lo, max_value=1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_ranges())
+def test_chart_frame_has_width_and_ticks_on_every_range(value_range):
+    lo, hi = value_range
+    try:
+        expected = ticks_unguarded(lo, hi)
+    except ValueError:
+        expected = []
+    assert svg._ticks(lo, hi) == expected
+    ylo, yhi, ticks = svg._y_axis(lo, hi)
+    assert ylo <= lo <= hi <= yhi and ylo < yhi and ticks
+    if y_axis_unguarded(lo, hi) is None:
+        pad = 0.04 * max(1.0, abs(lo), abs(hi))
+        assert (ylo, yhi) == (lo - pad, hi + pad)
+
+
+def test_chart_ticks_end_on_near_flat_and_subnormal_ranges():
+    assert svg._ticks(1e6, 1e6 + 1.2e-10) == []
+    assert svg._ticks(0.0, 5e-324) == []
+    assert svg._y_axis(1e20, 1e20) == (9.6e19, 1.04e20, [96 * 10**18, 98 * 10**18, 10**20,
+                                                         102 * 10**18, 104 * 10**18])
+    assert svg._y_axis(0.0, 5e-324) == (-0.04, 0.04 + 5e-324, [-0.04, -0.02, 0.0, 0.02, 0.04])
+    for sigmas in ([0.0, 5e-324], [1e6, np.nextafter(1e6, 2e6)]):  # x-ranges with no ticks
+        chart = svg.branch_chart_svg(_flow_result(np.array(sigmas), np.array([[1.0, 2.0]]), 1.5))
+        assert not re.search(r"nan|inf", chart)
+
+
+@pytest.mark.parametrize("method", ["edge", "vertex"])
+def test_cli_flow_charts_a_flat_range_far_from_zero(method, tmp_path, capsys):
+    """One vertex with diagonal 1e20: every branch value is 1e20, where the
+    4% pad of a flat range is lost in rounding."""
+    graph = tmp_path / "one.json"
+    graph.write_text('{"n": 1, "edges": [], "diag": [1e20]}')
+    out = tmp_path / "one"
+    assert main(["flow", "--method", method, "--graph", str(graph), "--k", "1",
+                 "--out", str(out), "--svg"]) == 0
+    chart = (tmp_path / "one.svg").read_text()
+    assert ">1e+20</text>" in chart and ">9.6e+19</text>" in chart
+    assert not re.search(r"nan|inf", chart)
 
 
 def test_flow_summary_key_order():
@@ -594,6 +652,48 @@ def test_cli_subprocess_scan_reproducible(tmp_path):
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.startswith("k,lambda_k,")
+
+
+def test_cold_start_counts_load_no_assignment_solver(tmp_path):
+    """generate, nodal, scan and dirichlet track no branch, so a fresh
+    process that runs them never imports scipy.optimize."""
+    graph = str(tmp_path / "g.json")
+    r = run_python(
+        "-c",
+        "import sys\n"
+        "import nodalflow, nodalflow.cli\n"
+        f"g = {graph!r}\n"
+        "codes = [nodalflow.cli.main(argv) for argv in (\n"
+        "    ['generate', '--family', 'grid', '--params', '4,3', '-o', g],\n"
+        "    ['nodal', '--graph', g, '--k', '5'],\n"
+        "    ['scan', '--graph', g],\n"
+        "    ['dirichlet', '--graph', g, '--k', '5'])]\n"
+        "print(codes, 'scipy.optimize' in sys.modules)\n"
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
+def test_cold_start_flow_loads_the_solver_at_its_fallback(tmp_path, capsys):
+    """A fresh process imports scipy.optimize only when a vertex flow on
+    grid 4x3 k=5 reaches _match_step's assignment fallback, and writes the
+    bytes this process writes."""
+    graph = tmp_path / "g.json"
+    main(["generate", "--family", "grid", "--params", "4,3", "-o", str(graph)])
+    argv = ["flow", "--method", "vertex", "--graph", str(graph), "--k", "5", "--svg"]
+    r = run_python(
+        "-c",
+        "import sys\n"
+        "import nodalflow.cli\n"
+        "before = 'scipy.optimize' in sys.modules\n"
+        f"code = nodalflow.cli.main({argv!r} + ['--out', {str(tmp_path / 'child')!r}])\n"
+        "print(before, code, 'scipy.optimize' in sys.modules)\n"
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False 0 True"
+    assert main(argv + ["--out", str(tmp_path / "here")]) == 0
+    for ext in (".csv", ".json", ".svg"):
+        assert (tmp_path / f"child{ext}").read_bytes() == (tmp_path / f"here{ext}").read_bytes()
 
 
 def test_cli_generate_refuses_sizes_that_are_not_whole_numbers(tmp_path, capsys):
