@@ -19,7 +19,7 @@ from .nodal import EigenSelection, sign_change_mask, zero_vertices
 from .spectra import (
     FD_STEP,
     FlowResult,
-    _count_below,
+    _count_nonpositive,
     derivative_residual,
     group_tolerance,
     track_branches,
@@ -107,22 +107,34 @@ def limit_multiplicity(g: WeightedGraph, sel: EigenSelection) -> int:
     By Sylvester's law, B's eigenvalues <= lambda_k + tol are those of
     L_psi - tol D^2 <= 0, and none lies below lambda_k - tol; L_psi's
     kernel holds one vector per strong nodal domain in S, so the count is
-    never below the domain count. edge_matrix assembles one L_psi - tol D^2
-    with the vertices in class order, and _count_below factors each of its
-    two diagonal blocks once: no edge joins them and every diagonal entry
-    sums in edge order, so each is bit for bit its class's own matrix.
+    never below the domain count.
+
+    Both classes' L_psi - tol D^2 are assembled into one buffer of p^2 + q^2
+    doubles, p and q the class sizes: the positive class's p x p block, then
+    the negative class's q x q block, each row-major with the vertices in
+    their order within the class. Every diagonal entry sums its edge terms
+    in edge order, i before j, as the class's own matrix assembled alone
+    would. Each block is exactly symmetric, so its transpose is the same
+    matrix in Fortran order, and _count_nonpositive factors it in place.
     """
     if not sel.nowhere_zero:
         raise ZeroVertex(zero_vertices(sel.psi))
     psi, (i, j, w) = sel.psi, g.edge_arrays
-    product = psi[i] * psi[j]
-    kept = product > 0
-    w = w[kept] * product[kept]
-    order = np.argsort(psi < 0, kind="stable")  # the positive class first
-    at = np.argsort(order)  # each vertex's position in that order
-    tol, p = group_tolerance(sel.lambda_k), np.count_nonzero(psi > 0)
-    L_psi = edge_matrix(g.n, at[i[kept]], at[j[kept]], -w, w, w, -tol * psi[order] ** 2)
-    return sum(_count_below(B, 0.0) for B in (L_psi[:p, :p], L_psi[p:, p:]) if len(B))
+    product = psi.take(i) * psi.take(j)
+    kept = np.flatnonzero(product > 0)
+    i, j, w = i.take(kept), j.take(kept), w.take(kept) * product.take(kept)
+    negative, tol = psi < 0, group_tolerance(sel.lambda_k)
+    q = np.count_nonzero(negative)
+    p = g.n - q
+    order = np.argsort(negative, kind="stable")  # the positive class first
+    loc = np.argsort(order) - p * negative  # each vertex's index in its class
+    start = np.where(negative, p * p + q * loc, p * loc)  # its row in the buffer
+    buf = np.zeros(p * p + q * q)
+    buf[start.take(i) + loc.take(j)] = buf[start.take(j) + loc.take(i)] = -w
+    ends = np.bincount(np.column_stack((i, j)).ravel(), np.repeat(w, 2), g.n)
+    buf[start + loc] = ends + -tol * psi**2
+    blocks = (buf[: p * p].reshape(p, p).T, buf[p * p :].reshape(q, q).T)
+    return sum(_count_nonpositive(B) for B in blocks if len(B))
 
 
 def sign_preserving_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedGraph:

@@ -138,18 +138,27 @@ def multiplicity_of(spectrum: Spectrum, value: float) -> int:
 
 
 def _count_below(A: np.ndarray, t: float) -> int:
-    """Number of eigenvalues of the symmetric A at or below t, by Sylvester's
-    law of inertia: the nonpositive eigenvalues of D in A - tI = L D L^T, the
-    Bunch-Kaufman factorization LAPACK dsytrf writes over one Fortran-order
-    copy of A, with no eigensolve; every count but the ghost Schur count
-    (vertex_flow) goes through it. A 1 x 1 pivot counts by its sign, an exact
-    zero one as an eigenvalue equal to t; a 2 x 2 pivot is indefinite by the
-    pivoting rule, so it holds exactly one negative eigenvalue."""
+    """Number of eigenvalues of the symmetric A at or below t: those of
+    A - tI at or below 0, counted by _count_nonpositive on a Fortran-order
+    copy of A shifted by t, so A itself is left as it is. Every count of a
+    flow's matrix at a bisection point goes through it."""
     n = len(A)
     shifted = np.array(A, dtype=float, order="F")
     shifted.flat[:: n + 1] -= t
+    return _count_nonpositive(shifted)
+
+
+def _count_nonpositive(A: np.ndarray) -> int:
+    """Number of eigenvalues of the symmetric A at or below 0, by Sylvester's
+    law of inertia: the nonpositive eigenvalues of D in A = L D L^T, the
+    Bunch-Kaufman factorization LAPACK dsytrf writes over A itself, with no
+    eigensolve and no copy. A must be a Fortran-order float array that the
+    caller owns, as it is overwritten; every count but the ghost Schur count
+    (vertex_flow) is read here. A 1 x 1 pivot counts by its sign, an exact
+    zero one as a zero eigenvalue; a 2 x 2 pivot is indefinite by the
+    pivoting rule, so it holds exactly one negative eigenvalue."""
     # A workspace of 64 columns lets dsytrf factor in blocks, not by columns.
-    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(shifted, lwork=64 * n, overwrite_a=1)
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lwork=64 * len(A), overwrite_a=1)
     one = ipiv > 0  # the two rows of a 2 x 2 pivot hold negative ipiv
     return int(np.count_nonzero(np.diagonal(ldu)[one] <= 0) + np.count_nonzero(~one) // 2)
 

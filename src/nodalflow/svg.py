@@ -8,6 +8,7 @@ versus index with the y = x guide.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -19,16 +20,22 @@ _PALETTE = (
 )
 
 _W, _H = 860, 540
+_MAX = sys.float_info.max
 _ML, _MR, _MT, _MB = 72, 24, 40, 52
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     """Ticks at the multiples of a 1-2-5 step of about (hi - lo) / count:
     [lo] when hi <= lo, and none when the range is too narrow for a step,
-    which then underflows or is below half an ulp of some tick."""
+    which then underflows or is below half an ulp of some tick. A range
+    wider than the largest double is cut to the finite doubles."""
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / count
+    end = hi + 1e-12 * abs(hi)
+    if raw == math.inf:
+        lo, hi = max(lo, -_MAX), min(hi, _MAX)
+        raw, end = hi / count - lo / count, hi
     if raw == 0.0:
         return []
     mag = 10 ** math.floor(math.log10(raw))
@@ -41,7 +48,7 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     start = math.ceil(lo / step) * step
     ticks = []
     t = start
-    while t <= hi + 1e-12 * abs(hi):
+    while t <= end:
         if t + step == t:
             return []
         ticks.append(t)
@@ -53,13 +60,14 @@ def _y_axis(lo: float, hi: float) -> tuple[float, float, list[float]]:
     """The y-range and its ticks for values from lo to hi: padded by 4% of
     hi - lo (of 1 when they are equal), or, where that range has no ticks or
     no width (a flat or near-flat range far from 0, whose pad is lost in
-    rounding, or a range of subnormals), by 4% of max(1, |lo|, |hi|)."""
+    rounding, or a range of subnormals), by 4% of max(1, |lo|, |hi|). A
+    padded end that overflows is cut to the largest double."""
     pad = 0.04 * (hi - lo or 1.0)
     ticks = _ticks(lo - pad, hi + pad)
     if not (ticks and hi + pad > lo - pad):
         pad = 0.04 * max(1.0, abs(lo), abs(hi))
         ticks = _ticks(lo - pad, hi + pad)
-    return lo - pad, hi + pad, ticks
+    return max(lo - pad, -_MAX), min(hi + pad, _MAX), ticks
 
 
 def _fmt(x: float) -> str:
@@ -138,8 +146,12 @@ def branch_chart_svg(fr: FlowResult, *, log_x: bool = False, title: str = "") ->
     def to_x(v):
         return _ML + (v - xlo) / (xhi - xlo or 1.0) * (_W - _ML - _MR)
 
+    # A y-range wider than the largest double is mapped at half scale, which
+    # keeps every difference finite.
+    half = 1.0 if math.isfinite(yhi - ylo) else 0.5
+
     def to_y(v):
-        return _H - _MB - (v - ylo) / (yhi - ylo) * (_H - _MT - _MB)
+        return _H - _MB - (half * v - half * ylo) / (half * yhi - half * ylo) * (_H - _MT - _MB)
 
     canvas = _Canvas(title)
     xfmt = (lambda t: f"1e{t:.0f}") if log_x else _fmt

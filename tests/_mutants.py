@@ -49,21 +49,47 @@ _ACCEPT = "tests/test_acceptance.py::"
 _IMPORTS = "tests/test_unused_imports.py::test_module_uses_every_import"
 
 MUTANTS = (
-    # ν's class-ordered ground-state Laplacian.
+    # ν's sign-class blocks, assembled in one buffer.
     Mutant(
         "class-order-not-stable", "edge_flow.py",
-        'order = np.argsort(psi < 0, kind="stable")',
-        "order = np.argsort(psi < 0)",
+        'order = np.argsort(negative, kind="stable")',
+        "order = np.argsort(negative)",
         (_EDGE + "test_limit_multiplicity_factors_each_class_block_as_the_class_builds_it"
          "[grid75-k5]",),
     ),
     Mutant(
         "class-position-not-inverted", "edge_flow.py",
-        "at = np.argsort(order)",
-        "at = order",
+        "loc = np.argsort(order) - p * negative",
+        "loc = order - p * negative",
         (_EDGE + "test_limit_multiplicity_factors_each_class_block_as_the_class_builds_it"
          "[grid75-k5]",
          _ACCEPT + "test_criterion_02_golden_nodal_counts"),
+    ),
+    # dsytrf reads one triangle of each block: the other must still match
+    # the class's own matrix.
+    Mutant(
+        "upper-scatter-dropped", "edge_flow.py",
+        "buf[start.take(i) + loc.take(j)] = buf[start.take(j) + loc.take(i)] = -w",
+        "buf[start.take(j) + loc.take(i)] = -w",
+        (_EDGE + "test_limit_multiplicity_factors_each_class_block_as_the_class_builds_it"
+         "[grid75-k5]",
+         _EDGE + "test_limit_multiplicity_factors_the_sign_class_blocks_bit_for_bit"),
+    ),
+    Mutant(
+        "lower-scatter-dropped", "edge_flow.py",
+        "buf[start.take(i) + loc.take(j)] = buf[start.take(j) + loc.take(i)] = -w",
+        "buf[start.take(i) + loc.take(j)] = -w",
+        (_EDGE + "test_limit_multiplicity_factors_the_sign_class_blocks_bit_for_bit",
+         _EDGE + "test_limit_multiplicity_solves_each_sign_class[grid75-k5]",
+         _ACCEPT + "test_criterion_02_golden_nodal_counts"),
+    ),
+    Mutant(
+        "diagonal-psi-in-class-order", "edge_flow.py",
+        "ends + -tol * psi**2",
+        "ends + -tol * psi[order] ** 2",
+        (_EDGE + "test_limit_multiplicity_factors_each_class_block_as_the_class_builds_it"
+         "[grid75-k5]",
+         _EDGE + "test_limit_multiplicity_factors_the_sign_class_blocks_bit_for_bit"),
     ),
     Mutant(
         "zero-vertex-not-refused", "edge_flow.py",
@@ -138,6 +164,12 @@ MUTANTS = (
         (_CLI + "test_chart_frame_has_width_and_ticks_on_every_range",
          _CLI + "test_chart_ticks_end_on_near_flat_and_subnormal_ranges",
          _CLI + "test_cli_flow_charts_a_flat_range_far_from_zero"),
+    ),
+    Mutant(
+        "chart-wide-range-at-full-scale", "svg.py",
+        "half = 1.0 if math.isfinite(yhi - ylo) else 0.5",
+        "half = 1.0",
+        (_CLI + "test_chart_frame_stays_finite_past_the_largest_double",),
     ),
     Mutant(
         "reader-takes-infinite-numbers", "fileio.py",

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -295,6 +296,31 @@ def test_chart_ticks_end_on_near_flat_and_subnormal_ranges():
         assert not re.search(r"nan|inf", chart)
 
 
+_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(0.0, 1.75e308), (-1e308, 1e308), (_MAX, _MAX), (-_MAX, -_MAX), (-_MAX, _MAX),
+     (-1e300, _MAX), (1.7e308, 1.7e308)],
+)
+def test_chart_frame_stays_finite_past_the_largest_double(lo, hi):
+    # Where the padded y-range, or its width, overflows a double, the frame
+    # is cut to the finite doubles and mapped at half scale: every number in
+    # the chart is finite and every point lies inside the plot area.
+    ylo, yhi, ticks = svg._y_axis(lo, hi)
+    assert -_MAX <= ylo <= lo <= hi <= yhi <= _MAX and ylo < yhi
+    assert ticks and all(ylo <= t <= yhi for t in ticks)
+    fr = _flow_result(np.array([0.0, 0.5, 1.0]), np.array([[lo, hi, lo], [hi, lo, hi]]), lo)
+    chart = svg.branch_chart_svg(fr)
+    assert not re.search(r"nan|inf", chart)
+    numbers = re.findall(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?", chart)
+    assert numbers and all(math.isfinite(float(x)) for x in numbers)
+    for points in re.findall(r'points="([^"]*)"', chart):
+        ys = [float(pair.split(",")[1]) for pair in points.split()]
+        assert all(svg._MT <= y <= svg._H - svg._MB for y in ys)
+
+
 @pytest.mark.parametrize("method", ["edge", "vertex"])
 def test_cli_flow_charts_a_flat_range_far_from_zero(method, tmp_path, capsys):
     """One vertex with diagonal 1e20: every branch value is 1e20, where the
@@ -484,9 +510,10 @@ def test_cli_scan_petersen_rows(tmp_path, capsys):
 
 
 def test_cli_scan_assembles_one_matrix_per_row(tmp_path, capsys, monkeypatch):
-    # Each nowhere-zero row's nu is one class-ordered L_psi, assembled once
-    # and factored at most twice (once per sign class); nothing is solved
-    # after the base spectrum.
+    # Each nowhere-zero row's nu is counted on its sign classes' ground-state
+    # Laplacians, assembled once into one buffer that holds exactly their
+    # p^2 + q^2 entries (no n x n matrix) and factored at most twice (once
+    # per sign class); nothing is solved after the base spectrum.
     graph = tmp_path / "er60.json"
     main(["generate", "--family", "er", "--params", "60,0.1", "--seed", "3", "-o", str(graph)])
     calls = []
@@ -495,25 +522,39 @@ def test_cli_scan_assembles_one_matrix_per_row(tmp_path, capsys, monkeypatch):
         f = getattr(module, name)
 
         def tallied(*args, **kwargs):
-            calls.append(kind)
+            calls.append((kind,))
             return f(*args, **kwargs)
 
         monkeypatch.setattr(module, name, tallied)
 
+    count_nonpositive = edge_flow._count_nonpositive
+
+    def factored(A):
+        calls.append(("factor", len(A), A.base))
+        return count_nonpositive(A)
+
     tally(edge_flow, "limit_multiplicity", "row")
-    tally(edge_flow, "edge_matrix", "assemble")
-    tally(edge_flow, "_count_below", "factor")
+    monkeypatch.setattr(edge_flow, "_count_nonpositive", factored)
     for module in (cli, dirichlet, edge_flow, spectra, vertex_flow):
         tally(module, "eigendecompose", "solve")
     assert main(["scan", "--graph", str(graph)]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
     assert len(rows) == 60
-    assert calls[:2] == ["solve", "row"] and calls.count("solve") == 1
-    per_row = " ".join(calls[1:]).split("row")[1:]
+    kinds = [call[0] for call in calls]
+    assert kinds[:2] == ["solve", "row"] and kinds.count("solve") == 1
+    per_row = []
+    for call in calls[1:]:
+        if call[0] == "row":
+            per_row.append([])
+        else:
+            per_row[-1].append(call)
     assert len(per_row) == sum(row[5] == "true" for row in rows) > 50
     for work in per_row:
-        assert work.split().count("assemble") == 1
-        assert 1 <= work.split().count("factor") <= 2
+        assert 1 <= len(work) <= 2
+        sizes, buffer = [size for _, size, _ in work], work[0][2]
+        assert sum(sizes) == 60
+        assert all(base is buffer for *_, base in work)
+        assert buffer.shape == (sum(size * size for size in sizes),)
 
 
 def test_cli_dirichlet_interval(tmp_path, capsys):

@@ -159,14 +159,14 @@ def test_nodal_count_direct_interval_tree_deficiency_zero():
 
 
 @st.composite
-def spread_weighted_graphs(draw):
-    """A connected graph on 3-12 vertices: a random spanning tree plus extra
-    edges, weights 10^x for x in [-3, 3] (ratios up to 1e6), and a diagonal
-    that is zero or of the weights' spread at each vertex."""
-    n = draw(st.integers(min_value=3, max_value=12))
+def spread_weighted_graphs(draw, min_n: int = 3, max_n: int = 12):
+    """A connected graph on min_n-max_n vertices: a random spanning tree plus
+    extra edges, weights 10^x for x in [-3, 3] (ratios up to 1e6), and a
+    diagonal that is zero or of the weights' spread at each vertex."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     parents = [draw(st.integers(min_value=0, max_value=v - 1)) for v in range(1, n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
     edges = sorted({(p, v) for v, p in enumerate(parents, start=1)} | set(extra))
     exponent = st.floats(min_value=-3.0, max_value=3.0)
     weights = [10.0 ** draw(exponent) for _ in edges]
@@ -230,14 +230,15 @@ def test_limit_multiplicity_counts_on_the_sign_blocks(g):
         M = flow_matrix(pert, 1.0).matrix
         positive = sel.psi > 0
         assert np.all(M[np.ix_(positive, ~positive)] == 0.0)
-        factored, count_below = [], edge_flow._count_below
+        factored, count_nonpositive = [], edge_flow._count_nonpositive
 
-        def recorded(A, t):
-            factored.append((A, count_below(A, t)))
+        def recorded(A):
+            block = np.array(A)  # the factorization overwrites A
+            factored.append((block, count_nonpositive(A)))
             return factored[-1][1]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(edge_flow, "_count_below", recorded)
+            patch.setattr(edge_flow, "_count_nonpositive", recorded)
             nu = limit_multiplicity(g, sel)
         classes = [S for S in (positive, ~positive) if S.any()]
         assert len(factored) == len(classes) and nu == sum(c for _, c in factored)
@@ -276,17 +277,17 @@ def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu):
     # domain count. At k = 1 psi has one sign, so one class of size n is
     # counted.
     sel = select(g, k)
-    calls, count_below, solve = [], edge_flow._count_below, edge_flow.eigendecompose
+    calls, count_nonpositive, solve = [], edge_flow._count_nonpositive, edge_flow.eigendecompose
 
-    def factored(A, t):
+    def factored(A):
         calls.append(("factor", len(A)))
-        return count_below(A, t)
+        return count_nonpositive(A)
 
     def solved(M, **kwargs):
         calls.append(("solve", len(M.matrix), kwargs.get("vectors", True)))
         return solve(M, **kwargs)
 
-    monkeypatch.setattr(edge_flow, "_count_below", factored)
+    monkeypatch.setattr(edge_flow, "_count_nonpositive", factored)
     monkeypatch.setattr(edge_flow, "eigendecompose", solved)
     assert limit_multiplicity(g, sel) == nu
     classes = [size for size in (int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))) if size]
@@ -303,22 +304,56 @@ def test_limit_multiplicity_solves_each_sign_class(monkeypatch, g, k, nu):
     ids=["grid75-k5", "petersen-k7", "path6-k4", "graded-A", "graded-B", "spread-path-k4",
          "spread-example-k3"],
 )
-def test_limit_multiplicity_factors_each_class_block_as_the_class_builds_it(monkeypatch, g, k):
-    # The class-ordered L_psi's diagonal blocks, as _count_below receives
-    # them, are bit for bit each class's matrix assembled on its own.
+def test_limit_multiplicity_factors_each_class_block_as_the_class_builds_it(g, k):
+    # The blocks _count_nonpositive receives are bit for bit each class's
+    # matrix assembled on its own, signed zeros included.
     sel = select(g, k)
-    blocks, count_below = [], edge_flow._count_below
-
-    def recorded(A, t):
-        blocks.append(np.array(A))
-        return count_below(A, t)
-
-    monkeypatch.setattr(edge_flow, "_count_below", recorded)
-    limit_multiplicity(g, sel)
+    blocks = factored_blocks(g, sel)
     expected = sign_class_blocks(g.n, g.edges, sel.psi, group_tolerance(sel.lambda_k))
     assert len(blocks) == len(expected) == 2
     for got, want in zip(blocks, expected):
-        assert np.array_equal(got, want)
+        assert_bit_equal(got, want)
+
+
+def factored_blocks(g, sel) -> list[np.ndarray]:
+    """Copies of the blocks limit_multiplicity(g, sel) factors, in order,
+    taken before the factorization overwrites them."""
+    blocks, count_nonpositive = [], edge_flow._count_nonpositive
+
+    def recorded(A):
+        blocks.append(np.array(A))
+        return count_nonpositive(A)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edge_flow, "_count_nonpositive", recorded)
+        limit_multiplicity(g, sel)
+    return blocks
+
+
+def assert_bit_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spread_weighted_graphs(min_n=1, max_n=30))
+@example(WeightedGraph(1, (), (0.5,)))
+@example(spread_path())
+def test_limit_multiplicity_factors_the_sign_class_blocks_bit_for_bit(g):
+    # At every index with a nowhere-zero psi, k = 1's single sign class
+    # included, each block factored is the oracle's class matrix, assembled
+    # alone by a loop over the edges, to the bit and to the sign of zero.
+    spectrum = eigendecompose(laplacian(g))
+    for k in range(1, g.n + 1):
+        sel = select_eigenpair(spectrum, k)
+        if not sel.nowhere_zero:
+            continue
+        blocks = factored_blocks(g, sel)
+        expected = sign_class_blocks(g.n, g.edges, sel.psi, group_tolerance(sel.lambda_k))
+        assert len(blocks) == len(expected) == len(np.unique(np.sign(sel.psi)))
+        for got, want in zip(blocks, expected):
+            assert_bit_equal(got, want)
 
 
 def test_limit_multiplicity_refuses_a_zero_entry():

@@ -499,11 +499,12 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
     solves = _record_solves(monkeypatch, spectra, edge_flow, vertex_flow)
     depth, midpoints, bisected = _bisection_depth(monkeypatch), [], []
-    factored, count_below = [], edge_flow._count_below
+    factored, count_nonpositive = [], edge_flow._count_nonpositive
+    count_below = spectra._count_below
 
-    def recorded(A, t):
+    def recorded(A):
         factored.append(len(A))
-        return count_below(A, t)
+        return count_nonpositive(A)
 
     def in_bisection(A, t):
         bisected.append((len(A), depth[0] > 0))
@@ -514,7 +515,7 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
             midpoints.append(sigma)
         return turning(sigma)
 
-    monkeypatch.setattr(edge_flow, "_count_below", recorded)
+    monkeypatch.setattr(edge_flow, "_count_nonpositive", recorded)
     monkeypatch.setattr(spectra, "_count_below", in_bisection)
 
     # The default bisection factors the family's matrix once per midpoint
