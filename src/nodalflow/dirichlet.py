@@ -55,9 +55,12 @@ def dirichlet_problem(g: WeightedGraph, interior) -> DirichletProblem:
 def d_connected_components(g: WeightedGraph, interior) -> tuple[tuple[int, ...], ...]:
     """Components of the interior under paths that avoid the boundary,
     i.e. components of the induced subgraph on the interior set."""
-    S = set(_interior(g, interior))
-    inside = [e for e in g.edges if e[0] in S and e[1] in S]
-    return components(g.n, inside, S)
+    S = _interior(g, interior)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[S] = True
+    i, j, _ = g.edge_arrays
+    kept = inside[i] & inside[j]
+    return components(g.n, i[kept], j[kept], S)
 
 
 def dirichlet_spectrum(dp: DirichletProblem) -> Spectrum:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .errors import NotConnected
 
@@ -132,23 +130,43 @@ def adjacency_lists(g: WeightedGraph) -> list[list[int]]:
     return adj
 
 
-def components(n: int, edges, vertices=None) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the graph on ``vertices`` (default: all of
-    0..n-1) joined by ``edges`` (tuples starting i, j), each sorted and
-    ordered by smallest member. Edges must join listed vertices."""
-    ij = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2)
-    adj = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n, n))
-    _, labels = _csgraph_components(adj, directed=False)
-    comps: dict[int, list[int]] = {}
-    for v in range(n) if vertices is None else sorted(vertices):
-        comps.setdefault(int(labels[v]), []).append(int(v))
-    return tuple(tuple(c) for c in comps.values())
+def components(n: int, i, j, vertices=None) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the graph on ``vertices`` (ascending; default:
+    all of 0..n-1) joined by the edges (i[e], j[e]), each sorted and ordered
+    by smallest member. Edges must join listed vertices.
+
+    Min-label hooking with pointer jumping, after Shiloach and Vishkin (J.
+    Algorithms, 1982): each vertex points at itself (a root) or at a smaller
+    vertex. Each round jumps the pointers until every label is a root, then
+    hooks the larger root of each edge's two under the smaller (a no-op
+    where they are equal). When every edge joins equal labels, each label is
+    its component's smallest vertex. A root that neither hooks nor is
+    hooked in one round hooks in the next, so a component's roots at least
+    halve every two rounds."""
+    label = np.arange(n)
+    while True:
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+        a, b = label[i], label[j]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+    v = np.arange(n) if vertices is None else np.asarray(vertices, dtype=np.intp)
+    root = label[v]
+    order = np.argsort(root, kind="stable")
+    members = v[order].tolist()
+    if not members:
+        return ()
+    cuts = (np.flatnonzero(np.diff(root[order])) + 1).tolist()
+    return tuple(tuple(members[s:e]) for s, e in zip([0, *cuts], [*cuts, len(members)]))
 
 
 def connected_components(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the connected components, each sorted, ordered by
     smallest member."""
-    return components(g.n, g.edges)
+    i, j, _ = g.edge_arrays
+    return components(g.n, i, j)
 
 
 def is_connected(g: WeightedGraph) -> bool:

@@ -166,7 +166,9 @@ def strong_domains_allowing_zeros(
     zeros = zero_vertices(psi)
     i, j, _ = g.edge_arrays
     same = _signs_across(g, psi, zeros) > 0
-    domains = components(g.n, zip(i[same], j[same]), set(range(g.n)) - set(zeros))
+    nonzero = np.ones(g.n, dtype=bool)
+    nonzero[list(zeros)] = False
+    domains = components(g.n, i[same], j[same], np.flatnonzero(nonzero))
     return domains, zeros
 
 

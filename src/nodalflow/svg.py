@@ -25,17 +25,18 @@ _ML, _MR, _MT, _MB = 72, 24, 40, 52
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    """Ticks at the multiples of a 1-2-5 step of about (hi - lo) / count:
-    [lo] when hi <= lo, and none when the range is too narrow for a step,
-    which then underflows or is below half an ulp of some tick. A range
-    wider than the largest double is cut to the finite doubles."""
+    """Ticks at the multiples of a 1-2-5 step of about (hi - lo) / count,
+    up to hi plus 1e-12 |hi| or half a step, whichever is less: [lo] when
+    hi <= lo, and none when the range is too narrow for a step, which then
+    underflows or is below half an ulp of some tick. A range wider than the
+    largest double is cut to the finite doubles."""
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / count
-    end = hi + 1e-12 * abs(hi)
+    slack = 1e-12 * abs(hi)
     if raw == math.inf:
         lo, hi = max(lo, -_MAX), min(hi, _MAX)
-        raw, end = hi / count - lo / count, hi
+        raw, slack = hi / count - lo / count, 0.0
     if raw == 0.0:
         return []
     mag = 10 ** math.floor(math.log10(raw))
@@ -45,9 +46,9 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
             break
     else:  # mag underflowed below raw / 10
         return []
-    start = math.ceil(lo / step) * step
+    end = hi + min(slack, step / 2)
     ticks = []
-    t = start
+    t = math.ceil(lo / step) * step
     while t <= end:
         if t + step == t:
             return []

@@ -47,8 +47,40 @@ _SPECTRA = "tests/test_spectra.py::"
 _CLI = "tests/test_cli_io.py::"
 _ACCEPT = "tests/test_acceptance.py::"
 _IMPORTS = "tests/test_unused_imports.py::test_module_uses_every_import"
+_GRAPH = "tests/test_graph_core.py::"
+_COMPONENTS = (_GRAPH + "test_components_match_the_scipy_search",
+               _GRAPH + "test_components_match_the_scipy_search_on_long_paths_and_stars")
+_GOLDEN_DOMAINS = _GRAPH + "test_domains_and_d_components_match_the_scipy_search_on_the_goldens"
 
 MUTANTS = (
+    # graph_core.components: hooking and grouping. No pointer-jumping mutant:
+    # with no jump a non-root can be hooked and the loop may never end, and
+    # one jump per round still ends with the same labels.
+    Mutant(
+        "components-hook-under-the-larger-root", "graph_core.py",
+        "np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))",
+        "np.maximum.at(label, np.minimum(a, b), np.maximum(a, b))",
+        (*_COMPONENTS, _GOLDEN_DOMAINS),
+    ),
+    Mutant(
+        "components-cut-one-before-each-group", "graph_core.py",
+        "cuts = (np.flatnonzero(np.diff(root[order])) + 1).tolist()",
+        "cuts = np.flatnonzero(np.diff(root[order])).tolist()",
+        (*_COMPONENTS, _GOLDEN_DOMAINS),
+    ),
+    Mutant(
+        "components-grouping-not-stable", "graph_core.py",
+        'order = np.argsort(root, kind="stable")',
+        "order = np.argsort(root)",
+        _COMPONENTS,
+    ),
+    Mutant(
+        "components-listed-vertices-ignored", "graph_core.py",
+        "v = np.arange(n) if vertices is None else np.asarray(vertices, dtype=np.intp)",
+        "v = np.arange(n)",
+        (_GRAPH + "test_components_match_the_scipy_search", _GOLDEN_DOMAINS,
+         "tests/test_nodal.py::test_strong_domains_allowing_zeros_path_seven"),
+    ),
     # ν's sign-class blocks, assembled in one buffer.
     Mutant(
         "class-order-not-stable", "edge_flow.py",
@@ -164,6 +196,13 @@ MUTANTS = (
         (_CLI + "test_chart_frame_has_width_and_ticks_on_every_range",
          _CLI + "test_chart_ticks_end_on_near_flat_and_subnormal_ranges",
          _CLI + "test_cli_flow_charts_a_flat_range_far_from_zero"),
+    ),
+    Mutant(
+        "chart-ticks-run-past-the-range", "svg.py",
+        "end = hi + min(slack, step / 2)",
+        "end = hi + slack",
+        (_CLI + "test_chart_ticks_stop_half_a_step_past_a_near_flat_range",
+         _CLI + "test_chart_frame_has_width_and_ticks_on_every_range"),
     ),
     Mutant(
         "chart-wide-range-at-full-scale", "svg.py",

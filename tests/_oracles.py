@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Nothing here is shared with the package's code paths: nodal counts use
-union-find over the raw edge list, eigenvalue counts use inertia instead of
-branch tracking, and multiplicity groups use a plain loop.
+union-find over the raw edge list, components use scipy's sparse graph
+search, eigenvalue counts use inertia instead of branch tracking, and
+multiplicity groups use a plain loop.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 
 class _UnionFind:
@@ -55,6 +58,21 @@ def flood_fill_weak_count(n: int, edges, psi) -> int:
         if psi[i] * psi[j] >= 0:
             uf.union(i, j)
     return uf.count(range(n))
+
+
+def components_by_csgraph(n: int, edges, vertices=None) -> tuple[tuple[int, ...], ...]:
+    """graph_core.components as it was before it labelled the components
+    itself: scipy's connected_components on a COO adjacency, for the graph
+    on ``vertices`` (default: all of 0..n-1) joined by ``edges`` (tuples
+    starting i, j), each sorted and ordered by smallest member. Edges must
+    join listed vertices."""
+    ij = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2)
+    adj = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n, n))
+    _, labels = _csgraph_components(adj, directed=False)
+    comps: dict[int, list[int]] = {}
+    for v in range(n) if vertices is None else sorted(vertices):
+        comps.setdefault(int(labels[v]), []).append(int(v))
+    return tuple(tuple(c) for c in comps.values())
 
 
 def dense_laplacian(n: int, edges) -> np.ndarray:
@@ -219,11 +237,14 @@ def branch_chart_svg_by_value(fr, *, log_x: bool = False, title: str = "") -> st
     return canvas.render()
 
 
-def ticks_unguarded(lo: float, hi: float, count: int = 5) -> list[float]:
+def ticks_unguarded(lo: float, hi: float, count: int = 5, *, capped: bool = True) -> list[float]:
     """The chart's ticks by the 1-2-5 rule with no guard: ValueError where
     the step underflows (a zero step's logarithm, or no 1-2-5 multiple of
     its decade reaching it) or is lost in rounding at some tick, where the
-    loop would never end."""
+    loop would never end. The ticks run up to hi plus 1e-12 |hi| or half a
+    step, whichever is less; with capped=False up to hi plus 1e-12 |hi|
+    alone, the rule before the cap, which on a near-flat range runs many
+    range widths past hi."""
     if hi <= lo:
         return [lo]
     raw = (hi - lo) / count
@@ -233,7 +254,8 @@ def ticks_unguarded(lo: float, hi: float, count: int = 5) -> list[float]:
         raise ValueError("no 1-2-5 step reaches the range")
     step = steps[0]
     ticks, t = [], math.ceil(lo / step) * step
-    while t <= hi + 1e-12 * abs(hi):
+    slack = 1e-12 * abs(hi)
+    while t <= hi + (min(slack, step / 2) if capped else slack):
         if t + step == t:
             raise ValueError("a tick does not advance")
         ticks.append(t)

@@ -296,6 +296,36 @@ def test_chart_ticks_end_on_near_flat_and_subnormal_ranges():
         assert not re.search(r"nan|inf", chart)
 
 
+def test_chart_ticks_stop_half_a_step_past_a_near_flat_range():
+    # Ending at hi + 1e-12 |hi| alone, the ticks ran on for many frame
+    # widths past yhi here: 198 and 5005 of them.
+    assert svg._y_axis(1.0, 1.0 + 1e-14) == (
+        0.9999999999999996, 1.0000000000000104,
+        [1.0000000000000002, 1.0000000000000053, 1.0000000000000104],
+    )
+    ylo, yhi, ticks = svg._y_axis(1e308, 1.000000000000001e308)
+    ticks = [float(t) for t in ticks]  # integers: the step is 2 * 10**292
+    step = ticks[1] - ticks[0]
+    assert len(ticks) == 7 and ylo <= ticks[0] and ticks[-2] <= yhi < ticks[-1] <= yhi + step / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_ranges())
+def test_chart_ticks_cut_only_ticks_past_the_range(value_range):
+    """Against the rule before the cap, wherever that rule ends: the ticks
+    are its first ones, all of them unless it had a tick above hi, and at
+    most one lies above hi."""
+    lo, hi = value_range
+    try:
+        uncapped = ticks_unguarded(lo, hi, capped=False)
+    except ValueError:
+        return
+    ticks = svg._ticks(lo, hi)
+    assert ticks == uncapped[: len(ticks)]
+    assert ticks == uncapped or uncapped[-1] > hi
+    assert sum(t > hi for t in ticks) <= 1
+
+
 _MAX = sys.float_info.max
 
 
@@ -696,8 +726,9 @@ def test_cli_subprocess_scan_reproducible(tmp_path):
 
 
 def test_cold_start_counts_load_no_assignment_solver(tmp_path):
-    """generate, nodal, scan and dirichlet track no branch, so a fresh
-    process that runs them never imports scipy.optimize."""
+    """generate, nodal, scan and dirichlet track no branch and label
+    components with numpy, so a fresh process that runs them never imports
+    scipy.optimize or scipy.sparse."""
     graph = str(tmp_path / "g.json")
     r = run_python(
         "-c",
@@ -709,10 +740,10 @@ def test_cold_start_counts_load_no_assignment_solver(tmp_path):
         "    ['nodal', '--graph', g, '--k', '5'],\n"
         "    ['scan', '--graph', g],\n"
         "    ['dirichlet', '--graph', g, '--k', '5'])]\n"
-        "print(codes, 'scipy.optimize' in sys.modules)\n"
+        "print(codes, 'scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)\n"
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert r.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False"
 
 
 def test_cold_start_flow_loads_the_solver_at_its_fallback(tmp_path, capsys):

@@ -2,25 +2,30 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodalflow.dirichlet import component_first_eigenpairs, dirichlet_problem
+from nodalflow.dirichlet import (
+    component_first_eigenpairs,
+    d_connected_components,
+    dirichlet_problem,
+)
 from nodalflow.edge_flow import build_perturbation, run_edge_flow, sign_preserving_graph
 from nodalflow.errors import NotConnected
-from nodalflow.families import grid_eigenvector_oracle, interval
+from nodalflow.families import complete, cycle, grid, grid_eigenvector_oracle, interval, petersen
 from nodalflow.graph_core import (
     WeightedGraph,
     adjacency_lists,
     betti_1,
+    components,
     connected_components,
     is_connected,
     laplacian,
 )
-from nodalflow.nodal import select_eigenpair
+from nodalflow.nodal import edge_signs, select_eigenpair, strong_domains_allowing_zeros
 from nodalflow.spectra import eigendecompose
 
-from _oracles import dense_laplacian
+from _oracles import components_by_csgraph, dense_laplacian
 
 
 def test_edges_are_canonicalized():
@@ -218,3 +223,90 @@ def test_component_count_matches_laplacian_kernel(data):
     kernel_dim = int(np.sum(np.abs(vals) < 1e-9))
     assert len(comps) == kernel_dim
     assert sorted(v for c in comps for v in c) == list(range(n))
+
+
+def _labelled(n, pairs, vertices=None):
+    """components and the scipy reference on the same edge list."""
+    ij = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return components(n, ij[:, 0], ij[:, 1], vertices), components_by_csgraph(n, pairs, vertices)
+
+
+@st.composite
+def listed_graphs(draw):
+    """(n, pairs, vertices): 1-60 vertices, edges along a path over part of
+    a random vertex order (so a component can hold far more than 16
+    members) plus random pairs, and the listed vertices: all (None), none,
+    or a random subset, keeping only the edges that join listed vertices."""
+    n = draw(st.integers(1, 60))
+    order = draw(st.permutations(range(n)))
+    pairs = list(zip(order, order[1:draw(st.integers(1, n))]))
+    vertex = st.integers(0, n - 1)
+    pairs += [(a, b) for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)) if a != b]
+    listed = draw(st.one_of(st.none(), st.just(frozenset()), st.frozensets(vertex)))
+    if listed is None:
+        return n, pairs, None
+    return n, [(a, b) for a, b in pairs if a in listed and b in listed], sorted(listed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_graphs())
+@example((1, [], None))
+@example((5, [], None))
+@example((5, [(0, 1)], []))
+@example((60, [(v, v - 1) for v in range(59, 0, -1)], list(range(60))))
+def test_components_match_the_scipy_search(graph):
+    ours, reference = _labelled(*graph)
+    assert ours == reference
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+@pytest.mark.parametrize("labelling", ["ascending", "descending", "random"])
+def test_components_match_the_scipy_search_on_long_paths_and_stars(shape, labelling):
+    """10**4 vertices joined as a path or a star along the order, and again
+    with every 100th vertex of the order left out (a path falls into runs of
+    99)."""
+    n = 10**4
+    order = {
+        "ascending": list(range(n)),
+        "descending": list(range(n - 1, -1, -1)),
+        "random": np.random.default_rng(7).permutation(n).tolist(),
+    }[labelling]
+    hubs = order[:-1] if shape == "path" else [order[0]] * (n - 1)
+    pairs = list(zip(hubs, order[1:]))
+    ours, reference = _labelled(n, pairs)
+    assert ours == reference == (tuple(range(n)),)
+    left_out = set(order[::100])
+    kept = [(a, b) for a, b in pairs if a not in left_out and b not in left_out]
+    ours, reference = _labelled(n, kept, sorted(set(range(n)) - left_out))
+    assert ours == reference
+    assert max(map(len, ours)) == (99 if shape == "path" else 1)
+
+
+GOLDEN_GRAPHS = {
+    "complete5": complete(5),
+    "cycle5": cycle(5),
+    "petersen73": petersen(7, 3),
+    "grid75": grid(7, 5),
+    "interval7": interval(7),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_GRAPHS)
+def test_domains_and_d_components_match_the_scipy_search_on_the_goldens(name):
+    """At every k: the strong domains allowing zeros, and the D-connected
+    components of the non-zero, the positive and the negative vertices."""
+    g = GOLDEN_GRAPHS[name]
+    spectrum = eigendecompose(laplacian(g))
+    for k in range(1, g.n + 1):
+        psi = select_eigenpair(spectrum, k).psi
+        domains, zeros = strong_domains_allowing_zeros(g, psi)
+        same = [e for e, sign in zip(g.edges, edge_signs(g, psi)) if sign > 0]
+        nonzero = set(range(g.n)) - set(zeros)
+        assert domains == components_by_csgraph(g.n, same, nonzero)
+        for interior in (nonzero, nonzero & set(np.flatnonzero(psi > 0).tolist()),
+                         nonzero & set(np.flatnonzero(psi < 0).tolist())):
+            if interior:
+                inside = [e for e in g.edges if e[0] in interior and e[1] in interior]
+                assert d_connected_components(g, interior) == (
+                    components_by_csgraph(g.n, inside, interior)
+                )
