@@ -93,16 +93,13 @@ def _cmd_flow(args) -> int:
     else:
         fr = run_vertex_flow(g, sel, steps=args.steps, allow_degenerate=True)
         log_x = True
-    nu = fr.converged_count
     flags = {
         "simple": sel.simple,
         "nowhere_zero": sel.nowhere_zero,
         "refinement_exhausted": fr.refinement_exhausted,
         "warnings": list(fr.warnings),
     }
-    summary = fileio.flow_summary(
-        fr, sel.k, sel.lambda_k, nu, sel.k - nu, flags=flags
-    )
+    summary = fileio.flow_summary(fr, sel.k, flags)
     fileio.write_text(f"{args.out}.csv", fileio.branch_table_csv(fr))
     fileio.write_text(f"{args.out}.json", fileio.canonical_json(summary) + "\n")
     if args.svg:

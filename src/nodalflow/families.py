@@ -71,9 +71,8 @@ def erdos_renyi(n: int, p: float, seed: int) -> WeightedGraph:
     rng = np.random.default_rng(seed)
     edges = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j, 1.0))
+        row = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
+        edges += [(i, j, 1.0) for j in row.tolist()]
     return WeightedGraph(n, tuple(edges))
 
 

@@ -121,8 +121,7 @@ def load_graph(path) -> tuple[WeightedGraph, dict | None]:
 
 
 def save_graph(path, g: WeightedGraph, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_graph(g, meta))
+    write_text(path, serialize_graph(g, meta))
 
 
 def branch_table_csv(fr: FlowResult) -> str:
@@ -138,30 +137,23 @@ def branch_table_csv(fr: FlowResult) -> str:
     return "\n".join(rows) + "\n"
 
 
-def flow_summary(
-    fr: FlowResult,
-    k: int,
-    lambda_k: float,
-    nu: int | None,
-    deficiency: int | None,
-    flags: dict | None = None,
-) -> dict:
-    """Companion summary for a flow run, canonical key order."""
-    summary = {
+def flow_summary(fr: FlowResult, k: int, flags: dict) -> dict:
+    """Companion summary for a flow run at index k, canonical key order;
+    lambda_k and nu are fr's reference value and converged count."""
+    nu = fr.converged_count
+    return {
         "k": k,
-        "lambda_k": lambda_k,
+        "lambda_k": fr.reference_value,
         "nu": nu,
-        "deficiency": deficiency,
+        "deficiency": k - nu,
         "crossings": [
             {"branch": c.branch, "sigma_lo": c.sigma_lo, "sigma_hi": c.sigma_hi}
             for c in fr.crossings
         ],
-        "converged_count": fr.converged_count,
+        "converged_count": nu,
         "branch_origins": list(fr.branch_origins) if fr.branch_origins else None,
+        "flags": flags,
     }
-    if flags is not None:
-        summary["flags"] = flags
-    return summary
 
 
 def write_text(path, text: str) -> None:

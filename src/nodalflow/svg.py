@@ -22,21 +22,22 @@ _PALETTE = (
 _W, _H = 860, 540
 _MAX = sys.float_info.max
 _ML, _MR, _MT, _MB = 72, 24, 40, 52
+_TICKS = 5  # about this many steps span an axis
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    """Ticks at the multiples of a 1-2-5 step of about (hi - lo) / count,
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Ticks at the multiples of a 1-2-5 step of about (hi - lo) / _TICKS,
     up to hi plus 1e-12 |hi| or half a step, whichever is less: [lo] when
     hi <= lo, and none when the range is too narrow for a step, which then
     underflows or is below half an ulp of some tick. A range wider than the
     largest double is cut to the finite doubles."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / count
+    raw = (hi - lo) / _TICKS
     slack = 1e-12 * abs(hi)
     if raw == math.inf:
         lo, hi = max(lo, -_MAX), min(hi, _MAX)
-        raw, slack = hi / count - lo / count, 0.0
+        raw, slack = hi / _TICKS - lo / _TICKS, 0.0
     if raw == 0.0:
         return []
     mag = 10 ** math.floor(math.log10(raw))

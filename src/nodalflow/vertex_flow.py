@@ -30,7 +30,7 @@ import numpy as np
 from .edge_flow import EdgePerturbation, build_perturbation, check_steps, flow_matrix
 from .edge_flow import limit_multiplicity, sign_preserving_graph
 from .errors import NotAComponent
-from .graph_core import LaplacianMatrix, WeightedGraph
+from .graph_core import LaplacianMatrix, WeightedGraph, edge_matrix
 from .graph_core import laplacian  # noqa: F401  (a binding perfbench/selftest.py traces)
 from .nodal import EigenSelection, strong_domains_allowing_zeros
 from .spectra import COUNT_TOL_REL, FD_STEP, FlowResult, _count_below, derivative_residual
@@ -92,19 +92,18 @@ def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
     B(sigma) - t has the diagonal ghost block with entries d = s (h_i + h_j)
     + sigma - t, so by Haynsworth's inertia additivity the count is #{d < 0}
     plus the count of eigenvalues <= 0 of the n x n Schur complement
-    S = L + s P - t I - s^2 H diag(1/d) H^T on the n base vertices (notation
-    of bilinear_matrix). S is built from pert alone and its norm stays bounded
-    as sigma grows, unlike B's. Extended by zeros, psi is an eigenvector of
-    B(sigma) at lambda_k, so S psi = (lambda_k - t) psi exactly, a value a
-    rounding error away from zero: it is deflated by adding (1 + |t|) psi
+    S = L + s P - t I - s^2 H diag(1/d) H^T on the n base vertices (notation of
+    bilinear_matrix), flow_matrix(pert, s) less one edge_matrix call; its norm
+    stays bounded as sigma grows, unlike B's. Extended by zeros, psi is an
+    eigenvector of B(sigma) at lambda_k, so S psi = (lambda_k - t) psi exactly,
+    a rounding error away from zero: it is deflated by adding (1 + |t|) psi
     psi^T / |psi|^2, which lifts it above zero, and counted as 1. Where some
-    |d| is within COUNT_TOL_REL * max(1, |t|, sigma) of zero the split is
-    not trusted and B(sigma) itself is counted by inertia (_count_below)."""
+    |d| is within COUNT_TOL_REL * max(1, |t|, sigma) of zero the split is not
+    trusted and B(sigma) itself is counted by inertia (_count_below)."""
     n = len(pert.laplacian)
     at_i, at_j = pert.half_weights
     psi = np.asarray(psi, dtype=float)
     unit_psi = np.outer(psi, psi) / (psi @ psi)
-    ends = np.column_stack((pert.i, pert.j)).ravel()
 
     def count(sigma: float, t: float) -> int:
         s = sigma / (1.0 + sigma)
@@ -113,10 +112,7 @@ def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
             return _count_below(bilinear_matrix(pert, sigma).matrix, t)
         c = s * s / d
         S = flow_matrix(pert, s).matrix + (1.0 + abs(t)) * unit_psi
-        S[pert.i, pert.j] -= c * at_i * at_j
-        S[pert.j, pert.i] = S[pert.i, pert.j]
-        on_diag = np.column_stack((c * at_i * at_i, c * at_j * at_j)).ravel()
-        S[np.diag_indices(n)] -= t + np.bincount(ends, on_diag, n)
+        S -= edge_matrix(n, pert.i, pert.j, c * at_i * at_j, c * at_i * at_i, c * at_j * at_j, t)
         below = np.sum(eigendecompose(S, vectors=False).eigenvalues <= 0.0)
         return int(np.sum(d < 0) + below) + 1
 

@@ -44,6 +44,7 @@ class Mutant:
 
 _EDGE = "tests/test_edge_flow.py::"
 _SPECTRA = "tests/test_spectra.py::"
+_VERTEX = "tests/test_vertex_flow.py::"
 _CLI = "tests/test_cli_io.py::"
 _ACCEPT = "tests/test_acceptance.py::"
 _IMPORTS = "tests/test_unused_imports.py::test_module_uses_every_import"
@@ -80,6 +81,13 @@ MUTANTS = (
         "v = np.arange(n)",
         (_GRAPH + "test_components_match_the_scipy_search", _GOLDEN_DOMAINS,
          "tests/test_nodal.py::test_strong_domains_allowing_zeros_path_seven"),
+    ),
+    # The G(n, p) sampler's one draw per row.
+    Mutant(
+        "er-row-one-pair-too-many", "families.py",
+        "rng.random(n - 1 - i)",
+        "rng.random(n - i)",
+        ("tests/test_families.py::test_erdos_renyi_draws_the_pairs_as_one_draw_per_pair",),
     ),
     # ν's sign-class blocks, assembled in one buffer.
     Mutant(
@@ -130,6 +138,72 @@ MUTANTS = (
         (_EDGE + "test_limit_multiplicity_refuses_a_zero_entry",
          _IMPORTS + "[edge_flow.py]"),
     ),
+    # The vertex flow's crossing count on the ghost Schur complement S.
+    Mutant(
+        "schur-off-diagonal-at-i-squared", "vertex_flow.py",
+        "edge_matrix(n, pert.i, pert.j, c * at_i * at_j,",
+        "edge_matrix(n, pert.i, pert.j, c * at_i * at_i,",
+        (_VERTEX + "test_ghost_schur_count_solves_the_hand_scattered_complement",
+         _VERTEX + "test_ghost_schur_count_matches_the_full_count"),
+    ),
+    Mutant(
+        "schur-diagonal-without-t", "vertex_flow.py",
+        "c * at_j * at_j, t)",
+        "c * at_j * at_j, 0.0)",
+        (_VERTEX + "test_ghost_schur_count_solves_the_hand_scattered_complement",
+         _VERTEX + "test_ghost_schur_count_matches_the_full_count"),
+    ),
+    Mutant(
+        "schur-psi-not-deflated", "vertex_flow.py",
+        "S = flow_matrix(pert, s).matrix + (1.0 + abs(t)) * unit_psi",
+        "S = flow_matrix(pert, s).matrix",
+        (_VERTEX + "test_ghost_schur_count_solves_the_hand_scattered_complement",
+         _VERTEX + "test_vertex_flow_brackets_hold_a_fall_of_the_ghost_schur_count"
+         "[er20-p0.5-s304-k10]"),
+    ),
+    Mutant(
+        "schur-pivot-fallback-removed", "vertex_flow.py",
+        "        if np.any(np.abs(d) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)):\n"
+        "            return _count_below(bilinear_matrix(pert, sigma).matrix, t)\n",
+        "",
+        (_VERTEX + "test_ghost_schur_count_falls_back_at_a_ghost_pivot",
+         _IMPORTS + "[vertex_flow.py]"),
+    ),
+    Mutant(
+        "schur-fallback-counts-the-base-block", "vertex_flow.py",
+        "return _count_below(bilinear_matrix(pert, sigma).matrix, t)",
+        "return _count_below(flow_matrix(pert, s).matrix, t)",
+        (_VERTEX + "test_ghost_schur_count_falls_back_at_a_ghost_pivot",),
+    ),
+    # The inertia count's pivot reading.
+    Mutant(
+        "two-by-two-pivot-counted-as-zero", "spectra.py",
+        " + np.count_nonzero(~one) // 2)",
+        ")",
+        (_SPECTRA + "test_count_below_reads_two_by_two_pivots",
+         _SPECTRA + "test_count_below_matches_eigvalsh"),
+    ),
+    Mutant(
+        "two-by-two-pivot-counted-as-two", "spectra.py",
+        "np.count_nonzero(~one) // 2)",
+        "np.count_nonzero(~one))",
+        (_SPECTRA + "test_count_below_reads_two_by_two_pivots",
+         _SPECTRA + "test_count_below_matches_eigvalsh"),
+    ),
+    Mutant(
+        "zero-pivot-counted-as-positive", "spectra.py",
+        "np.diagonal(ldu)[one] <= 0)",
+        "np.diagonal(ldu)[one] < 0)",
+        (_SPECTRA + "test_count_below_at_an_exactly_singular_shift",
+         _SPECTRA + "test_count_below_takes_t_only_when_closed"),
+    ),
+    Mutant(
+        "default-count-by-eigensolve", "spectra.py",
+        "return _count_below(_as_matrix(flow_matrix(sigma)), t)",
+        "return int(np.sum(eigendecompose(flow_matrix(sigma), vectors=False).eigenvalues <= t))",
+        (_SPECTRA + "test_only_value_reads_solve_without_vectors",
+         _SPECTRA + "test_only_tracked_grid_points_use_divide_and_conquer"),
+    ),
     # _match_step's fast path and its assignment fallback.
     Mutant(
         "dominant-overlap-at-one-half", "spectra.py",
@@ -173,6 +247,12 @@ MUTANTS = (
         (_SPECTRA + "test_group_of_finds_the_group_holding_each_index",),
     ),
     # The flow's writers and the graph reader.
+    Mutant(
+        "deficiency-nu-minus-k", "fileio.py",
+        '"deficiency": k - nu,',
+        '"deficiency": nu - k,',
+        (_CLI + "test_cli_flow_writes_the_summary_built_field_by_field",),
+    ),
     Mutant(
         "csv-at-16-digits", "fileio.py",
         'row = ",".join(["%.17g"] * (B + 1))',

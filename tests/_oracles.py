@@ -86,6 +86,20 @@ def dense_laplacian(n: int, edges) -> np.ndarray:
     return L
 
 
+def erdos_renyi_by_pair(n: int, p: float, seed: int) -> tuple:
+    """The edges of families.erdos_renyi(n, p, seed) drawn one pair at a
+    time: each pair i < j, in ascending order, takes one uniform from a
+    PCG64 generator with the given seed and is an edge of weight 1.0 when
+    the uniform is below p."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges.append((i, j, 1.0))
+    return tuple(edges)
+
+
 def chain_cluster(vals) -> tuple[tuple[int, ...], ...]:
     """Multiplicity groups of ascending vals by a loop: i joins the group of
     i - 1 when vals[i] - vals[i - 1] <= 1e-8 * max(1, |vals[i]|)."""
@@ -122,6 +136,31 @@ def count_below_by_ghost_schur(B, n_base: int, t: float) -> int:
     if np.max(np.abs(S)) > np.max(np.abs(shifted)):
         return int(np.sum(np.linalg.eigvalsh(shifted) < 0))
     return int(np.sum(d < 0) + np.sum(np.linalg.eigvalsh(S) < 0))
+
+
+def ghost_schur_by_scatter(pert, psi, sigma: float, t: float) -> np.ndarray:
+    """The matrix vertex_flow.ghost_schur_count(pert, psi) solves at
+    (sigma, t) off its ghost-pivot fallback, S = L + s P - t I
+    - s^2 H diag(1/d) H^T with psi deflated, scattered by hand as the count
+    built it before it called graph_core.edge_matrix: the off-diagonal
+    term at (i, j), copied to (j, i), and the end terms summed per vertex
+    in edge order, i before j."""
+    from nodalflow.edge_flow import flow_matrix
+
+    n = len(pert.laplacian)
+    at_i, at_j = pert.half_weights
+    psi = np.asarray(psi, dtype=float)
+    unit_psi = np.outer(psi, psi) / (psi @ psi)
+    ends = np.column_stack((pert.i, pert.j)).ravel()
+    s = sigma / (1.0 + sigma)
+    d = s * (at_i + at_j) + sigma - t
+    c = s * s / d
+    S = flow_matrix(pert, s).matrix + (1.0 + abs(t)) * unit_psi
+    S[pert.i, pert.j] -= c * at_i * at_j
+    S[pert.j, pert.i] = S[pert.i, pert.j]
+    on_diag = np.column_stack((c * at_i * at_i, c * at_j * at_j)).ravel()
+    S[np.diag_indices(n)] -= t + np.bincount(ends, on_diag, n)
+    return S
 
 
 def limit_graph(n: int, edges, psi, diag=()) -> tuple[int, tuple, tuple]:

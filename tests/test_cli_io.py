@@ -369,7 +369,7 @@ def test_flow_summary_key_order():
     g = interval(4)
     sel = select_eigenpair(eigendecompose(laplacian(g)), 2)
     fr = run_edge_flow(g, sel, steps=5)
-    summary = fileio.flow_summary(fr, 2, sel.lambda_k, 2, 0, flags={"simple": True})
+    summary = fileio.flow_summary(fr, 2, {"simple": True})
     assert list(summary) == [
         "k",
         "lambda_k",
@@ -380,6 +380,43 @@ def test_flow_summary_key_order():
         "branch_origins",
         "flags",
     ]
+
+
+@pytest.mark.parametrize("method", ["edge", "vertex"])
+def test_cli_flow_writes_the_summary_built_field_by_field(method, tmp_path, capsys):
+    # The JSON summary holds lambda_k, nu and the deficiency of the
+    # selection and the flow, as a caller that passes each of them builds it.
+    g = grid(4, 3)
+    graph = tmp_path / "g.json"
+    fileio.save_graph(graph, g)
+    out = tmp_path / "run"
+    assert main(["flow", "--method", method, "--graph", str(graph), "--k", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    sel = select_eigenpair(eigendecompose(laplacian(g)), 5)
+    run = run_vertex_flow if method == "vertex" else run_edge_flow
+    fr = run(g, sel, allow_degenerate=True)
+    nu = fr.converged_count
+    summary = {
+        "k": sel.k,
+        "lambda_k": sel.lambda_k,
+        "nu": nu,
+        "deficiency": sel.k - nu,
+        "crossings": [
+            {"branch": c.branch, "sigma_lo": c.sigma_lo, "sigma_hi": c.sigma_hi}
+            for c in fr.crossings
+        ],
+        "converged_count": nu,
+        "branch_origins": list(fr.branch_origins) if fr.branch_origins else None,
+        "flags": {
+            "simple": sel.simple,
+            "nowhere_zero": sel.nowhere_zero,
+            "refinement_exhausted": fr.refinement_exhausted,
+            "warnings": list(fr.warnings),
+        },
+    }
+    assert summary["deficiency"] != 0
+    assert (tmp_path / "run.json").read_text() == fileio.canonical_json(summary) + "\n"
 
 
 def test_cli_generate_and_nodal(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nodalflow.errors import (
     ConnectivityExhausted,
@@ -22,6 +24,8 @@ from nodalflow.families import (
 )
 from nodalflow.graph_core import adjacency_lists, is_connected, laplacian
 from nodalflow.spectra import eigendecompose
+
+from _oracles import erdos_renyi_by_pair
 
 
 def spectrum(g):
@@ -107,6 +111,23 @@ def test_erdos_renyi_deterministic():
     assert c.edges != a.edges
     full = erdos_renyi(6, 1.0, 0)
     assert full.m == 15
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(100, 0.1, 100)
+@example(150, 0.1, 150)
+@example(200, 0.1, 200)
+@example(2, 1.0, 0)
+def test_erdos_renyi_draws_the_pairs_as_one_draw_per_pair(n, p, seed):
+    # One draw of n - 1 - i uniforms per row reads the PCG64 stream as one
+    # draw per pair does, so every sample keeps its edges (the benchmark's
+    # er-scan graphs at n = 100, 150 and 200 among them).
+    assert erdos_renyi(n, p, seed).edges == erdos_renyi_by_pair(n, p, seed)
 
 
 def test_generate_connected_er_retries_until_connected():

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalflow import dirichlet, vertex_flow
 from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
@@ -23,7 +25,8 @@ from nodalflow.vertex_flow import (
     run_vertex_flow,
 )
 
-from _oracles import count_below_by_ghost_schur, limit_graph
+from _oracles import count_below_by_ghost_schur, ghost_schur_by_scatter, limit_graph
+from test_edge_flow import assert_bit_equal, spread_weighted_graphs
 
 
 def select(g, k):
@@ -419,6 +422,39 @@ def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
     assert built == [sigma]
     assert factored == [g.n + len(pert.w)] and solved == []
     assert n == int(np.sum(np.linalg.eigvalsh(bilinear_matrix(pert, sigma).matrix) <= t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spread_weighted_graphs(min_n=3, max_n=20),
+    st.lists(
+        st.tuples(st.floats(min_value=-3.0, max_value=6.0),
+                  st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0))),
+        min_size=1, max_size=4,
+    ),
+)
+def test_ghost_schur_count_solves_the_hand_scattered_complement(g, points):
+    # At every nowhere-zero index, for sigma = 10^x in [1e-3, 1e6] and
+    # t = lambda_k + r (1 + lambda_k), r >= 0, so t at and above lambda_k,
+    # the matrix the count hands to its eigensolve is bit for bit the
+    # complement scattered by hand, edge by edge, signed zeros included.
+    spectrum = eigendecompose(laplacian(g))
+    for k in range(1, g.n + 1):
+        sel = select_eigenpair(spectrum, k)
+        if not sel.nowhere_zero:
+            continue
+        pert = build_perturbation(g, sel)
+        solved = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vertex_flow, "eigendecompose",
+                          lambda M, **kw: solved.append(np.array(M)) or eigendecompose(M, **kw))
+            count = ghost_schur_count(pert, sel.psi)
+            for x, r in points:
+                sigma, t = 10.0**x, sel.lambda_k + r * (1.0 + sel.lambda_k)
+                del solved[:]
+                count(sigma, t)
+                if solved:  # off the ghost-pivot fallback
+                    assert_bit_equal(solved[0], ghost_schur_by_scatter(pert, sel.psi, sigma, t))
 
 
 def test_schur_count_tracks_like_the_full_count():
