@@ -68,11 +68,11 @@ def dirichlet_spectrum(dp: DirichletProblem) -> Spectrum:
     return eigendecompose(dp.matrix)
 
 
-def is_signed(v: np.ndarray, tol: float = SIGN_TOL) -> bool:
+def is_signed(v: np.ndarray) -> bool:
     """True when every entry has the same strict sign (up to a global
-    flip)."""
+    flip), none within SIGN_TOL of zero."""
     v = np.asarray(v, dtype=float)
-    if np.any(np.abs(v) <= tol):
+    if np.any(np.abs(v) <= SIGN_TOL):
         return False
     return bool(np.all(v > 0) or np.all(v < 0))
 

@@ -157,8 +157,6 @@ class DirectCount:
     requires a simple eigenvalue.
     """
 
-    k: int
-    lambda_k: float
     nu: int
     deficiency: int | None
     degenerate_warning: bool
@@ -175,8 +173,6 @@ def nodal_count_direct(
     sel.check_assumptions(allow_degenerate)
     nu = limit_multiplicity(g, sel)
     return DirectCount(
-        k=sel.k,
-        lambda_k=sel.lambda_k,
         nu=nu,
         deficiency=(sel.k - nu) if sel.simple else None,
         degenerate_warning=not sel.simple,

@@ -76,26 +76,26 @@ def erdos_renyi(n: int, p: float, seed: int) -> WeightedGraph:
     return WeightedGraph(n, tuple(edges))
 
 
+# How many seeds generate_connected_er tries before it gives up.
+MAX_ATTEMPTS = 1000
+
+
 @dataclass(frozen=True)
 class ConnectedER:
-    """A connected G(n, p) sample plus how it was found."""
+    """A connected G(n, p) sample and the seed that drew it."""
 
     graph: WeightedGraph
     seed_used: int
-    attempts: int
 
 
-def generate_connected_er(
-    n: int, p: float, seed: int, max_attempts: int = 1000
-) -> ConnectedER:
+def generate_connected_er(n: int, p: float, seed: int) -> ConnectedER:
     """Retry seeds seed, seed+1, ... until a sample is connected."""
-    for attempt in range(1, max_attempts + 1):
-        s = seed + attempt - 1
+    for s in range(seed, seed + MAX_ATTEMPTS):
         g = erdos_renyi(n, p, s)
         if is_connected(g):
-            return ConnectedER(graph=g, seed_used=s, attempts=attempt)
+            return ConnectedER(graph=g, seed_used=s)
     raise ConnectivityExhausted(
-        f"no connected G({n},{p}) within {max_attempts} attempts from seed {seed}"
+        f"no connected G({n},{p}) within {MAX_ATTEMPTS} attempts from seed {seed}"
     )
 
 

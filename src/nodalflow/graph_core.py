@@ -119,17 +119,6 @@ def laplacian(g: WeightedGraph) -> LaplacianMatrix:
     return g._laplacian
 
 
-def adjacency_lists(g: WeightedGraph) -> list[list[int]]:
-    """Neighbor lists (unweighted view), each sorted ascending."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j, _ in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    for lst in adj:
-        lst.sort()
-    return adj
-
-
 def components(n: int, i, j, vertices=None) -> tuple[tuple[int, ...], ...]:
     """Connected components of the graph on ``vertices`` (ascending; default:
     all of 0..n-1) joined by the edges (i[e], j[e]), each sorted and ordered

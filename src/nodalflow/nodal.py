@@ -35,7 +35,6 @@ class EigenSelection:
     psi: np.ndarray
     simple: bool
     nowhere_zero: bool
-    first_index: bool
 
     def __post_init__(self):
         freeze_arrays(self, "psi")
@@ -78,16 +77,14 @@ def select_eigenpair(spectrum: Spectrum, k: int) -> EigenSelection:
     if not 1 <= k <= spectrum.n:
         raise ValueError(f"k={k} out of range 1..{spectrum.n}")
     group = spectrum.group_of(k - 1)
-    k_norm = group[0] + 1
     psi = spectrum.eigenvectors[:, k - 1]
     return EigenSelection(
-        k=k_norm,
+        k=group[0] + 1,
         requested_k=k,
         lambda_k=float(spectrum.eigenvalues[k - 1]),
         psi=psi,
         simple=len(group) == 1,
         nowhere_zero=len(zero_vertices(psi)) == 0,
-        first_index=(k == k_norm),
     )
 
 
@@ -128,14 +125,13 @@ class NodalDecomposition:
     with no zero entry no edge has product 0."""
 
     strong_domains: tuple[tuple[int, ...], ...]
-    weak_domains: tuple[tuple[int, ...], ...]
     sign_change_edges: tuple[Edge, ...]
     nu: int
     deficiency: int
 
 
 def nodal_decomposition(g: WeightedGraph, sel: EigenSelection) -> NodalDecomposition:
-    """Strong and weak nodal domains of the selected eigenvector.
+    """Strong nodal domains of the selected eigenvector.
 
     Strong domains partition the vertices after removing sign-change edges.
     Raises ZeroVertex for a psi with a (relatively) zero entry, so every psi
@@ -146,7 +142,6 @@ def nodal_decomposition(g: WeightedGraph, sel: EigenSelection) -> NodalDecomposi
     nu = len(strong)
     return NodalDecomposition(
         strong_domains=strong,
-        weak_domains=strong,
         sign_change_edges=e_pm,
         nu=nu,
         deficiency=sel.k - nu,
@@ -180,8 +175,6 @@ class CourantBettiReport:
     with nowhere-zero eigenvectors; lower_applicable records that.
     """
 
-    k: int
-    nu: int
     beta_1: int
     upper_ok: bool
     lower_ok: bool
@@ -193,8 +186,6 @@ def courant_and_betti_check(
 ) -> CourantBettiReport:
     b1 = betti_1(g)
     return CourantBettiReport(
-        k=sel.k,
-        nu=nd.nu,
         beta_1=b1,
         upper_ok=nd.nu <= sel.k,
         lower_ok=nd.nu >= sel.k - b1,

@@ -201,7 +201,7 @@ def scan_scatter_svg(rows) -> str:
     )
     for r in rows:
         cx, cy = to_x(r["k"]), to_y(r["nu"])
-        clean = r.get("simple", True) and r.get("nowhere_zero", True)
+        clean = r["simple"] and r["nowhere_zero"]
         fill = "#1f77b4" if clean else "white"
         canvas.add(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="{fill}" '

@@ -52,6 +52,9 @@ _GRAPH = "tests/test_graph_core.py::"
 _COMPONENTS = (_GRAPH + "test_components_match_the_scipy_search",
                _GRAPH + "test_components_match_the_scipy_search_on_long_paths_and_stars")
 _GOLDEN_DOMAINS = _GRAPH + "test_domains_and_d_components_match_the_scipy_search_on_the_goldens"
+_PERTURBATION = (_EDGE + "test_perturbation_matrix_is_derived_from_the_edge_arrays",
+                 _EDGE + "test_build_perturbation_petersen_kernel",
+                 _EDGE + "test_sign_preserving_graph_matches_sigma_one")
 
 MUTANTS = (
     # graph_core.components: hooking and grouping. No pointer-jumping mutant:
@@ -82,12 +85,32 @@ MUTANTS = (
         (_GRAPH + "test_components_match_the_scipy_search", _GOLDEN_DOMAINS,
          "tests/test_nodal.py::test_strong_domains_allowing_zeros_path_seven"),
     ),
-    # The G(n, p) sampler's one draw per row.
+    # The dense edge matrices: P's end terms and edge_matrix's diagonal.
+    Mutant(
+        "perturbation-end-terms-swapped", "edge_flow.py",
+        "w * self.q_ji, w * self.q_ij",
+        "w * self.q_ij, w * self.q_ji",
+        _PERTURBATION,
+    ),
+    Mutant(
+        "edge-matrix-end-terms-swapped", "graph_core.py",
+        "np.column_stack((at_i, at_j))",
+        "np.column_stack((at_j, at_i))",
+        _PERTURBATION,
+    ),
+    # The G(n, p) sampler's one draw per row, and the connected sample's
+    # seed walk.
     Mutant(
         "er-row-one-pair-too-many", "families.py",
         "rng.random(n - 1 - i)",
         "rng.random(n - i)",
         ("tests/test_families.py::test_erdos_renyi_draws_the_pairs_as_one_draw_per_pair",),
+    ),
+    Mutant(
+        "connected-er-one-seed-short", "families.py",
+        "range(seed, seed + MAX_ATTEMPTS)",
+        "range(seed, seed + MAX_ATTEMPTS - 1)",
+        ("tests/test_families.py::test_generate_connected_er_exhausts",),
     ),
     # ν's sign-class blocks, assembled in one buffer.
     Mutant(
@@ -122,6 +145,16 @@ MUTANTS = (
         (_EDGE + "test_limit_multiplicity_factors_the_sign_class_blocks_bit_for_bit",
          _EDGE + "test_limit_multiplicity_solves_each_sign_class[grid75-k5]",
          _ACCEPT + "test_criterion_02_golden_nodal_counts"),
+    ),
+    Mutant(
+        "ground-state-weight-a-psi-ratio", "edge_flow.py",
+        "w.take(kept) * product.take(kept)",
+        "w.take(kept) * (psi.take(i) / psi.take(j)).take(kept)",
+        (_EDGE + "test_limit_multiplicity_counts_on_the_sign_blocks",
+         _EDGE + "test_limit_multiplicity_counts_the_strong_domains_on_graded_weights",
+         _EDGE + "test_limit_multiplicity_solves_each_sign_class[graded-k2]",
+         _EDGE + "test_nodal_and_dirichlet_print_one_count[graded-A]",
+         "tests/test_invariance.py::test_direct_count_is_invariant_under_relabelling_and_scaling"),
     ),
     Mutant(
         "diagonal-psi-in-class-order", "edge_flow.py",
@@ -204,6 +237,34 @@ MUTANTS = (
         (_SPECTRA + "test_only_value_reads_solve_without_vectors",
          _SPECTRA + "test_only_tracked_grid_points_use_divide_and_conquer"),
     ),
+    # Multiplicity groups: a gap opens a group only when it exceeds the
+    # tolerance of the larger value.
+    Mutant(
+        "cluster-cut-at-the-tolerance", "spectra.py",
+        "np.diff(vals) > group_tolerance(vals[1:])",
+        "np.diff(vals) >= group_tolerance(vals[1:])",
+        (_SPECTRA + "test_cluster_matches_the_chain_rule_loop",),
+    ),
+    Mutant(
+        "cluster-tolerance-of-the-smaller-value", "spectra.py",
+        "np.diff(vals) > group_tolerance(vals[1:])",
+        "np.diff(vals) > group_tolerance(vals[:-1])",
+        (_SPECTRA + "test_cluster_matches_the_chain_rule_loop",),
+    ),
+    # _match_step's degenerate blocks: rotated into line, or refused.
+    Mutant(
+        "arriving-block-not-rotated", "spectra.py",
+        "b.vecs[:, Hb] = b.vecs[:, Hb] @ _procrustes(b.vecs[:, Hb], target)",
+        "b.vecs[:, Hb] = b.vecs[:, Hb]",
+        (_SPECTRA + "test_match_step_rotates_an_arriving_degenerate_block_into_line",),
+    ),
+    Mutant(
+        "turned-away-block-not-refused", "spectra.py",
+        "        if scipy.linalg.svdvals(a.vecs[:, Ga].T @ b.vecs[:, Hb])[-1] < OVERLAP_MIN:\n"
+        "            return False, perm\n",
+        "",
+        (_SPECTRA + "test_match_step_refuses_a_block_whose_subspace_turned_away",),
+    ),
     # _match_step's fast path and its assignment fallback.
     Mutant(
         "dominant-overlap-at-one-half", "spectra.py",
@@ -245,6 +306,27 @@ MUTANTS = (
         "        if not 0 <= index < self.n:\n            raise IndexError(index)\n",
         "",
         (_SPECTRA + "test_group_of_finds_the_group_holding_each_index",),
+    ),
+    # dirichlet's eigenvalues come from both sign classes' blocks.
+    Mutant(
+        "dirichlet-positive-class-only", "cli.py",
+        "for S in (sel.psi > 0, sel.psi < 0)",
+        "for S in (sel.psi > 0,)",
+        (_CLI + "test_cli_dirichlet_interval",
+         _CLI + "test_cli_dirichlet_matches_the_limit_graph_oracle"),
+    ),
+    # The package's exports and kept imports.
+    Mutant(
+        "all-lists-a-name-not-imported", "__init__.py",
+        "__all__ = [\n",
+        '__all__ = [\n    "SIGN_TOL",\n',
+        ("tests/test_unused_imports.py::test_package_exports_exactly_what_it_imports",),
+    ),
+    Mutant(
+        "kept-import-not-a-binding", "cli.py",
+        "from .spectra import eigendecompose\n",
+        "from .spectra import eigendecompose\nfrom .spectra import SIGN_TOL  # noqa: F401\n",
+        ("tests/test_unused_imports.py::test_every_kept_import_is_a_benchmark_binding[cli.py]",),
     ),
     # The flow's writers and the graph reader.
     Mutant(

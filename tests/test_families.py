@@ -3,11 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nodalflow import families
 from nodalflow.errors import (
     ConnectivityExhausted,
     InvalidFamilyParams,
 )
 from nodalflow.families import (
+    MAX_ATTEMPTS,
     ConnectedER,
     FamilySpec,
     complete,
@@ -22,7 +24,7 @@ from nodalflow.families import (
     path_eigenpair,
     petersen,
 )
-from nodalflow.graph_core import adjacency_lists, is_connected, laplacian
+from nodalflow.graph_core import is_connected, laplacian
 from nodalflow.spectra import eigendecompose
 
 from _oracles import erdos_renyi_by_pair
@@ -30,6 +32,11 @@ from _oracles import erdos_renyi_by_pair
 
 def spectrum(g):
     return eigendecompose(laplacian(g)).eigenvalues
+
+
+def degrees(g):
+    i, j, _ = g.edge_arrays
+    return np.bincount(np.concatenate((i, j)), minlength=g.n).tolist()
 
 
 def test_complete_closed_form_spectrum():
@@ -71,8 +78,7 @@ def test_petersen_structure():
     g = petersen(7, 3)
     assert g.n == 14
     assert g.m == 21
-    degrees = [len(nbrs) for nbrs in adjacency_lists(g)]
-    assert degrees == [3] * 14
+    assert degrees(g) == [3] * 14
     classic = petersen(5, 2)
     assert classic.n == 10 and classic.m == 15
 
@@ -81,7 +87,7 @@ def test_grid_structure():
     g = grid(7, 5)
     assert g.n == 35
     assert g.m == 58
-    degs = [len(nbrs) for nbrs in adjacency_lists(g)]
+    degs = degrees(g)
     assert degs[0] == 2
     assert max(degs) == 4
 
@@ -136,17 +142,47 @@ def test_generate_connected_er_retries_until_connected():
     result = generate_connected_er(8, 0.1, 0)
     assert isinstance(result, ConnectedER)
     assert is_connected(result.graph)
-    assert result.attempts >= 1
-    assert result.seed_used == 0 + result.attempts - 1
+    assert result.seed_used > 0
     again = generate_connected_er(8, 0.1, 0)
     assert again.graph.edges == result.graph.edges
 
 
-def test_generate_connected_er_exhausts():
-    if is_connected(erdos_renyi(8, 0.1, 0)):
-        pytest.skip("seed 0 sample unexpectedly connected")
-    with pytest.raises(ConnectivityExhausted):
-        generate_connected_er(8, 0.1, 0, max_attempts=1)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(8, 0.1, 0)
+@example(12, 1e-3, 5)
+def test_generate_connected_er_takes_the_first_connected_seed(n, p, seed):
+    # Past MAX_ATTEMPTS seeds the search gives up, and then every seed it
+    # tried must have drawn a disconnected sample.
+    try:
+        found = generate_connected_er(n, p, seed)
+    except ConnectivityExhausted:
+        end = seed + MAX_ATTEMPTS
+    else:
+        end = found.seed_used
+        assert found.graph == erdos_renyi(n, p, end)
+        assert is_connected(found.graph)
+    for s in range(seed, end):
+        assert not is_connected(erdos_renyi(n, p, s)), s
+
+
+def test_generate_connected_er_exhausts(monkeypatch):
+    # At p = 1e-12 no pair of 8 vertices draws an edge, so no sample is
+    # connected and every one of the MAX_ATTEMPTS seeds is tried, in order.
+    tried = []
+
+    def recorded(n, p, seed):
+        tried.append(seed)
+        return erdos_renyi(n, p, seed)
+
+    monkeypatch.setattr(families, "erdos_renyi", recorded)
+    with pytest.raises(ConnectivityExhausted, match=f"within {MAX_ATTEMPTS} attempts from seed 7"):
+        generate_connected_er(8, 1e-12, 7)
+    assert tried == list(range(7, 7 + MAX_ATTEMPTS))
 
 
 def test_generate_dispatch():

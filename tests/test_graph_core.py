@@ -15,7 +15,6 @@ from nodalflow.errors import NotConnected
 from nodalflow.families import complete, cycle, grid, grid_eigenvector_oracle, interval, petersen
 from nodalflow.graph_core import (
     WeightedGraph,
-    adjacency_lists,
     betti_1,
     components,
     connected_components,
@@ -156,11 +155,6 @@ def test_record_arrays_are_read_only(records, name):
 def test_laplacian_row_sums_vanish_without_diag_extra():
     g = WeightedGraph(5, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (3, 4, 0.1), (0, 4, 1.0)))
     assert np.abs(laplacian(g).matrix.sum(axis=1)).max() < 1e-14
-
-
-def test_adjacency_lists():
-    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
-    assert adjacency_lists(g) == [[1], [0, 2], [1]]
 
 
 def test_connected_components_two_pieces():

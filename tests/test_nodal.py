@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodalflow import nodal
 from nodalflow.edge_flow import build_perturbation
 from nodalflow.errors import ZeroVertex
-from nodalflow.families import complete, cycle, grid, interval, petersen
+from nodalflow.families import complete, cycle, erdos_renyi, grid, interval, petersen
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import (
     EigenSelection,
@@ -22,7 +22,7 @@ from nodalflow.nodal import (
 )
 from nodalflow.spectra import eigendecompose
 
-from _oracles import flood_fill_nodal_count, flood_fill_weak_count
+from _oracles import chain_cluster, flood_fill_nodal_count, flood_fill_weak_count
 
 
 def spectrum_of(g):
@@ -44,7 +44,6 @@ def test_select_eigenpair_simple_path():
     assert sel.k == 2
     assert sel.requested_k == 2
     assert sel.simple
-    assert sel.first_index
     assert not sel.nowhere_zero
     assert sel.lambda_k == pytest.approx(0.19806226419516143, abs=1e-12)
     assert zero_vertices(sel.psi) == (3,)
@@ -57,8 +56,37 @@ def test_select_eigenpair_normalizes_degenerate_group():
         assert sel.k == 2
         assert sel.requested_k == requested
         assert not sel.simple
-        assert sel.first_index == (requested == 2)
         assert sel.lambda_k == pytest.approx(5.0, abs=1e-9)
+
+
+@st.composite
+def er_graphs(draw):
+    """An ER sample on 2-12 vertices, connected or not, with unit weights or
+    with weights drawn from [0.1, 10]."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    p = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    g = erdos_renyi(n, p, draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        w = draw(st.lists(st.floats(min_value=0.1, max_value=10.0),
+                          min_size=g.m, max_size=g.m))
+        g = WeightedGraph(n, tuple((i, j, x) for (i, j, _), x in zip(g.edges, w)))
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(er_graphs())
+@example(complete(5))
+@example(petersen(7, 3))
+def test_select_eigenpair_matches_the_chain_rule_groups(g):
+    spec = spectrum_of(g)
+    groups = chain_cluster(spec.eigenvalues)
+    for k in range(1, g.n + 1):
+        group = next(members for members in groups if k - 1 in members)
+        sel = select_eigenpair(spec, k)
+        assert sel.requested_k == k
+        assert sel.k == group[0] + 1
+        assert sel.simple == (len(group) == 1)
+        assert (sel.k == sel.requested_k) == (k - 1 == group[0])
 
 
 def test_select_eigenpair_rejects_out_of_range():
@@ -134,7 +162,7 @@ def test_nodal_decomposition_path_four():
     assert nd.deficiency == 0
     assert nd.strong_domains == ((0, 1), (2, 3))
     # Nowhere-zero eigenvector: weak and strong domains coincide.
-    assert nd.weak_domains == nd.strong_domains
+    assert len(nd.strong_domains) == flood_fill_weak_count(g.n, g.edges, sel.psi)
     assert len(nd.sign_change_edges) == 1
 
 
@@ -162,7 +190,7 @@ def test_nodal_decomposition_matches_flood_fill_on_grid():
             continue
         nd = nodal_decomposition(g, sel)
         assert nd.nu == flood_fill_nodal_count(g.n, g.edges, sel.psi)
-        assert len(nd.weak_domains) == flood_fill_weak_count(g.n, g.edges, sel.psi)
+        assert len(nd.strong_domains) == flood_fill_weak_count(g.n, g.edges, sel.psi)
 
 
 def test_strong_domains_allowing_zeros_path_seven():
@@ -184,9 +212,10 @@ def test_strong_domains_allowing_zeros_explicit_vector():
 def test_courant_and_betti_petersen():
     g = petersen(7, 3)
     sel = select_eigenpair(spectrum_of(g), 7)
-    report = courant_and_betti_check(g, sel, nodal_decomposition(g, sel))
-    assert report.k == 7
-    assert report.nu == 3
+    nd = nodal_decomposition(g, sel)
+    report = courant_and_betti_check(g, sel, nd)
+    assert sel.k == 7
+    assert nd.nu == 3
     assert report.beta_1 == 8
     assert report.upper_ok
     assert report.lower_ok
@@ -213,10 +242,10 @@ def test_courant_lower_bound_not_claimed_when_degenerate():
         psi=psi,
         simple=False,
         nowhere_zero=True,
-        first_index=True,
     )
-    report = courant_and_betti_check(g, sel, nodal_decomposition(g, sel))
-    assert report.nu == 4
+    nd = nodal_decomposition(g, sel)
+    report = courant_and_betti_check(g, sel, nd)
+    assert nd.nu == 4
     assert report.upper_ok and report.lower_ok
     assert not report.lower_applicable
 
@@ -293,7 +322,7 @@ def test_nodal_count_matches_flood_fill_oracle(case):
         return
     nd = nodal_decomposition(g, sel)
     assert nd.nu == flood_fill_nodal_count(g.n, g.edges, sel.psi)
-    assert len(nd.weak_domains) == flood_fill_weak_count(g.n, g.edges, sel.psi)
+    assert len(nd.strong_domains) == flood_fill_weak_count(g.n, g.edges, sel.psi)
     assert nd.nu <= sel.k
     if sel.simple:
         assert nd.nu >= sel.k - (g.m - g.n + 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
@@ -68,6 +68,8 @@ def near_degenerate_spectra(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(near_degenerate_spectra())
+@example(np.array([0.0, 1e-8]))  # a gap of exactly the tolerance
+@example(np.array([-50.0, -49.9999995]))  # the tolerance at -50, the value before it
 def test_cluster_matches_the_chain_rule_loop(vals):
     assert spectra._cluster(vals) == chain_cluster(vals)
 
