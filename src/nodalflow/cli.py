@@ -33,7 +33,7 @@ def _count_for_k(g: WeightedGraph, spectrum, k: int) -> tuple[EigenSelection, in
     by the zero-tolerant combinatorial count."""
     sel = select_eigenpair(spectrum, k)
     if sel.nowhere_zero:
-        return sel, nodal_count_direct(g, sel, allow_degenerate=True).nu
+        return sel, nodal_count_direct(g, sel, allow_degenerate=True)
     return sel, len(strong_domains_allowing_zeros(g, sel.psi)[0])
 
 

@@ -37,7 +37,10 @@ class EdgePerturbation:
 
     q_ij = -psi_i / psi_j is positive exactly because the edge changes sign;
     q_ij * q_ji = 1, so each edge's block of P is PSD of rank 1 with kernel
-    spanned by (psi_i, psi_j).
+    spanned by (psi_i, psi_j): P = C C^T, C's column p being sqrt(w) (sqrt(q_ji)
+    e_i + sqrt(q_ij) e_j). The half-weights are the same columns scaled,
+    H = C diag(c), H's column p holding edge p's half-weights h_i at i and
+    h_j at j, and c_p = sqrt(w) (sqrt(q_ji) + sqrt(q_ij)), so c_p^2 = h_i + h_j.
     """
 
     i: np.ndarray
@@ -148,35 +151,19 @@ def sign_preserving_graph(g: WeightedGraph, pert: EdgePerturbation) -> WeightedG
     return WeightedGraph(g.n, tuple(g.edges[e] for e in np.flatnonzero(~cut)), tuple(diag))
 
 
-@dataclass(frozen=True)
-class DirectCount:
-    """Strong nodal domain count read off the sigma = 1 matrix.
-
-    deficiency is None when lambda_k is degenerate: the count itself is
-    still the multiplicity identity's nu, but the deficiency interpretation
-    requires a simple eigenvalue.
-    """
-
-    nu: int
-    deficiency: int | None
-    degenerate_warning: bool
-
-
 def nodal_count_direct(
     g: WeightedGraph, sel: EigenSelection, *, allow_degenerate: bool = False
-) -> DirectCount:
+) -> int:
     """nu(psi) = multiplicity of lambda_k in spec(L + P), no sweep needed.
 
     Counted by inertia on the ground-state Laplacian (limit_multiplicity):
     one factorization per sign class, no eigensolve, no EdgePerturbation.
+    The deficiency is sel.k - nu, the nodal deficiency when lambda_k is
+    simple; a degenerate lambda_k is counted only with allow_degenerate
+    (EigenSelection.check_assumptions).
     """
     sel.check_assumptions(allow_degenerate)
-    nu = limit_multiplicity(g, sel)
-    return DirectCount(
-        nu=nu,
-        deficiency=(sel.k - nu) if sel.simple else None,
-        degenerate_warning=not sel.simple,
-    )
+    return limit_multiplicity(g, sel)
 
 
 def run_edge_flow(

@@ -126,8 +126,11 @@ class NodalDecomposition:
 
     strong_domains: tuple[tuple[int, ...], ...]
     sign_change_edges: tuple[Edge, ...]
-    nu: int
-    deficiency: int
+
+    @property
+    def nu(self) -> int:
+        """The strong nodal domain count."""
+        return len(self.strong_domains)
 
 
 def nodal_decomposition(g: WeightedGraph, sel: EigenSelection) -> NodalDecomposition:
@@ -137,15 +140,8 @@ def nodal_decomposition(g: WeightedGraph, sel: EigenSelection) -> NodalDecomposi
     Raises ZeroVertex for a psi with a (relatively) zero entry, so every psi
     accepted here has weak domains equal to its strong ones.
     """
-    e_pm = sign_change_edges(g, sel.psi)
     strong, _ = strong_domains_allowing_zeros(g, sel.psi)
-    nu = len(strong)
-    return NodalDecomposition(
-        strong_domains=strong,
-        sign_change_edges=e_pm,
-        nu=nu,
-        deficiency=sel.k - nu,
-    )
+    return NodalDecomposition(strong, sign_change_edges(g, sel.psi))
 
 
 def strong_domains_allowing_zeros(

@@ -11,9 +11,10 @@ one ghost row and column per sign-change edge, in the edge flow record's
 order, which keeps every matrix and output bit-reproducible.
 
 The crossing bisection counts the eigenvalues of B(sigma) at or below t on
-the ghost Schur complement over the base vertices (ghost_schur_count), with
-psi deflated, and not on B(sigma) itself; where a ghost pivot is within the
-count margin of zero it counts B(sigma) by inertia, as track_branches does.
+the ghost Schur complement over the base vertices, the edge flow's matrix
+reweighted per edge (ghost_schur_count), with psi deflated, and not on
+B(sigma) itself; where a ghost pivot is within the count margin of zero it
+counts B(sigma) by inertia, as track_branches does.
 
 Every function here reads the edge flow's record (EdgePerturbation) of the
 sign-change edges as it is: edge p's ghost is vertex n + p, n =
@@ -89,30 +90,33 @@ def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
     t > lambda_k, psi being the selected eigenvector, for track_branches'
     crossing bisection.
 
-    B(sigma) - t has the diagonal ghost block with entries d = s (h_i + h_j)
-    + sigma - t, so by Haynsworth's inertia additivity the count is #{d < 0}
-    plus the count of eigenvalues <= 0 of the n x n Schur complement
+    B(sigma) - t has the diagonal ghost block with entries d = s c^2 + sigma
+    - t, c^2 = h_i + h_j, so by Haynsworth's inertia additivity the count is
+    #{d < 0} plus the count of eigenvalues <= 0 of the n x n Schur complement
     S = L + s P - t I - s^2 H diag(1/d) H^T on the n base vertices (notation of
-    bilinear_matrix), flow_matrix(pert, s) less one edge_matrix call; its norm
-    stays bounded as sigma grows, unlike B's. Extended by zeros, psi is an
-    eigenvector of B(sigma) at lambda_k, so S psi = (lambda_k - t) psi exactly,
-    a rounding error away from zero: it is deflated by adding (1 + |t|) psi
-    psi^T / |psi|^2, which lifts it above zero, and counted as 1. Where some
-    |d| is within COUNT_TOL_REL * max(1, |t|, sigma) of zero the split is not
-    trusted and B(sigma) itself is counted by inertia (_count_below)."""
+    bilinear_matrix). As H = C diag(c) and P = C C^T (EdgePerturbation), S is
+    the edge flow's matrix reweighted per edge, L + C diag(omega) C^T - t I
+    with omega = s (sigma - t) / d: one edge_matrix call added to L, whose
+    norm stays bounded as sigma grows, unlike B's. Extended by zeros, psi is
+    an eigenvector of B(sigma) at lambda_k, so S psi = (lambda_k - t) psi
+    exactly, a rounding error away from zero: it is deflated by adding
+    (1 + |t|) psi psi^T / |psi|^2, which lifts it above zero, and counted as
+    1. Where some |d| is within COUNT_TOL_REL * max(1, |t|, sigma) of zero the
+    split is not trusted and B(sigma) itself is counted by inertia
+    (_count_below)."""
     n = len(pert.laplacian)
-    at_i, at_j = pert.half_weights
+    c2 = np.add(*pert.half_weights)
     psi = np.asarray(psi, dtype=float)
     unit_psi = np.outer(psi, psi) / (psi @ psi)
 
     def count(sigma: float, t: float) -> int:
         s = sigma / (1.0 + sigma)
-        d = s * (at_i + at_j) + sigma - t
+        d = s * c2 + sigma - t
         if np.any(np.abs(d) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)):
             return _count_below(bilinear_matrix(pert, sigma).matrix, t)
-        c = s * s / d
-        S = flow_matrix(pert, s).matrix + (1.0 + abs(t)) * unit_psi
-        S -= edge_matrix(n, pert.i, pert.j, c * at_i * at_j, c * at_i * at_i, c * at_j * at_j, t)
+        ww = s * (sigma - t) / d * pert.w
+        S = pert.laplacian + (1.0 + abs(t)) * unit_psi
+        S += edge_matrix(n, pert.i, pert.j, ww, ww * pert.q_ji, ww * pert.q_ij, -t)
         below = np.sum(eigendecompose(S, vectors=False).eigenvalues <= 0.0)
         return int(np.sum(d < 0) + below) + 1
 

@@ -174,22 +174,43 @@ MUTANTS = (
     # The vertex flow's crossing count on the ghost Schur complement S.
     Mutant(
         "schur-off-diagonal-at-i-squared", "vertex_flow.py",
-        "edge_matrix(n, pert.i, pert.j, c * at_i * at_j,",
-        "edge_matrix(n, pert.i, pert.j, c * at_i * at_i,",
+        "edge_matrix(n, pert.i, pert.j, ww,",
+        "edge_matrix(n, pert.i, pert.j, ww * pert.q_ji,",
         (_VERTEX + "test_ghost_schur_count_solves_the_hand_scattered_complement",
          _VERTEX + "test_ghost_schur_count_matches_the_full_count"),
     ),
     Mutant(
         "schur-diagonal-without-t", "vertex_flow.py",
-        "c * at_j * at_j, t)",
-        "c * at_j * at_j, 0.0)",
+        "ww * pert.q_ij, -t)",
+        "ww * pert.q_ij, 0.0)",
+        (_VERTEX + "test_ghost_schur_count_solves_the_hand_scattered_complement",
+         _VERTEX + "test_ghost_schur_count_matches_the_full_count"),
+    ),
+    Mutant(
+        "schur-diagonal-shifted-up", "vertex_flow.py",
+        "ww * pert.q_ij, -t)",
+        "ww * pert.q_ij, t)",
+        (_VERTEX + "test_ghost_schur_count_solves_the_hand_scattered_complement",
+         _VERTEX + "test_ghost_schur_count_matches_the_full_count"),
+    ),
+    Mutant(
+        "schur-end-terms-swapped", "vertex_flow.py",
+        "ww * pert.q_ji, ww * pert.q_ij, -t)",
+        "ww * pert.q_ij, ww * pert.q_ji, -t)",
+        (_VERTEX + "test_ghost_schur_count_solves_the_hand_scattered_complement",
+         _VERTEX + "test_ghost_schur_count_matches_the_full_count"),
+    ),
+    Mutant(
+        "schur-weight-without-s", "vertex_flow.py",
+        "ww = s * (sigma - t) / d * pert.w",
+        "ww = (sigma - t) / d * pert.w",
         (_VERTEX + "test_ghost_schur_count_solves_the_hand_scattered_complement",
          _VERTEX + "test_ghost_schur_count_matches_the_full_count"),
     ),
     Mutant(
         "schur-psi-not-deflated", "vertex_flow.py",
-        "S = flow_matrix(pert, s).matrix + (1.0 + abs(t)) * unit_psi",
-        "S = flow_matrix(pert, s).matrix",
+        "S = pert.laplacian + (1.0 + abs(t)) * unit_psi",
+        "S = pert.laplacian.copy()",
         (_VERTEX + "test_ghost_schur_count_solves_the_hand_scattered_complement",
          _VERTEX + "test_vertex_flow_brackets_hold_a_fall_of_the_ghost_schur_count"
          "[er20-p0.5-s304-k10]"),
@@ -256,7 +277,8 @@ MUTANTS = (
         "arriving-block-not-rotated", "spectra.py",
         "b.vecs[:, Hb] = b.vecs[:, Hb] @ _procrustes(b.vecs[:, Hb], target)",
         "b.vecs[:, Hb] = b.vecs[:, Hb]",
-        (_SPECTRA + "test_match_step_rotates_an_arriving_degenerate_block_into_line",),
+        (_SPECTRA + "test_match_step_rotates_an_arriving_degenerate_block_into_line",
+         _SPECTRA + "test_flows_rotate_and_refuse_degenerate_blocks"),
     ),
     Mutant(
         "turned-away-block-not-refused", "spectra.py",

@@ -2,14 +2,16 @@
 
 Nothing here is shared with the package's code paths: nodal counts use
 union-find over the raw edge list, components use scipy's sparse graph
-search, eigenvalue counts use inertia instead of branch tracking, and
-multiplicity groups use a plain loop.
+search, eigenvalue counts use inertia instead of branch tracking (in double
+precision, or at 40 digits with mpmath), and multiplicity groups use a plain
+loop.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _csgraph_components
@@ -138,9 +140,40 @@ def count_below_by_ghost_schur(B, n_base: int, t: float) -> int:
     return int(np.sum(d < 0) + np.sum(np.linalg.eigvalsh(S) < 0))
 
 
+def count_below_mp(M, t: float, dps: int = 40) -> int:
+    """Number of eigenvalues of the symmetric float matrix M below t, read
+    at dps digits off M as built: every entry and t are taken exactly, M - t I
+    is formed at dps digits and reduced by symmetric Gaussian elimination
+    without pivoting, and each pivot's sign is one eigenvalue's (Sylvester's
+    law). Where a pivot is within 1e-30 of the largest entry of M - t I the
+    rest of the elimination is not trusted: the remaining block, whose
+    inertia completes the count (Haynsworth), is solved by mpmath's eigsy at
+    the same precision."""
+    M = np.asarray(M, dtype=float)
+    n = len(M)
+    with mpmath.workdps(dps):
+        A = [[mpmath.mpf(x) for x in row] for row in M.tolist()]
+        for r in range(n):
+            A[r][r] -= mpmath.mpf(float(t))
+        tiny = mpmath.mpf(10) ** -30 * max((abs(x) for row in A for x in row), default=0)
+        below = 0
+        for k in range(n):
+            pivot = A[k][k]
+            if abs(pivot) <= tiny:
+                rest = mpmath.eigsy(mpmath.matrix([row[k:] for row in A[k:]]), eigvals_only=True)
+                return below + sum(1 for r in range(rest.rows) if rest[r] < 0)
+            below += pivot < 0
+            for r in range(k + 1, n):
+                f = A[r][k] / pivot
+                for c in range(k + 1, n):
+                    A[r][c] -= f * A[k][c]
+        return below
+
+
 def ghost_schur_by_scatter(pert, psi, sigma: float, t: float) -> np.ndarray:
-    """The matrix vertex_flow.ghost_schur_count(pert, psi) solves at
-    (sigma, t) off its ghost-pivot fallback, S = L + s P - t I
+    """The ghost Schur complement at (sigma, t) in the form
+    vertex_flow.ghost_schur_count solved before it reweighted the edge
+    flow's matrix (ghost_schur_by_reweighting), S = L + s P - t I
     - s^2 H diag(1/d) H^T with psi deflated, scattered by hand as the count
     built it before it called graph_core.edge_matrix: the off-diagonal
     term at (i, j), copied to (j, i), and the end terms summed per vertex
@@ -161,6 +194,30 @@ def ghost_schur_by_scatter(pert, psi, sigma: float, t: float) -> np.ndarray:
     on_diag = np.column_stack((c * at_i * at_i, c * at_j * at_j)).ravel()
     S[np.diag_indices(n)] -= t + np.bincount(ends, on_diag, n)
     return S
+
+
+def ghost_schur_by_reweighting(pert, psi, sigma: float, t: float) -> np.ndarray:
+    """The matrix vertex_flow.ghost_schur_count(pert, psi) solves at
+    (sigma, t) off its ghost-pivot fallback, built as the edge flow's matrix
+    reweighted per edge, S = L + (1 + |t|) psi psi^T / |psi|^2 + E, by a loop
+    over the edges: edge p, with s = sigma / (1 + sigma), half-weights
+    h_i = w (1 + q_ji) and h_j = w (1 + q_ij), d = s (h_i + h_j) + sigma - t
+    and omega = s (sigma - t) / d, puts omega w at (i, j) and (j, i) of E and
+    adds omega w q_ji to i's and omega w q_ij to j's end sum, i's first; E's
+    diagonal is each vertex's end sum less t."""
+    n = len(pert.laplacian)
+    psi = np.asarray(psi, dtype=float)
+    s = sigma / (1.0 + sigma)
+    E, ends = np.zeros((n, n)), [0.0] * n
+    for i, j, w, q_ij, q_ji in zip(pert.i.tolist(), pert.j.tolist(), pert.w.tolist(),
+                                   pert.q_ij.tolist(), pert.q_ji.tolist()):
+        d = s * (w * (1.0 + q_ji) + w * (1.0 + q_ij)) + sigma - t
+        ww = s * (sigma - t) / d * w
+        E[i, j] = E[j, i] = ww
+        ends[i] += ww * q_ji
+        ends[j] += ww * q_ij
+    E[np.diag_indices(n)] = [e + -t for e in ends]
+    return pert.laplacian + (1.0 + abs(t)) * (np.outer(psi, psi) / (psi @ psi)) + E
 
 
 def limit_graph(n: int, edges, psi, diag=()) -> tuple[int, tuple, tuple]:

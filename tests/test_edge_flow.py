@@ -120,26 +120,24 @@ def test_nodal_count_direct_complete_golden():
     sel = select(g, 2)
     with pytest.raises(AssumptionViolated):
         nodal_count_direct(g, sel)
-    r = nodal_count_direct(g, sel, allow_degenerate=True)
-    assert r.nu == 2
-    assert r.deficiency is None
-    assert r.degenerate_warning
+    assert nodal_count_direct(g, sel, allow_degenerate=True) == 2
+    assert sel.check_assumptions(True) == ("degenerate_lambda_k",)
 
 
 def test_nodal_count_direct_petersen_golden():
     g = petersen(7, 3)
     sel = select(g, 7)
-    r = nodal_count_direct(g, sel, allow_degenerate=True)
-    assert r.nu == 3
+    assert nodal_count_direct(g, sel, allow_degenerate=True) == 3
     assert sel.k == 7
 
 
 def test_nodal_count_direct_grid_golden():
     g = grid(7, 5)
-    r = nodal_count_direct(g, select(g, 5))
-    assert r.nu == 3
-    assert r.deficiency == 2
-    assert not r.degenerate_warning
+    sel = select(g, 5)
+    nu = nodal_count_direct(g, sel)
+    assert nu == 3
+    assert sel.k - nu == 2
+    assert sel.check_assumptions(True) == ()
 
 
 def test_nodal_count_direct_interval_tree_deficiency_zero():
@@ -150,13 +148,13 @@ def test_nodal_count_direct_interval_tree_deficiency_zero():
     for k in range(1, 8):
         sel = select_eigenpair(spec, k)
         if sel.nowhere_zero:
-            assert nodal_count_direct(g, sel).deficiency == 0
+            assert sel.k - nodal_count_direct(g, sel) == 0
         else:
             with pytest.raises(AssumptionViolated):
                 nodal_count_direct(g, sel)
             selp = select_eigenpair(specp, k)
             assert selp.nowhere_zero
-            assert nodal_count_direct(gp, selp).deficiency == 0
+            assert selp.k - nodal_count_direct(gp, selp) == 0
 
 
 @st.composite
@@ -374,7 +372,7 @@ def test_nodal_count_direct_builds_no_perturbation(monkeypatch):
 
     monkeypatch.setattr(edge_flow, "build_perturbation", refused)
     for g, k, nu in ((grid(7, 5), 5, 3), (petersen(7, 3), 7, 3), (spread_path(), 4, 4)):
-        assert nodal_count_direct(g, select(g, k), allow_degenerate=True).nu == nu
+        assert nodal_count_direct(g, select(g, k), allow_degenerate=True) == nu
 
 
 @pytest.mark.parametrize("diag_5", [10.0, 1.1547819846894583], ids=["graded-A", "graded-B"])
@@ -403,7 +401,7 @@ def test_nodal_count_direct_counts_the_strong_domains_on_spread_weights(
     # ground-state count reads the strong domains.
     sel = select(g, k)
     assert sel.simple and sel.nowhere_zero
-    assert nodal_count_direct(g, sel).nu == nodal_decomposition(g, sel).nu == nu
+    assert nodal_count_direct(g, sel) == nodal_decomposition(g, sel).nu == nu
     path = tmp_path / "spread.json"
     save_graph(path, g)
     assert main(["nodal", "--graph", str(path), "--k", str(k)]) == 0

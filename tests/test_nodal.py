@@ -159,7 +159,7 @@ def test_nodal_decomposition_path_four():
     sel = select_eigenpair(spectrum_of(g), 2)
     nd = nodal_decomposition(g, sel)
     assert nd.nu == 2
-    assert nd.deficiency == 0
+    assert sel.k - nd.nu == 0
     assert nd.strong_domains == ((0, 1), (2, 3))
     # Nowhere-zero eigenvector: weak and strong domains coincide.
     assert len(nd.strong_domains) == flood_fill_weak_count(g.n, g.edges, sel.psi)
@@ -177,7 +177,7 @@ def test_nodal_decomposition_petersen_golden():
         assert sel.nowhere_zero
         nd = nodal_decomposition(g, sel)
         assert nd.nu == 3
-        assert nd.deficiency == 4
+        assert sel.k - nd.nu == 4
         assert nd.nu == flood_fill_nodal_count(g.n, g.edges, sel.psi)
 
 

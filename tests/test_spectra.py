@@ -29,7 +29,7 @@ from nodalflow.spectra import (
 )
 from nodalflow.vertex_flow import bilinear_matrix, run_vertex_flow
 
-from _oracles import chain_cluster
+from _oracles import chain_cluster, count_below_mp
 
 
 def c4():
@@ -187,6 +187,34 @@ def test_count_below_matches_eigvalsh(A, zero_diagonal, t):
     M = M + np.triu(M, 1).T
     assume(np.min(np.abs(np.linalg.eigvalsh(M) - t)) >= 1e-6)
     _assert_counts_like_eigvalsh(M, t)
+
+
+def test_count_below_mp_matches_eigvalsh_on_separated_matrices():
+    # Random symmetric matrices with t at least 1e-3 from every eigenvalue,
+    # far beyond double rounding: the 40-digit count is eigvalsh's, on the
+    # elimination path and, where a zero diagonal meets t = 0, the eigsy one.
+    rng = np.random.default_rng(20240)
+    for n in range(1, 13):
+        A = rng.standard_normal((n, n))
+        for M in (A + A.T, np.triu(A, 1) + np.triu(A, 1).T):
+            vals = np.linalg.eigvalsh(M)
+            for t in (0.0, *(vals[:-1] + vals[1:]) / 2, vals[0] - 1.0, vals[-1] + 1.0):
+                if np.min(np.abs(vals - t)) >= 1e-3:
+                    assert count_below_mp(M, t) == int(np.sum(vals < t)), (n, t)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]], ids=["tie-first", "tie-last"])
+def test_count_below_mp_resolves_a_tie_double_precision_cannot(order):
+    # [[1, e], [e, 1]] with e = 1e-20 has the eigenvalues 1 - e and 1 + e,
+    # which round to 1 in double precision, so eigvalsh reads none below
+    # t = 1; at 40 digits one lies below it. The pair's first pivot is
+    # exactly zero, so the count reads the rest by eigsy, after the other
+    # block's pivot where that comes first.
+    M = np.array([[1.0, 1e-20, 0.0], [1e-20, 1.0, 0.0], [0.0, 0.0, 3.0]])[np.ix_(order, order)]
+    assert np.sum(np.linalg.eigvalsh(M) < 1.0) == 0
+    assert count_below_mp(M, 1.0) == 1
+    assert count_below_mp(M, np.nextafter(1.0, 0.0)) == 0
+    assert count_below_mp(M, np.nextafter(1.0, 2.0)) == 2
 
 
 def test_track_branches_rejects_bad_grid():
@@ -379,15 +407,30 @@ def test_match_step_refuses_a_block_whose_subspace_turned_away():
 def test_flows_rotate_and_refuse_degenerate_blocks(monkeypatch):
     # The GP(8, 3) k=16 vertex flow rotates arriving blocks into line; the
     # grid 6x6 k=17 edge flow has steps refused because a block's subspace
-    # turned away (a smallest principal cosine below OVERLAP_MIN).
+    # turned away (a smallest principal cosine below OVERLAP_MIN). A block
+    # is rotated where a matched overlap was below OVERLAP_MIN and the
+    # departing and arriving blocks have one size; after the step, the
+    # departing columns' overlaps with their matched columns form a
+    # symmetric matrix whose diagonal is at least OVERLAP_MIN, as the
+    # orthogonal Procrustes rotation makes it (U S U^T, S the principal
+    # cosines).
     match, svdvals = spectra._match_step, spectra.scipy.linalg.svdvals
     low, rotated, refused = [], [], []
 
     def spy_match(a, b, first):
         before = len(low)
+        O = np.abs(a.vecs.T @ b.vecs)
         ok, perm = match(a, b, first)
-        rotated.append(ok and b.vecs is not b.spec.eigenvectors)
         refused.append(not ok and any(low[before:]))
+        if not ok:
+            return ok, perm
+        for i in np.flatnonzero(O[np.arange(len(O)), perm] < spectra.OVERLAP_MIN):
+            Ga, Hb = a.spec.group_of(i), b.spec.group_of(perm[i])
+            if len(Ga) == len(Hb) > 1:
+                overlaps = a.vecs[:, Ga].T @ b.vecs[:, perm[list(Ga)]]
+                np.testing.assert_allclose(overlaps, overlaps.T, rtol=0.0, atol=1e-12)
+                assert np.all(np.diagonal(overlaps) >= spectra.OVERLAP_MIN)
+                rotated.append(i)
         return ok, perm
 
     def spy_svdvals(M):
@@ -399,7 +442,7 @@ def test_flows_rotate_and_refuse_degenerate_blocks(monkeypatch):
     monkeypatch.setattr(spectra.scipy.linalg, "svdvals", spy_svdvals)
     g = petersen(8, 3)
     run_vertex_flow(g, select_eigenpair(eigendecompose(laplacian(g)), 16), steps=40)
-    assert any(rotated)
+    assert rotated
     g = grid(6, 6)
     sel = select_eigenpair(eigendecompose(laplacian(g)), 17)
     run_edge_flow(g, sel, steps=60, allow_degenerate=True)

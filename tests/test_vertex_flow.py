@@ -25,7 +25,8 @@ from nodalflow.vertex_flow import (
     run_vertex_flow,
 )
 
-from _oracles import count_below_by_ghost_schur, ghost_schur_by_scatter, limit_graph
+from _oracles import count_below_by_ghost_schur, ghost_schur_by_reweighting
+from _oracles import ghost_schur_by_scatter, limit_graph
 from test_edge_flow import assert_bit_equal, spread_weighted_graphs
 
 
@@ -424,20 +425,22 @@ def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
     assert n == int(np.sum(np.linalg.eigvalsh(bilinear_matrix(pert, sigma).matrix) <= t))
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    spread_weighted_graphs(min_n=3, max_n=20),
-    st.lists(
-        st.tuples(st.floats(min_value=-3.0, max_value=6.0),
-                  st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0))),
-        min_size=1, max_size=4,
-    ),
+# sigma = 10^x in [1e-3, 1e6] and t = lambda_k + r (1 + lambda_k), r >= 0, so
+# t at and above lambda_k.
+SCHUR_POINTS = st.lists(
+    st.tuples(st.floats(min_value=-3.0, max_value=6.0),
+              st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0))),
+    min_size=1, max_size=4,
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(spread_weighted_graphs(min_n=3, max_n=20), SCHUR_POINTS)
 def test_ghost_schur_count_solves_the_hand_scattered_complement(g, points):
-    # At every nowhere-zero index, for sigma = 10^x in [1e-3, 1e6] and
-    # t = lambda_k + r (1 + lambda_k), r >= 0, so t at and above lambda_k,
-    # the matrix the count hands to its eigensolve is bit for bit the
-    # complement scattered by hand, edge by edge, signed zeros included.
+    # At every nowhere-zero index and every (sigma, t) of SCHUR_POINTS, the
+    # matrix the count hands to its eigensolve is bit for bit the edge flow's
+    # matrix reweighted per edge, scattered by hand edge by edge, signed
+    # zeros included.
     spectrum = eigendecompose(laplacian(g))
     for k in range(1, g.n + 1):
         sel = select_eigenpair(spectrum, k)
@@ -454,7 +457,43 @@ def test_ghost_schur_count_solves_the_hand_scattered_complement(g, points):
                 del solved[:]
                 count(sigma, t)
                 if solved:  # off the ghost-pivot fallback
-                    assert_bit_equal(solved[0], ghost_schur_by_scatter(pert, sel.psi, sigma, t))
+                    assert_bit_equal(solved[0],
+                                     ghost_schur_by_reweighting(pert, sel.psi, sigma, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spread_weighted_graphs(min_n=3, max_n=20), SCHUR_POINTS)
+def test_ghost_schur_complement_is_the_reweighted_edge_matrix(g, points):
+    # H = C diag(c), with P = C C^T, entry by entry within 8 eps (measured
+    # at most 3.6 eps over 9000 draws), and the reweighted S equals the
+    # complement as built before, L + s P - t I - s^2 H diag(1/d) H^T with
+    # psi deflated, within 4 n eps of the largest term that form sums,
+    # max(1, |S|, s |P|) (measured at most 1.04 n eps). The old form cancels
+    # terms of size s |P| down to |S|, so a scale of max(1, |S|) alone is
+    # not bounded: it measured 1.1e7 n eps on a 3-vertex path whose psi
+    # spans 1e7.
+    eps = np.finfo(float).eps
+    spectrum = eigendecompose(laplacian(g))
+    for k in range(1, g.n + 1):
+        sel = select_eigenpair(spectrum, k)
+        if not sel.nowhere_zero:
+            continue
+        pert = build_perturbation(g, sel)
+        C_i, C_j = np.sqrt(pert.w) * np.sqrt(pert.q_ji), np.sqrt(pert.w) * np.sqrt(pert.q_ij)
+        c = C_i + C_j
+        for h, C in zip(pert.half_weights, (C_i, C_j)):
+            assert np.all(np.abs(C * c - h) <= 8.0 * eps * h)
+        at_i, at_j = pert.half_weights
+        for x, r in points:
+            sigma, t = 10.0**x, sel.lambda_k + r * (1.0 + sel.lambda_k)
+            s = sigma / (1.0 + sigma)
+            if np.any(np.abs(s * (at_i + at_j) + sigma - t)
+                      <= COUNT_TOL_REL * max(1.0, abs(t), sigma)):
+                continue  # the count's ghost-pivot fallback
+            S = ghost_schur_by_reweighting(pert, sel.psi, sigma, t)
+            scale = max(1.0, np.max(np.abs(S)), s * np.max(np.abs(pert.matrix)))
+            error = np.max(np.abs(S - ghost_schur_by_scatter(pert, sel.psi, sigma, t)))
+            assert error <= 4.0 * g.n * eps * scale, (sigma, t, error / (g.n * eps * scale))
 
 
 def test_schur_count_tracks_like_the_full_count():
