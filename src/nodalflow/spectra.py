@@ -11,9 +11,8 @@ bisection on the number of eigenvalues at or below it, which needs no
 eigenvectors. Branch labels do not depend on which basis of a degenerate
 eigenspace the solver returns.
 
-scipy.optimize is imported only by linear_sum_assignment, on the first step
-that solves an assignment: the direct counts (nodal, scan, dirichlet) track
-no branch and never load it.
+The assignment fallback of the matching is solved in the package
+(linear_sum_assignment), so no command loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -227,12 +226,57 @@ def _procrustes(Vb_block: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def linear_sum_assignment(cost: np.ndarray):
-    """scipy.optimize.linear_sum_assignment(cost), imported on first call:
-    scipy.optimize also loads scipy.special, fft and spatial, a start-up
-    cost that a process tracking no branch would pay for nothing."""
-    from scipy.optimize import linear_sum_assignment as solve
+    """The assignment of the rows of the square matrix ``cost`` to distinct
+    columns with the least total cost, as (rows, cols) like
+    scipy.optimize.linear_sum_assignment: rows is 0..n-1, cols[i] row i's.
 
-    return solve(cost)
+    Shortest augmenting paths (Crouse, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 2016; scipy's solver uses them too),
+    warm-started: a row whose cheapest column is no other row's cheapest
+    starts matched to it, with dual u = its minimum and v = 0, feasible for
+    any real cost. Each other row is added by a Dijkstra search from it on
+    the reduced costs cost - u - v, one step per scanned column, then the
+    duals of the scanned rows and columns move and the path is flipped. If
+    the row minima are a permutation no search runs.
+    """
+    n = len(cost)
+    col4row = np.argmin(cost, axis=1)
+    single = np.bincount(col4row, minlength=n)[col4row] == 1  # the one claim on its column
+    u = np.where(single, cost[np.arange(n), col4row], 0.0)
+    v = np.zeros(n)
+    col4row[~single] = -1
+    row4col = np.full(n, -1)
+    row4col[col4row[single]] = np.flatnonzero(single)
+    for cur in np.flatnonzero(~single):
+        dist, path = np.full(n, np.inf), np.zeros(n, dtype=int)
+        row_scanned, col_scanned = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        i, low = cur, 0.0
+        while True:
+            row_scanned[i] = True
+            reach = low + cost[i] - u[i] - v
+            closer = ~col_scanned & (reach < dist)
+            dist[closer] = reach[closer]
+            path[closer] = i
+            open_dist = np.where(col_scanned, np.inf, dist)
+            low = open_dist.min()
+            ties = np.flatnonzero(open_dist == low)
+            free = ties[row4col[ties] < 0]
+            j = free[0] if free.size else ties[0]  # a free column ends the path
+            col_scanned[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        row_scanned[cur] = False
+        u[cur] += low
+        u[row_scanned] += low - dist[col4row[row_scanned]]
+        v[col_scanned] -= low - dist[col_scanned]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(n), col4row
 
 
 def _match_step(a: _Node, b: _Node, first: bool):
@@ -242,7 +286,9 @@ def _match_step(a: _Node, b: _Node, first: bool):
     a, by linear_sum_assignment on the overlaps |a.vecs.T @ b.vecs|, or the
     row maxima when all exceed DOMINANT_OVERLAP: rows and columns have unit
     norm, so such maxima lie in distinct columns and are the unique optimum.
-    Only that fallback imports scipy's solver (see linear_sum_assignment).
+    The solver starts from the row maxima too, so a fallback whose maxima
+    are a permutation returns them, and searches only from rows whose
+    maxima collide.
     Degenerate clusters are compared as subspaces; equal-size full block
     maps get the arriving basis rotated into alignment. On success, b.vecs
     (and a.vecs when first) may be replaced by rotated copies.

@@ -307,14 +307,29 @@ MUTANTS = (
         "perm = linear_sum_assignment(-O)[1]",
         "perm = np.argmax(O, axis=1)",
         (_SPECTRA + "test_match_step_solves_the_assignment_without_a_dominant_overlap",
-         _CLI + "test_cold_start_flow_loads_the_solver_at_its_fallback"),
+         _SPECTRA + "test_accepted_steps_keep_each_position_isolated_by_interlacing",
+         _CLI + "test_cold_start_flows_solve_their_fallback_without_scipy"),
     ),
     Mutant(
         "assignment-solver-imported-at-start-up", "spectra.py",
         "import scipy.linalg\n",
         "import scipy.linalg\nimport scipy.optimize\n",
         (_CLI + "test_cold_start_counts_load_no_assignment_solver",
-         _CLI + "test_cold_start_flow_loads_the_solver_at_its_fallback"),
+         _CLI + "test_cold_start_flows_solve_their_fallback_without_scipy"),
+    ),
+    # linear_sum_assignment: its warm start and its dual update.
+    Mutant(
+        "assignment-warm-start-lets-rows-share-a-column", "spectra.py",
+        "np.bincount(col4row, minlength=n)[col4row] == 1",
+        "np.bincount(col4row, minlength=n)[col4row] >= 1",
+        (_SPECTRA + "test_linear_sum_assignment_matches_scipys",
+         _SPECTRA + "test_accepted_steps_keep_each_position_isolated_by_interlacing"),
+    ),
+    Mutant(
+        "assignment-scanned-rows-keep-their-duals", "spectra.py",
+        "        u[row_scanned] += low - dist[col4row[row_scanned]]\n",
+        "",
+        (_SPECTRA + "test_linear_sum_assignment_matches_scipys",),
     ),
     # Spectrum.group_of.
     Mutant(

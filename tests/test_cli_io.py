@@ -34,6 +34,7 @@ from _oracles import (
     ticks_unguarded,
     y_axis_unguarded,
 )
+from test_spectra import _recorded_assignments
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -783,26 +784,36 @@ def test_cold_start_counts_load_no_assignment_solver(tmp_path):
     assert r.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False"
 
 
-def test_cold_start_flow_loads_the_solver_at_its_fallback(tmp_path, capsys):
-    """A fresh process imports scipy.optimize only when a vertex flow on
-    grid 4x3 k=5 reaches _match_step's assignment fallback, and writes the
-    bytes this process writes."""
+def test_cold_start_flows_solve_their_fallback_without_scipy(tmp_path, monkeypatch):
+    """The vertex and edge flows of grid 4x3 k=5 reach _match_step's
+    assignment fallback, and a fresh process that runs both loads neither
+    scipy.optimize nor scipy.sparse, and writes the bytes this process
+    writes."""
     graph = tmp_path / "g.json"
     main(["generate", "--family", "grid", "--params", "4,3", "-o", str(graph)])
-    argv = ["flow", "--method", "vertex", "--graph", str(graph), "--k", "5", "--svg"]
+
+    def argvs(where):
+        return [["flow", "--method", method, "--graph", str(graph), "--k", "5", "--svg",
+                 "--out", str(tmp_path / f"{where}-{method}")] for method in ("vertex", "edge")]
+
     r = run_python(
         "-c",
         "import sys\n"
         "import nodalflow.cli\n"
-        "before = 'scipy.optimize' in sys.modules\n"
-        f"code = nodalflow.cli.main({argv!r} + ['--out', {str(tmp_path / 'child')!r}])\n"
-        "print(before, code, 'scipy.optimize' in sys.modules)\n"
+        f"codes = [nodalflow.cli.main(argv) for argv in {argvs('child')!r}]\n"
+        "print(codes, 'scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)\n"
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "False 0 True"
-    assert main(argv + ["--out", str(tmp_path / "here")]) == 0
-    for ext in (".csv", ".json", ".svg"):
-        assert (tmp_path / f"child{ext}").read_bytes() == (tmp_path / f"here{ext}").read_bytes()
+    assert r.stdout.splitlines()[-1] == "[0, 0] False False"
+    calls = _recorded_assignments(monkeypatch)
+    for argv in argvs("here"):
+        solved = len(calls)
+        assert main(argv) == 0
+        assert len(calls) > solved, argv
+    for name in ("vertex", "edge"):
+        for ext in (".csv", ".json", ".svg"):
+            child, here = (tmp_path / f"{where}-{name}{ext}" for where in ("child", "here"))
+            assert child.read_bytes() == here.read_bytes()
 
 
 def test_cli_generate_refuses_sizes_that_are_not_whole_numbers(tmp_path, capsys):

@@ -14,7 +14,7 @@ from nodalflow.edge_flow import (
     nodal_count_direct,
     run_edge_flow,
 )
-from nodalflow.families import complete, cycle, grid, interval, petersen
+from nodalflow.families import complete, cycle, generate_connected_er, grid, interval, petersen
 from nodalflow.fileio import save_graph
 from nodalflow.graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from nodalflow.nodal import select_eigenpair
@@ -368,6 +368,90 @@ def test_match_step_solves_the_assignment_without_a_dominant_overlap(monkeypatch
     assert ok and len(calls) == 1
     assert perm.tolist() == linear_sum_assignment(-np.abs(vecs_b))[1].tolist()
     assert perm[[0, 1, 3]].tolist() == [1, 0, 3]
+
+
+@st.composite
+def assignment_costs(draw):
+    """A square cost of size 1-60 and whether its entries are continuous:
+    normal entries; minus the overlaps |expm(X - X^T)| of a random
+    rotation, columns permuted; minus those of rotations on blocks of 1-4
+    positions, columns permuted; or integers 0-3, with ties."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["normal", "overlaps", "blocks", "integers"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        return rng.standard_normal((n, n)), True
+    if kind == "integers":
+        return rng.integers(0, 4, (n, n)).astype(float), False
+    if kind == "overlaps":
+        X = rng.standard_normal((n, n)) * draw(st.floats(0.01, 3.0)) / np.sqrt(n)
+        R = scipy.linalg.expm(X - X.T)
+    else:
+        R, start = np.zeros((n, n)), 0
+        while start < n:
+            m = min(n - start, int(rng.integers(1, 5)))
+            X = rng.standard_normal((m, m))
+            R[start:start + m, start:start + m] = scipy.linalg.expm(X - X.T)
+            start += m
+    return -np.abs(R)[:, rng.permutation(n)], True
+
+
+@settings(max_examples=300, deadline=None)
+@given(assignment_costs())
+def test_linear_sum_assignment_matches_scipys(drawn):
+    # The in-package solver returns a permutation whose cost is scipy's
+    # optimum within n eps max|cost|, and on continuous costs, whose optimum
+    # is unique, scipy's permutation itself.
+    cost, continuous = drawn
+    n = len(cost)
+    rows, cols = spectra.linear_sum_assignment(cost)
+    best = linear_sum_assignment(cost)[1]
+    assert rows.tolist() == list(range(n))
+    assert sorted(cols.tolist()) == list(range(n))
+    tol = n * np.finfo(float).eps * np.max(np.abs(cost))
+    assert abs(cost[rows, cols].sum() - cost[rows, best].sum()) <= tol
+    if continuous:
+        assert cols.tolist() == best.tolist()
+
+
+INTERLACED = [(p, seed, k) for p in (0.2, 0.3, 0.5) for seed in (300, 301) for k in (5, 10, 15)]
+
+
+@pytest.mark.parametrize("run", [run_edge_flow, run_vertex_flow], ids=["edge", "vertex"])
+def test_accepted_steps_keep_each_position_isolated_by_interlacing(run, monkeypatch):
+    # In a non-decreasing family, M(b) - M(a) is PSD. With eigenvalues lam
+    # at a and mu at b, mu_i < lam_{i+1} means positions 0..i at a are
+    # positions 0..i at b (Weyl). A position with such a gap on both sides
+    # keeps its branch, so on each step the walk accepts, _match_step's
+    # permutation fixes it. Gaps are settled by a margin of
+    # 1e-12 n max(1, max|mu|).
+    match, steps = spectra._match_step, {}
+
+    def recorded(a, b, first):
+        ok, perm = match(a, b, first)
+        steps[a.sigma, b.sigma] = (a.spec.eigenvalues, b.spec.eigenvalues, perm)
+        return ok, perm
+
+    monkeypatch.setattr(spectra, "_match_step", recorded)
+    flows = isolated = 0
+    for p, seed, k in INTERLACED:
+        g = generate_connected_er(20, p, seed).graph
+        sel = select_eigenpair(eigendecompose(laplacian(g)), k)
+        if not (sel.simple and sel.nowhere_zero):
+            continue
+        steps.clear()
+        fr = run(g, sel, steps=40)
+        if fr.refinement_exhausted:
+            continue
+        flows += 1
+        for lo, hi in zip(fr.sigma_grid[:-1], fr.sigma_grid[1:]):
+            lam, mu, perm = steps[lo, hi]
+            margin = 1e-12 * len(mu) * max(1.0, float(np.max(np.abs(mu))))
+            settled = mu[:-1] < lam[1:] - margin  # between positions i and i + 1
+            alone = np.flatnonzero(np.r_[True, settled] & np.r_[settled, True])
+            assert perm[alone].tolist() == alone.tolist(), (p, seed, k, lo, hi)
+            isolated += alone.size
+    assert flows >= 10 and isolated > 0
 
 
 def test_match_step_rotates_an_arriving_degenerate_block_into_line():
