@@ -16,7 +16,7 @@ from . import fileio, svg
 from .edge_flow import build_perturbation, flow_matrix, limit_multiplicity
 from .edge_flow import nodal_count_direct, run_edge_flow
 from .errors import AssumptionViolated, NodalFlowError
-from .families import FamilySpec, generate
+from .families import generate
 from .graph_core import LaplacianMatrix, WeightedGraph, laplacian
 from .nodal import EigenSelection, edge_signs, select_eigenpair, strong_domains_allowing_zeros
 from .nodal import zero_vertices
@@ -58,8 +58,7 @@ def _cmd_generate(args) -> int:
     except ValueError:
         print(f"cannot parse --params {args.params!r}", file=sys.stderr)
         return 2
-    spec = FamilySpec(kind=kind, params=params, seed=args.seed)
-    g = generate(spec)
+    g = generate(kind, params, args.seed)
     meta = {"family": kind, "params": list(params)}
     if args.seed is not None:
         meta["seed"] = args.seed

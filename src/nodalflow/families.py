@@ -99,15 +99,6 @@ def generate_connected_er(n: int, p: float, seed: int) -> ConnectedER:
     )
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name with its numeric parameters, as used by the CLI."""
-
-    kind: str
-    params: tuple
-    seed: int | None = None
-
-
 # Each family's graph function and parameter count; erdos_renyi also takes a seed.
 _FAMILIES = {
     "complete": (complete, 1), "cycle": (cycle, 1), "petersen": (petersen, 2),
@@ -122,10 +113,10 @@ def _whole(x) -> int:
     return int(x)
 
 
-def generate(spec: FamilySpec) -> WeightedGraph:
-    """Build the graph described by a FamilySpec; sizes must be whole
-    numbers. Erdos-Renyi samples are connectivity-enforced via seed retry."""
-    kind, params = spec.kind, spec.params
+def generate(kind: str, params: tuple, seed: int | None = None) -> WeightedGraph:
+    """Build the graph of family kind with numeric params; sizes must be
+    whole numbers. Erdos-Renyi samples are connectivity-enforced via seed
+    retry from seed."""
     if kind not in _FAMILIES:
         raise InvalidFamilyParams(f"unknown family {kind!r}; expected one of {tuple(_FAMILIES)}")
     build, arity = _FAMILIES[kind]
@@ -135,10 +126,10 @@ def generate(spec: FamilySpec) -> WeightedGraph:
         )
     if build is not None:
         return build(*map(_whole, params))
-    if spec.seed is None:
+    if seed is None:
         raise InvalidFamilyParams("erdos_renyi needs a seed")
     n, p = params
-    return generate_connected_er(_whole(n), float(p), int(spec.seed)).graph
+    return generate_connected_er(_whole(n), float(p), int(seed)).graph
 
 
 def path_eigenpair(n: int, j: int) -> tuple[float, np.ndarray]:

@@ -11,8 +11,9 @@ bisection on the number of eigenvalues at or below it, which needs no
 eigenvectors. Branch labels do not depend on which basis of a degenerate
 eigenspace the solver returns.
 
-The assignment fallback of the matching is solved in the package
-(linear_sum_assignment), so no command loads scipy.optimize.
+Every step's assignment is solved in the package (linear_sum_assignment),
+so no command loads scipy.optimize. The solver starts from the overlaps'
+row maxima and searches only from rows whose maxima share a column.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .graph_core import LaplacianMatrix, freeze_arrays
 GROUP_TOL_REL = 1e-8
 # Minimum eigenvector overlap for an unambiguous branch match.
 OVERLAP_MIN = 0.5
-# 1/sqrt(2) plus a margin far above rounding: a larger overlap is a unique best match.
-DOMINANT_OVERLAP = 0.7072
 # Relative margin above the reference value of the threshold t whose upward
 # passages are the crossings (keeps branches that only reach it out).
 COUNT_TOL_REL = 1e-12
@@ -236,8 +235,9 @@ def linear_sum_assignment(cost: np.ndarray):
     starts matched to it, with dual u = its minimum and v = 0, feasible for
     any real cost. Each other row is added by a Dijkstra search from it on
     the reduced costs cost - u - v, one step per scanned column, then the
-    duals of the scanned rows and columns move and the path is flipped. If
-    the row minima are a permutation no search runs.
+    duals of the scanned rows and columns move and the path is flipped. So
+    wherever the row minima lie in distinct columns, cols is exactly them
+    (ties go to the first index, as in np.argmin), with no search.
     """
     n = len(cost)
     col4row = np.argmin(cost, axis=1)
@@ -283,20 +283,16 @@ def _match_step(a: _Node, b: _Node, first: bool):
     """Match branches between adjacent nodes.
 
     Returns (ok, perm). perm[i] is the column of b continuing column i of
-    a, by linear_sum_assignment on the overlaps |a.vecs.T @ b.vecs|, or the
-    row maxima when all exceed DOMINANT_OVERLAP: rows and columns have unit
-    norm, so such maxima lie in distinct columns and are the unique optimum.
-    The solver starts from the row maxima too, so a fallback whose maxima
-    are a permutation returns them, and searches only from rows whose
-    maxima collide.
+    a: the maximum-weight assignment on the overlaps |a.vecs.T @ b.vecs|,
+    by linear_sum_assignment. The solver starts from the row maxima and
+    searches only from rows whose maxima share a column, so a step whose
+    maxima are a permutation costs one pass over the overlaps.
     Degenerate clusters are compared as subspaces; equal-size full block
     maps get the arriving basis rotated into alignment. On success, b.vecs
     (and a.vecs when first) may be replaced by rotated copies.
     """
     O = np.abs(a.vecs.T @ b.vecs)
-    rows, perm = np.arange(len(O)), np.argmax(O, axis=1)
-    if not np.all(O[rows, perm] > DOMINANT_OVERLAP):
-        perm = linear_sum_assignment(-O)[1]  # its rows come back as 0..n-1
+    rows, perm = linear_sum_assignment(-O)
 
     rotations = []  # (Hb, target matrix)
     checked_blocks = set()

@@ -287,25 +287,11 @@ MUTANTS = (
         "",
         (_SPECTRA + "test_match_step_refuses_a_block_whose_subspace_turned_away",),
     ),
-    # _match_step's fast path and its assignment fallback.
-    Mutant(
-        "dominant-overlap-at-one-half", "spectra.py",
-        "DOMINANT_OVERLAP = 0.7072",
-        "DOMINANT_OVERLAP = 0.5",
-        (_SPECTRA + "test_match_step_solves_the_assignment_without_a_dominant_overlap",
-         _ACCEPT + "test_criterion_04_monotonicity_and_constancy_suite"),
-    ),
-    Mutant(
-        "fast-path-on-any-dominant-row", "spectra.py",
-        "if not np.all(O[rows, perm] > DOMINANT_OVERLAP):",
-        "if not np.any(O[rows, perm] > DOMINANT_OVERLAP):",
-        (_SPECTRA + "test_match_step_solves_the_assignment_without_a_dominant_overlap",
-         _ACCEPT + "test_criterion_04_monotonicity_and_constancy_suite"),
-    ),
+    # _match_step's assignment: the solver, not the row maxima.
     Mutant(
         "fallback-takes-row-maxima", "spectra.py",
-        "perm = linear_sum_assignment(-O)[1]",
-        "perm = np.argmax(O, axis=1)",
+        "rows, perm = linear_sum_assignment(-O)",
+        "rows, perm = np.arange(len(O)), np.argmax(O, axis=1)",
         (_SPECTRA + "test_match_step_solves_the_assignment_without_a_dominant_overlap",
          _SPECTRA + "test_accepted_steps_keep_each_position_isolated_by_interlacing",
          _CLI + "test_cold_start_flows_solve_their_fallback_without_scipy"),

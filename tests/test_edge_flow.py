@@ -516,6 +516,25 @@ def test_run_edge_flow_monotone_branches():
     assert fr.count_identity_ok
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="an avoided crossing narrower than the refinement floor "
+                          "swaps two overlaps that the eigenvalues keep apart")
+def test_edge_flow_resolves_the_floor_step_that_the_eigenvalues_settle(tmp_path):
+    # ER(20, 0.5) seed 319 at k = 9: psi's entries span 2e5, so a branch rises
+    # at about 9e4 per unit sigma through an avoided crossing near
+    # sigma = 3.4e-5 that is narrower than the floor. At the step there,
+    # mu_17 = 14.26558 < lambda_18 = 14.26759 keeps each branch in place,
+    # but the overlaps swap columns 17 and 18 (0.928 and 0.945).
+    g = generate_connected_er(20, 0.5, 319).graph
+    sel = select(g, 9)
+    for steps in (33, 200):
+        assert not run_edge_flow(g, sel, steps=steps).refinement_exhausted, steps
+    path = tmp_path / "er319.json"
+    save_graph(path, g)
+    assert main(["flow", "--method", "edge", "--graph", str(path), "--k", "9",
+                 "--steps", "33", "--out", str(tmp_path / "e")]) == 0
+
+
 @pytest.fixture
 def half_penalty(monkeypatch):
     """run_edge_flow with P / 2 in place of P (P is linear in w, and halving

@@ -11,7 +11,6 @@ from nodalflow.errors import (
 from nodalflow.families import (
     MAX_ATTEMPTS,
     ConnectedER,
-    FamilySpec,
     complete,
     cycle,
     cycle_eigenbasis,
@@ -186,17 +185,17 @@ def test_generate_connected_er_exhausts(monkeypatch):
 
 
 def test_generate_dispatch():
-    assert generate(FamilySpec("complete", (5,))).n == 5
-    assert generate(FamilySpec("cycle", (6,))).m == 6
-    assert generate(FamilySpec("petersen", (7, 3))).n == 14
-    assert generate(FamilySpec("interval", (7,))).m == 6
-    assert generate(FamilySpec("grid", (3, 4))).n == 12
-    er = generate(FamilySpec("erdos_renyi", (12, 0.4), seed=7))
+    assert generate("complete", (5,)).n == 5
+    assert generate("cycle", (6,)).m == 6
+    assert generate("petersen", (7, 3)).n == 14
+    assert generate("interval", (7,)).m == 6
+    assert generate("grid", (3, 4)).n == 12
+    er = generate("erdos_renyi", (12, 0.4), seed=7)
     assert is_connected(er)
     with pytest.raises(InvalidFamilyParams):
-        generate(FamilySpec("erdos_renyi", (12, 0.4)))
+        generate("erdos_renyi", (12, 0.4))
     with pytest.raises(InvalidFamilyParams):
-        generate(FamilySpec("star", (5,)))
+        generate("star", (5,))
 
 
 @pytest.mark.parametrize(
@@ -207,7 +206,7 @@ def test_generate_dispatch():
 def test_generate_refuses_the_wrong_parameter_count(kind, arity):
     for count in {0, arity - 1, arity + 1}:
         with pytest.raises(InvalidFamilyParams, match=f"^{kind} takes {arity} param"):
-            generate(FamilySpec(kind, (5.0,) * count, seed=7))
+            generate(kind, (5.0,) * count, seed=7)
 
 
 @pytest.mark.parametrize(
@@ -217,12 +216,12 @@ def test_generate_refuses_the_wrong_parameter_count(kind, arity):
 )
 def test_generate_refuses_sizes_that_are_not_whole_numbers(kind, params):
     with pytest.raises(InvalidFamilyParams, match="whole number"):
-        generate(FamilySpec(kind, params, seed=7))
+        generate(kind, params, seed=7)
 
 
 def test_generate_takes_whole_floats_and_a_float_probability():
-    assert generate(FamilySpec("grid", (3.0, 4.0))).n == 12
-    assert generate(FamilySpec("erdos_renyi", (12.0, 0.4), seed=7)).n == 12
+    assert generate("grid", (3.0, 4.0)).n == 12
+    assert generate("erdos_renyi", (12.0, 0.4), seed=7).n == 12
 
 
 def test_path_eigenpair_matches_solver():

@@ -336,11 +336,18 @@ def _recorded_assignments(monkeypatch) -> list:
     return calls
 
 
+def _minima_collide(cost) -> bool:
+    """Whether two rows of cost have their minima in one column: the
+    assignment solver searches only from such rows."""
+    return len(np.unique(np.argmin(cost, axis=1))) < len(cost)
+
+
 def test_match_step_takes_dominant_row_maxima_as_the_assignment(monkeypatch):
     # b's eigenvectors are a random orthogonal matrix near the identity, its
-    # columns shuffled and signed: every row's largest overlap exceeds
-    # DOMINANT_OVERLAP, so perm is the row maxima, which are
-    # linear_sum_assignment's optimum, and no assignment is solved.
+    # columns shuffled and signed: every row's largest overlap is dominant,
+    # so the one recorded cost's row minima lie in distinct columns, the
+    # solver's warm start returns them with no search, and perm is them:
+    # scipy's optimum and the inverse of the shuffle.
     calls = _recorded_assignments(monkeypatch)
     rng = np.random.default_rng(11)
     for n in (2, 5, 30, 120):
@@ -350,14 +357,18 @@ def test_match_step_takes_dominant_row_maxima_as_the_assignment(monkeypatch):
             vecs_b = scipy.linalg.expm(X - X.T)[:, order] * rng.choice([-1.0, 1.0], n)
             a, b = _nodes(np.arange(n, dtype=float), np.arange(n, dtype=float), vecs_b)
             ok, perm = spectra._match_step(a, b, first=False)
-            assert ok and not calls
+            assert ok and len(calls) == 1
+            cost = calls.pop()
+            assert not _minima_collide(cost)
+            assert perm.tolist() == np.argmin(cost, axis=1).tolist()
             assert perm.tolist() == linear_sum_assignment(-np.abs(vecs_b))[1].tolist()
             assert perm.tolist() == np.argsort(order).tolist()
 
 
 def test_match_step_solves_the_assignment_without_a_dominant_overlap(monkeypatch):
-    # Two columns turned by 45 degrees overlap both of theirs at 1/sqrt(2),
-    # below DOMINANT_OVERLAP: the assignment is solved, and perm is its.
+    # Two columns turned by 45 degrees overlap both of theirs at 1/sqrt(2):
+    # their rows' minima of the recorded cost share a column, so the solver
+    # searches, and perm is its answer.
     calls = _recorded_assignments(monkeypatch)
     c = np.sqrt(0.5)
     vecs_b = np.eye(6)
@@ -366,6 +377,7 @@ def test_match_step_solves_the_assignment_without_a_dominant_overlap(monkeypatch
     a, b = _nodes(np.arange(6.0), np.arange(6.0), vecs_b)
     ok, perm = spectra._match_step(a, b, first=False)
     assert ok and len(calls) == 1
+    assert _minima_collide(calls[0])
     assert perm.tolist() == linear_sum_assignment(-np.abs(vecs_b))[1].tolist()
     assert perm[[0, 1, 3]].tolist() == [1, 0, 3]
 
@@ -400,8 +412,9 @@ def assignment_costs(draw):
 @given(assignment_costs())
 def test_linear_sum_assignment_matches_scipys(drawn):
     # The in-package solver returns a permutation whose cost is scipy's
-    # optimum within n eps max|cost|, and on continuous costs, whose optimum
-    # is unique, scipy's permutation itself.
+    # optimum within n eps max|cost|, on continuous costs, whose optimum is
+    # unique, scipy's permutation itself, and wherever the row minima lie in
+    # distinct columns, exactly them.
     cost, continuous = drawn
     n = len(cost)
     rows, cols = spectra.linear_sum_assignment(cost)
@@ -412,6 +425,8 @@ def test_linear_sum_assignment_matches_scipys(drawn):
     assert abs(cost[rows, cols].sum() - cost[rows, best].sum()) <= tol
     if continuous:
         assert cols.tolist() == best.tolist()
+    if not _minima_collide(cost):
+        assert cols.tolist() == np.argmin(cost, axis=1).tolist()
 
 
 INTERLACED = [(p, seed, k) for p in (0.2, 0.3, 0.5) for seed in (300, 301) for k in (5, 10, 15)]
