@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolated, FlowConsistencyError, ZeroVertex
-from .graph_core import Edge, WeightedGraph, betti_1, components, freeze_arrays, laplacian
+from .graph_core import Edge, WeightedGraph, components, freeze_arrays, laplacian
 from .spectra import Spectrum
 
 # Relative threshold under which an eigenvector entry counts as zero.
@@ -161,32 +161,6 @@ def strong_domains_allowing_zeros(
     nonzero[list(zeros)] = False
     domains = components(g.n, i[same], j[same], np.flatnonzero(nonzero))
     return domains, zeros
-
-
-@dataclass(frozen=True)
-class CourantBettiReport:
-    """Bounds k - beta_1 <= nu <= k on the strong domain count.
-
-    The lower bound is only claimed by the theory for simple eigenvalues
-    with nowhere-zero eigenvectors; lower_applicable records that.
-    """
-
-    beta_1: int
-    upper_ok: bool
-    lower_ok: bool
-    lower_applicable: bool
-
-
-def courant_and_betti_check(
-    g: WeightedGraph, sel: EigenSelection, nd: NodalDecomposition
-) -> CourantBettiReport:
-    b1 = betti_1(g)
-    return CourantBettiReport(
-        beta_1=b1,
-        upper_ok=nd.nu <= sel.k,
-        lower_ok=nd.nu >= sel.k - b1,
-        lower_applicable=sel.simple and sel.nowhere_zero,
-    )
 
 
 def perturb_to_nonzero(

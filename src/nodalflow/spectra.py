@@ -130,11 +130,6 @@ def eigendecompose(M, *, vectors: bool = True, driver: str | None = None) -> Spe
     return Spectrum(vals, _sign_normalize(vecs))
 
 
-def multiplicity_of(spectrum: Spectrum, value: float) -> int:
-    """Number of eigenvalues within the relative group tolerance of value."""
-    return int(np.sum(np.abs(spectrum.eigenvalues - value) <= group_tolerance(value)))
-
-
 def _count_below(A: np.ndarray, t: float) -> int:
     """Number of eigenvalues of the symmetric A at or below t: those of
     A - tI at or below 0, counted by _count_nonpositive on a Fortran-order
@@ -151,10 +146,12 @@ def _count_nonpositive(A: np.ndarray) -> int:
     law of inertia: the nonpositive eigenvalues of D in A = L D L^T, the
     Bunch-Kaufman factorization LAPACK dsytrf writes over A itself, with no
     eigensolve and no copy. A must be a Fortran-order float array that the
-    caller owns, as it is overwritten; every count but the ghost Schur count
-    (vertex_flow) is read here. A 1 x 1 pivot counts by its sign, an exact
-    zero one as a zero eigenvalue; a 2 x 2 pivot is indefinite by the
-    pivoting rule, so it holds exactly one negative eigenvalue."""
+    caller owns, as it is overwritten; every count is read here but the
+    vertex flow's (vertex_flow.ghost_schur_count), which solves the values
+    of a reduced matrix or of the ghost Schur complement. A 1 x 1 pivot
+    counts by its sign, an exact zero one as a zero eigenvalue; a 2 x 2
+    pivot is indefinite by the pivoting rule, so it holds exactly one
+    negative eigenvalue."""
     # A workspace of 64 columns lets dsytrf factor in blocks, not by columns.
     ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(A, lwork=64 * len(A), overwrite_a=1)
     one = ipiv > 0  # the two rows of a 2 x 2 pivot hold negative ipiv

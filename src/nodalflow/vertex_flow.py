@@ -11,10 +11,13 @@ one ghost row and column per sign-change edge, in the edge flow record's
 order, which keeps every matrix and output bit-reproducible.
 
 The crossing bisection counts the eigenvalues of B(sigma) at or below t on
-the ghost Schur complement over the base vertices, the edge flow's matrix
-reweighted per edge (ghost_schur_count), with psi deflated, and not on
-B(sigma) itself; where a ghost pivot is within the count margin of zero it
-counts B(sigma) by inertia, as track_branches does.
+a smaller matrix with psi deflated, and not on B(sigma) itself
+(ghost_schur_count): the (|G| + mu)-square reduced matrix, mu sign-change
+edges and G lambda_k's multiplicity group in L's spectrum, where that is
+smaller than n, and otherwise the n x n ghost Schur complement over the
+base vertices, the edge flow's matrix reweighted per edge. Where the
+smaller matrix is not defined it counts B(sigma) by inertia, as
+track_branches does.
 
 Every function here reads the edge flow's record (EdgePerturbation) of the
 sign-change edges as it is: edge p's ghost is vertex n + p, n =
@@ -35,7 +38,7 @@ from .graph_core import LaplacianMatrix, WeightedGraph, edge_matrix
 from .graph_core import laplacian  # noqa: F401  (a binding perfbench/selftest.py traces)
 from .nodal import EigenSelection, strong_domains_allowing_zeros
 from .spectra import COUNT_TOL_REL, FD_STEP, FlowResult, _count_below, derivative_residual
-from .spectra import eigendecompose, group_tolerance, track_branches
+from .spectra import Spectrum, eigendecompose, group_tolerance, track_branches
 
 
 def _check_sigma(sigma: float) -> None:
@@ -88,7 +91,8 @@ def bilinear_matrix(pert: EdgePerturbation, sigma: float) -> LaplacianMatrix:
 def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
     """count(sigma, t): the number of eigenvalues of B(sigma) at or below
     t > lambda_k, psi being the selected eigenvector, for track_branches'
-    crossing bisection.
+    crossing bisection. Off its fallback, every count is one values-only
+    eigensolve of the smaller of two matrices, chosen by their sizes alone.
 
     B(sigma) - t has the diagonal ghost block with entries d = s c^2 + sigma
     - t, c^2 = h_i + h_j, so by Haynsworth's inertia additivity the count is
@@ -103,10 +107,22 @@ def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
     (1 + |t|) psi psi^T / |psi|^2, which lifts it above zero, and counted as
     1. Where some |d| is within COUNT_TOL_REL * max(1, |t|, sigma) of zero the
     split is not trusted and B(sigma) itself is counted by inertia
-    (_count_below)."""
-    n = len(pert.laplacian)
-    c2 = np.add(*pert.half_weights)
+    (_count_below).
+
+    Where |G| + mu < n, mu the number of sign-change edges and G lambda_k's
+    multiplicity group in L's spectrum (read after one solve of L with
+    vectors, made only where mu + 1 < n), the count solves the reduced
+    matrix M(sigma, t) of size |G| + mu instead (_reduced_count); the S
+    count above runs everywhere else.
+    """
+    n, mu = len(pert.laplacian), len(pert.w)
     psi = np.asarray(psi, dtype=float)
+    if mu + 1 < n:  # |G| >= 1, so M can be the smaller only here
+        spectrum = eigendecompose(pert.laplacian)
+        group = spectrum.group_of(int(np.argmax(np.abs(spectrum.eigenvectors.T @ psi))))
+        if len(group) + mu < n:
+            return _reduced_count(pert, psi, spectrum, group)
+    c2 = np.add(*pert.half_weights)
     unit_psi = np.outer(psi, psi) / (psi @ psi)
 
     def count(sigma: float, t: float) -> int:
@@ -119,6 +135,73 @@ def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
         S += edge_matrix(n, pert.i, pert.j, ww, ww * pert.q_ji, ww * pert.q_ij, -t)
         below = np.sum(eigendecompose(S, vectors=False).eigenvalues <= 0.0)
         return int(np.sum(d < 0) + below) + 1
+
+    return count
+
+
+def _reduced_count(
+    pert: EdgePerturbation, psi: np.ndarray, spectrum: Spectrum, group: tuple[int, ...]
+):
+    """ghost_schur_count's count on the reduced matrix M, from L's spectrum
+    L = Q Lambda Q^T and lambda_k's multiplicity group G in it.
+
+    B(sigma) - t is the Schur complement of the block -I/s in the bordered
+    matrix [[L - t, 0, C], [0, (sigma - t) I, -diag(c)], [C^T, -diag(c),
+    -I/s]] (rows: base, ghosts, edges); eliminating (sigma - t) I there
+    instead leaves N = [[L - t, C], [C^T, -diag(1/omega)]], the bordered
+    form of S, with 1/omega_p = 1 + 1/sigma + c_p^2 / (sigma - t). So by
+    Haynsworth, for sigma > 0 and sigma != t, B(sigma) has as many
+    eigenvalues <= t as N has <= 0, less mu [sigma > t]; no d enters, and a
+    ghost pivot d = 0 is just 1/omega_p = 0. In Q's basis, with Z = Q^T C,
+    psi is deflated as in S within the G block, g = Q_G^T psi / |psi|
+    (Q_F^T psi is a rounding error and is dropped; C^T psi = 0), and the
+    diagonal block of the other positions F is eliminated too:
+
+        count = 1 + #{lambda_F < t} + #{eigenvalues <= 0 of M} - mu [sigma > t]
+        M = [[diag(lambda_G - t) + (1 + |t|) g g^T, Z_G], [Z_G^T, -K_F(t) - diag(1/omega)]]
+
+    K_F(t) = Z_F^T diag(1 / (lambda_F - t)) Z_F, made exactly symmetric, is
+    built once per distinct t. At sigma = 0, within COUNT_TOL_REL * max(1,
+    |t|, sigma) of sigma = t, and at a t within COUNT_TOL_REL * max(1, |t|)
+    of some lambda_F, B(sigma) itself is counted by inertia (_count_below).
+    """
+    lam, Q = spectrum.eigenvalues, spectrum.eigenvectors
+    mu, G = len(pert.w), list(group)
+    m = len(G)
+    off_g = np.ones(len(lam), dtype=bool)
+    off_g[G] = False
+    lam_g, lam_f = lam[G], lam[off_g]
+    root_w = np.sqrt(pert.w)
+    Zt = (root_w * np.sqrt(pert.q_ji))[:, None] * Q[pert.i]  # Z^T = C^T Q, a row per edge
+    Zt += (root_w * np.sqrt(pert.q_ij))[:, None] * Q[pert.j]
+    zt_g, zt_f = Zt[:, G], Zt[:, off_g]
+    g = Q[:, G].T @ psi / np.linalg.norm(psi)
+    c2 = np.add(*pert.half_weights)
+    on_g, on_edges = np.arange(m), np.arange(m, m + mu)  # M's diagonal, by block
+    at_t = {}  # t -> (K_F(t), #{lambda_F < t}), or None where t is near some lambda_F
+
+    def reduced_terms(t: float):
+        if np.any(np.abs(lam_f - t) <= COUNT_TOL_REL * max(1.0, abs(t))):
+            return None
+        K = (zt_f / (lam_f - t)) @ zt_f.T
+        return 0.5 * (K + K.T), int(np.sum(lam_f < t))
+
+    def count(sigma: float, t: float) -> int:
+        if t not in at_t:
+            at_t[t] = reduced_terms(t)
+        near_t = abs(sigma - t) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)
+        if sigma == 0.0 or near_t or at_t[t] is None:
+            return _count_below(bilinear_matrix(pert, sigma).matrix, t)
+        K, below_f = at_t[t]
+        M = np.empty((m + mu, m + mu))
+        M[:m, :m] = (1.0 + abs(t)) * np.outer(g, g)
+        M[on_g, on_g] += lam_g - t
+        M[:m, m:] = zt_g.T
+        M[m:, :m] = zt_g
+        M[m:, m:] = -K
+        M[on_edges, on_edges] -= 1.0 + 1.0 / sigma + c2 / (sigma - t)
+        below = np.sum(eigendecompose(M, vectors=False).eigenvalues <= 0.0)
+        return 1 + below_f + int(below) - mu * (sigma > t)
 
     return count
 
@@ -221,7 +304,10 @@ def run_vertex_flow(
     lowest of L and one zero per ghost start at or below lambda_k, and each
     crosses it or converges to it); a branch bound higher but not past
     lambda_k at the last end fails it. branch_origins labels every branch
-    'ghost' or 'spectrum'.
+    'ghost' or 'spectrum'. The count that picks the end and the crossing
+    bisection's are one ghost_schur_count, built once per flow: on the
+    reduced matrix where that is smaller than n, after one solve of L, and
+    else on the ghost Schur complement.
     """
     check_steps(steps)
     warnings = sel.check_assumptions(allow_degenerate)

@@ -220,14 +220,43 @@ MUTANTS = (
         "        if np.any(np.abs(d) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)):\n"
         "            return _count_below(bilinear_matrix(pert, sigma).matrix, t)\n",
         "",
-        (_VERTEX + "test_ghost_schur_count_falls_back_at_a_ghost_pivot",
-         _IMPORTS + "[vertex_flow.py]"),
+        (_VERTEX + "test_ghost_schur_count_falls_back_at_a_ghost_pivot",),
     ),
     Mutant(
         "schur-fallback-counts-the-base-block", "vertex_flow.py",
-        "return _count_below(bilinear_matrix(pert, sigma).matrix, t)",
-        "return _count_below(flow_matrix(pert, s).matrix, t)",
+        "        if np.any(np.abs(d) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)):\n"
+        "            return _count_below(bilinear_matrix(pert, sigma).matrix, t)\n",
+        "        if np.any(np.abs(d) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)):\n"
+        "            return _count_below(flow_matrix(pert, s).matrix, t)\n",
         (_VERTEX + "test_ghost_schur_count_falls_back_at_a_ghost_pivot",),
+    ),
+    # The vertex flow's crossing count on the reduced matrix M.
+    Mutant(
+        "reduced-matrix-built-at-lambda-k", "vertex_flow.py",
+        "K = (zt_f / (lam_f - t)) @ zt_f.T",
+        "K = (zt_f / (lam_f - lam_g[0])) @ zt_f.T",
+        (_VERTEX + "test_ghost_schur_count_solves_the_hand_scattered_complement",
+         _VERTEX + "test_ghost_schur_count_matches_eigvalsh_and_40_digits_on_both_paths"),
+    ),
+    Mutant(
+        "reduced-count-drops-the-mu-term", "vertex_flow.py",
+        "return 1 + below_f + int(below) - mu * (sigma > t)",
+        "return 1 + below_f + int(below)",
+        (_VERTEX + "test_ghost_schur_count_matches_eigvalsh_and_40_digits_on_both_paths",
+         _VERTEX + "test_ghost_schur_count_matches_the_full_count"),
+    ),
+    Mutant(
+        "reduced-count-solves-at-sigma-t", "vertex_flow.py",
+        "if sigma == 0.0 or near_t or at_t[t] is None:",
+        "if sigma == 0.0 or at_t[t] is None:",
+        (_VERTEX + "test_reduced_count_solves_through_a_ghost_pivot_and_falls_back_at_sigma_t",),
+    ),
+    Mutant(
+        "reduced-count-solves-at-a-pole-of-k", "vertex_flow.py",
+        "        if np.any(np.abs(lam_f - t) <= COUNT_TOL_REL * max(1.0, abs(t))):\n"
+        "            return None\n",
+        "",
+        (_VERTEX + "test_reduced_count_solves_through_a_ghost_pivot_and_falls_back_at_sigma_t",),
     ),
     # The inertia count's pivot reading.
     Mutant(

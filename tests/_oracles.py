@@ -1,20 +1,59 @@
-"""Independent reference implementations used to cross-check the package.
+"""Independent reference implementations used to cross-check the package,
+and checks that only tests read.
 
-Nothing here is shared with the package's code paths: nodal counts use
+The references share nothing with the package's code paths: nodal counts use
 union-find over the raw edge list, components use scipy's sparse graph
 search, eigenvalue counts use inertia instead of branch tracking (in double
 precision, or at 40 digits with mpmath), and multiplicity groups use a plain
-loop.
+loop. multiplicity_of and courant_and_betti_check (with CourantBettiReport)
+are checks that no command or flow runs, kept here as the package wrote
+them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _csgraph_components
+
+from nodalflow.graph_core import WeightedGraph, betti_1
+from nodalflow.nodal import EigenSelection, NodalDecomposition
+from nodalflow.spectra import Spectrum, group_tolerance
+
+
+def multiplicity_of(spectrum: Spectrum, value: float) -> int:
+    """Number of eigenvalues within the relative group tolerance of value."""
+    return int(np.sum(np.abs(spectrum.eigenvalues - value) <= group_tolerance(value)))
+
+
+@dataclass(frozen=True)
+class CourantBettiReport:
+    """Bounds k - beta_1 <= nu <= k on the strong domain count.
+
+    The lower bound is only claimed by the theory for simple eigenvalues
+    with nowhere-zero eigenvectors; lower_applicable records that.
+    """
+
+    beta_1: int
+    upper_ok: bool
+    lower_ok: bool
+    lower_applicable: bool
+
+
+def courant_and_betti_check(
+    g: WeightedGraph, sel: EigenSelection, nd: NodalDecomposition
+) -> CourantBettiReport:
+    b1 = betti_1(g)
+    return CourantBettiReport(
+        beta_1=b1,
+        upper_ok=nd.nu <= sel.k,
+        lower_ok=nd.nu >= sel.k - b1,
+        lower_applicable=sel.simple and sel.nowhere_zero,
+    )
 
 
 class _UnionFind:
@@ -145,10 +184,12 @@ def count_below_mp(M, t: float, dps: int = 40) -> int:
     at dps digits off M as built: every entry and t are taken exactly, M - t I
     is formed at dps digits and reduced by symmetric Gaussian elimination
     without pivoting, and each pivot's sign is one eigenvalue's (Sylvester's
-    law). Where a pivot is within 1e-30 of the largest entry of M - t I the
-    rest of the elimination is not trusted: the remaining block, whose
-    inertia completes the count (Haynsworth), is solved by mpmath's eigsy at
-    the same precision."""
+    law). An update by a zero multiplier or a zero entry of the pivot row
+    changes no value and is skipped, so a sparse M ordered with little
+    fill-in is fast. Where a pivot is within 1e-30 of the largest entry of
+    M - t I the rest of the elimination is not trusted: the remaining block,
+    whose inertia completes the count (Haynsworth), is solved by mpmath's
+    eigsy at the same precision."""
     M = np.asarray(M, dtype=float)
     n = len(M)
     with mpmath.workdps(dps):
@@ -163,10 +204,12 @@ def count_below_mp(M, t: float, dps: int = 40) -> int:
                 rest = mpmath.eigsy(mpmath.matrix([row[k:] for row in A[k:]]), eigvals_only=True)
                 return below + sum(1 for r in range(rest.rows) if rest[r] < 0)
             below += pivot < 0
+            row = [(c, A[k][c]) for c in range(k + 1, n) if A[k][c]]
             for r in range(k + 1, n):
-                f = A[r][k] / pivot
-                for c in range(k + 1, n):
-                    A[r][c] -= f * A[k][c]
+                if A[r][k]:
+                    f = A[r][k] / pivot
+                    for c, x in row:
+                        A[r][c] -= f * x
         return below
 
 
@@ -218,6 +261,52 @@ def ghost_schur_by_reweighting(pert, psi, sigma: float, t: float) -> np.ndarray:
         ends[j] += ww * q_ij
     E[np.diag_indices(n)] = [e + -t for e in ends]
     return pert.laplacian + (1.0 + abs(t)) * (np.outer(psi, psi) / (psi @ psi)) + E
+
+
+def reduced_count_matrix(pert, psi, spectrum, sigma: float, t: float) -> np.ndarray:
+    """The reduced matrix vertex_flow.ghost_schur_count(pert, psi) solves at
+    (sigma, t) where it counts on M and not on S, from the spectrum Q Lambda
+    Q^T of L, built entry by entry. G is lambda_k's multiplicity group, the
+    chain_cluster group of the position where |Q^T psi| is largest, and F
+    the other positions. Edge p's row of Z = (Q^T C)^T is a loop's sqrt(w)
+    sqrt(q_ji) Q[i] + sqrt(w) sqrt(q_ij) Q[j]. With m = |G|, entry (a, b) of
+    the G block is (1 + |t|) (g_a g_b), plus lambda_a - t where a = b, for
+    g = Q_G^T psi / |psi|; entry (a, m + p) and (m + p, a) is Z[p, G[a]];
+    entry (m + p, m + q) is -(K_pq + K_qp) / 2, less 1 + 1 / sigma + (h_i +
+    h_j) / (sigma - t) where p = q, for K = Z_F diag(1 / (lambda_F - t))
+    Z_F^T. The two products, g and K, are formed with the count's own numpy
+    expressions, so that they sum in the same order."""
+    lam, Q = spectrum.eigenvalues, spectrum.eigenvectors
+    psi = np.asarray(psi, dtype=float)
+    groups = chain_cluster(lam)
+    top = int(np.argmax(np.abs(Q.T @ psi)))
+    G = list(next(grp for grp in groups if top in grp))
+    F = [a for a in range(len(lam)) if a not in G]
+    m, mu = len(G), len(pert.w)
+    Z = np.zeros((mu, len(lam)))
+    for p, (i, j, w, q_ij, q_ji) in enumerate(zip(
+            pert.i.tolist(), pert.j.tolist(), pert.w.tolist(),
+            pert.q_ij.tolist(), pert.q_ji.tolist())):
+        a, b = math.sqrt(w) * math.sqrt(q_ji), math.sqrt(w) * math.sqrt(q_ij)
+        for col in range(len(lam)):
+            Z[p, col] = a * Q[i, col] + b * Q[j, col]
+    g = Q[:, G].T @ psi / np.linalg.norm(psi)
+    z_f = Z[:, F]
+    K = (z_f / (lam[F] - t)) @ z_f.T
+    M = np.zeros((m + mu, m + mu))
+    for a in range(m):
+        for b in range(m):
+            M[a, b] = (1.0 + abs(t)) * (g[a] * g[b])
+            if a == b:
+                M[a, b] += lam[G[a]] - t
+        for p in range(mu):
+            M[a, m + p] = M[m + p, a] = Z[p, G[a]]
+    for p, (w, q_ij, q_ji) in enumerate(zip(pert.w.tolist(), pert.q_ij.tolist(),
+                                            pert.q_ji.tolist())):
+        for q in range(mu):
+            M[m + p, m + q] = -(0.5 * (K[p, q] + K[q, p]))
+        M[m + p, m + p] -= 1.0 + 1.0 / sigma + (w * (1.0 + q_ji) + w * (1.0 + q_ij)) / (sigma - t)
+    return M
 
 
 def limit_graph(n: int, edges, psi, diag=()) -> tuple[int, tuple, tuple]:

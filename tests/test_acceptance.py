@@ -38,7 +38,7 @@ from nodalflow.nodal import (
     select_eigenpair,
     strong_domains_allowing_zeros,
 )
-from nodalflow.spectra import eigendecompose, group_tolerance, multiplicity_of
+from nodalflow.spectra import eigendecompose, group_tolerance
 from nodalflow.vertex_flow import (
     bilinear_matrix,
     check_edge_equivalence,
@@ -47,7 +47,7 @@ from nodalflow.vertex_flow import (
     run_vertex_flow,
 )
 
-from _oracles import flood_fill_nodal_count, limit_graph
+from _oracles import flood_fill_nodal_count, limit_graph, multiplicity_of
 from test_cli_io import run_cli
 
 

@@ -13,10 +13,10 @@ from nodalflow.errors import EmptyInterior, NotAComponent
 from nodalflow.families import generate_connected_er, grid, interval, petersen
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import nodal_decomposition, select_eigenpair
-from nodalflow.spectra import eigendecompose, multiplicity_of
+from nodalflow.spectra import eigendecompose
 from nodalflow.vertex_flow import restrict_eigenvector
 
-from _oracles import limit_graph
+from _oracles import limit_graph, multiplicity_of
 
 
 def select(g, k):

@@ -10,7 +10,6 @@ from nodalflow.families import complete, cycle, erdos_renyi, grid, interval, pet
 from nodalflow.graph_core import WeightedGraph, laplacian
 from nodalflow.nodal import (
     EigenSelection,
-    courant_and_betti_check,
     edge_signs,
     nodal_decomposition,
     perturb_to_nonzero,
@@ -22,7 +21,8 @@ from nodalflow.nodal import (
 )
 from nodalflow.spectra import eigendecompose
 
-from _oracles import chain_cluster, flood_fill_nodal_count, flood_fill_weak_count
+from _oracles import chain_cluster, courant_and_betti_check, flood_fill_nodal_count
+from _oracles import flood_fill_weak_count
 
 
 def spectrum_of(g):

@@ -24,12 +24,11 @@ from nodalflow.spectra import (
     _sign_normalize,
     eigendecompose,
     group_tolerance,
-    multiplicity_of,
     track_branches,
 )
 from nodalflow.vertex_flow import bilinear_matrix, run_vertex_flow
 
-from _oracles import chain_cluster, count_below_mp
+from _oracles import chain_cluster, count_below_mp, multiplicity_of
 
 
 def c4():
@@ -675,19 +674,23 @@ def test_only_value_reads_solve_without_vectors(monkeypatch):
     tracked = [s for s in solves if s[0] == spectra.__name__]
     assert all(vectors and not bisection for _, vectors, bisection, _ in tracked)
     assert len(tracked) == len(fr.sigma_grid)
-    # The vertex flow counts its crossings on the values of the g.n x g.n
-    # ghost Schur complement, through its own binding.
+    # The vertex flow counts its crossings on the values of the reduced
+    # matrix, of size |G| + mu = 1 + 6 < g.n (lambda_5 is simple), through
+    # its own binding.
+    reduced = 1 + len(build_perturbation(g, sel).w)
+    assert reduced < g.n
     bisection = [s for s in solves if s[2]]
     assert bisection
-    assert set(bisection) == {(vertex_flow.__name__, False, True, g.n)}
+    assert set(bisection) == {(vertex_flow.__name__, False, True, reduced)}
     # The certificate's Dirichlet count is edge_flow's limit_multiplicity,
     # which solves nothing: it factors each sign class's ground-state
-    # Laplacian once. The count that picks the flow's end is the one
-    # remaining solve, on the Schur complement.
+    # Laplacian once. Outside the grid and the bisection, the count solves
+    # L once with vectors, then the reduced matrix for the flow's end.
     classes = [int(np.sum(sel.psi > 0)), int(np.sum(sel.psi < 0))]
     assert all(classes) and sum(classes) == g.n
     rest = [s for s in solves if s not in tracked and s not in bisection]
-    assert rest == [(vertex_flow.__name__, False, False, g.n)]
+    assert rest == [(vertex_flow.__name__, True, False, g.n),
+                    (vertex_flow.__name__, False, False, reduced)]
     assert factored == classes
 
     solves.clear()

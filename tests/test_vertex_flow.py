@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nodalflow import dirichlet, vertex_flow
@@ -25,8 +25,8 @@ from nodalflow.vertex_flow import (
     run_vertex_flow,
 )
 
-from _oracles import count_below_by_ghost_schur, ghost_schur_by_reweighting
-from _oracles import ghost_schur_by_scatter, limit_graph
+from _oracles import count_below_by_ghost_schur, count_below_mp, ghost_schur_by_reweighting
+from _oracles import ghost_schur_by_scatter, limit_graph, reduced_count_matrix
 from test_edge_flow import assert_bit_equal, spread_weighted_graphs
 
 
@@ -362,17 +362,32 @@ def _threshold(pert, sel):
     return lam + COUNT_TOL_REL * max(1.0, abs(lam), float(np.max(np.abs(start))))
 
 
+def _ghosts_first(B, n_base: int) -> np.ndarray:
+    """B with its ghost rows and columns moved ahead of the base ones, an
+    order in which count_below_mp eliminates a vertex matrix with little
+    fill-in: the ghost block is diagonal, and what is left after it is the
+    ghost Schur complement, as sparse as L. Inertia is the same."""
+    order = np.r_[n_base:len(B), :n_base]
+    return B[np.ix_(order, order)]
+
+
 def _assert_brackets_hold_a_fall(g, sel, fr):
-    """Across every bracket of the vertex flow fr, the oracle's count of
-    eigenvalues of B(sigma) below track_branches' threshold falls by at
-    least the number of crossings reported in it."""
+    """Across every bracket of the vertex flow fr, the count of eigenvalues
+    of B(sigma) below track_branches' threshold falls by at least the number
+    of crossings reported in it. A bracket past sigma = 1e4, where crossing
+    branches rise too slowly for a double-precision count to place, is read
+    at 40 digits (count_below_mp); the others by the float oracle."""
     pert = build_perturbation(g, sel)
     t = _threshold(pert, sel)
+
+    def read(sigma, late):
+        B = bilinear_matrix(pert, sigma).matrix
+        if late:
+            return count_below_mp(_ghosts_first(B, g.n), t)
+        return count_below_by_ghost_schur(B, g.n, t)
+
     for (lo, hi), shared in Counter((c.sigma_lo, c.sigma_hi) for c in fr.crossings).items():
-        at_lo, at_hi = (
-            count_below_by_ghost_schur(bilinear_matrix(pert, s).matrix, g.n, t)
-            for s in (lo, hi)
-        )
+        at_lo, at_hi = (read(s, lo > 1e4) for s in (lo, hi))
         assert at_lo - at_hi >= shared, (lo, hi, at_lo, at_hi, shared)
 
 
@@ -392,20 +407,21 @@ def test_ghost_schur_count_matches_the_full_count(g, k):
         assert count(sigma, t) == full == count_below_by_ghost_schur(B, g.n, t), sigma
 
 
-def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
-    # At the sigma where s (h_i + h_j) + sigma = t for one ghost, the Schur
-    # complement would divide by (nearly) zero; the count factors B(sigma)
-    # once, as track_branches' default count does, and solves nothing.
-    g = grid(7, 5)
-    sel = select(g, 5)
-    pert = build_perturbation(g, sel)
-    t = _threshold(pert, sel)
+def _ghost_pivot(pert, t, p=0):
+    """The sigma > 0 where ghost p's pivot d = s (h_i + h_j) + sigma - t is
+    zero: the positive root of sigma^2 + (1 + h - t) sigma - t = 0."""
     at_i, at_j = pert.half_weights
-    h = at_i[0] + at_j[0]
-    # sigma^2 + (1 + h - t) sigma - t = 0, the positive root.
+    h = at_i[p] + at_j[p]
     b = 1.0 + h - t
     sigma = 0.5 * (-b + np.sqrt(b * b + 4.0 * t))
     assert abs(sigma / (1.0 + sigma) * h + sigma - t) <= COUNT_TOL_REL * t
+    return sigma
+
+
+def _record_count(monkeypatch, pert, psi):
+    """ghost_schur_count(pert, psi) with the matrices it builds, factors and
+    solves recorded: (count, built sigmas, factored sizes, solved matrices
+    with their vectors flag)."""
     built, factored, solved, count_below = [], [], [], vertex_flow._count_below
     monkeypatch.setattr(
         vertex_flow, "bilinear_matrix", lambda p, s: built.append(s) or bilinear_matrix(p, s)
@@ -414,15 +430,63 @@ def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
         vertex_flow, "_count_below", lambda A, t: factored.append(len(A)) or count_below(A, t)
     )
     monkeypatch.setattr(
-        vertex_flow, "eigendecompose", lambda M, **kw: solved.append(M) or eigendecompose(M, **kw)
+        vertex_flow, "eigendecompose",
+        lambda M, **kw: solved.append((np.array(M), kw.get("vectors", True)))
+        or eigendecompose(M, **kw),
     )
-    count = ghost_schur_count(pert, sel.psi)
+    return ghost_schur_count(pert, psi), built, factored, solved
+
+
+def test_ghost_schur_count_falls_back_at_a_ghost_pivot(monkeypatch):
+    # ER(20, 0.3) seed 303 at k = 20 has 40 sign-change edges on 20
+    # vertices, so |G| + mu >= n and the count solves S. At the sigma where
+    # s (h_i + h_j) + sigma = t for one ghost, S would divide by (nearly)
+    # zero; the count factors B(sigma) once, as track_branches' default
+    # count does, and solves nothing.
+    g = generate_connected_er(20, 0.3, 303).graph
+    sel = select(g, 20)
+    pert = build_perturbation(g, sel)
+    assert len(pert.w) >= g.n
+    t = _threshold(pert, sel)
+    sigma = _ghost_pivot(pert, t)
+    count, built, factored, solved = _record_count(monkeypatch, pert, sel.psi)
+    assert solved == []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         n = count(sigma, t)
     assert built == [sigma]
     assert factored == [g.n + len(pert.w)] and solved == []
     assert n == int(np.sum(np.linalg.eigvalsh(bilinear_matrix(pert, sigma).matrix) <= t))
+
+
+def test_reduced_count_solves_through_a_ghost_pivot_and_falls_back_at_sigma_t(monkeypatch):
+    # Grid 7x5 at k = 5 has 10 sign-change edges and a simple lambda_5, so
+    # the count solves L once with vectors and then the 11 x 11 reduced
+    # matrix, where a ghost pivot d = 0 is only 1/omega = 0: no fallback.
+    # At sigma = t, where 1/omega is not defined, it factors B(sigma) once.
+    g = grid(7, 5)
+    sel = select(g, 5)
+    pert = build_perturbation(g, sel)
+    t = _threshold(pert, sel)
+    count, built, factored, solved = _record_count(monkeypatch, pert, sel.psi)
+    assert [(len(M), vectors) for M, vectors in solved] == [(g.n, True)]
+    for sigma in (_ghost_pivot(pert, t), _ghost_pivot(pert, t, 5)):
+        del solved[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n = count(sigma, t)
+        assert built == [] and factored == []
+        assert [(len(M), vectors) for M, vectors in solved] == [(1 + len(pert.w), False)]
+        assert n == int(np.sum(np.linalg.eigvalsh(bilinear_matrix(pert, sigma).matrix) <= t))
+    # It also factors B(sigma) at sigma = 0 and where t is an eigenvalue of
+    # L outside lambda_k's group, the pole of K_F(t).
+    del solved[:]
+    pole = eigendecompose(laplacian(g)).eigenvalues[sel.k]
+    for sigma, at in ((t, t), (0.0, t), (1.0, pole)):
+        n = count(sigma, at)
+        assert built[-1] == sigma and factored[-1] == g.n + len(pert.w) and solved == []
+        assert n == int(np.sum(np.linalg.eigvalsh(bilinear_matrix(pert, sigma).matrix) <= at))
+    assert len(built) == len(factored) == 3
 
 
 # sigma = 10^x in [1e-3, 1e6] and t = lambda_k + r (1 + lambda_k), r >= 0, so
@@ -438,9 +502,11 @@ SCHUR_POINTS = st.lists(
 @given(spread_weighted_graphs(min_n=3, max_n=20), SCHUR_POINTS)
 def test_ghost_schur_count_solves_the_hand_scattered_complement(g, points):
     # At every nowhere-zero index and every (sigma, t) of SCHUR_POINTS, the
-    # matrix the count hands to its eigensolve is bit for bit the edge flow's
-    # matrix reweighted per edge, scattered by hand edge by edge, signed
-    # zeros included.
+    # matrix the count hands to its values-only eigensolve is bit for bit,
+    # signed zeros included, the one its path builds by hand: where it
+    # solved L with vectors first (|G| + mu < n), the reduced matrix M built
+    # entry by entry from that spectrum; elsewhere the edge flow's matrix
+    # reweighted per edge, scattered by hand edge by edge.
     spectrum = eigendecompose(laplacian(g))
     for k in range(1, g.n + 1):
         sel = select_eigenpair(spectrum, k)
@@ -452,13 +518,58 @@ def test_ghost_schur_count_solves_the_hand_scattered_complement(g, points):
             patch.setattr(vertex_flow, "eigendecompose",
                           lambda M, **kw: solved.append(np.array(M)) or eigendecompose(M, **kw))
             count = ghost_schur_count(pert, sel.psi)
+            reduced = bool(solved)  # only the reduced path solves L first
+            if reduced:
+                assert_bit_equal(solved[0], pert.laplacian)
+                spectrum_l = eigendecompose(pert.laplacian)
             for x, r in points:
                 sigma, t = 10.0**x, sel.lambda_k + r * (1.0 + sel.lambda_k)
                 del solved[:]
                 count(sigma, t)
-                if solved:  # off the ghost-pivot fallback
-                    assert_bit_equal(solved[0],
-                                     ghost_schur_by_reweighting(pert, sel.psi, sigma, t))
+                if not solved:  # a fallback
+                    continue
+                want = (reduced_count_matrix(pert, sel.psi, spectrum_l, sigma, t) if reduced
+                        else ghost_schur_by_reweighting(pert, sel.psi, sigma, t))
+                assert_bit_equal(solved[0], want)
+
+
+def test_ghost_schur_count_matches_eigvalsh_and_40_digits_on_both_paths():
+    # At a drawn nowhere-zero index and the last one (the most sign changes,
+    # so most often the S count), and every (sigma, t) of SCHUR_POINTS with
+    # no eigenvalue of B(sigma) within 1e-7 max(1, |B|) of t, the count
+    # equals eigvalsh's count of B(sigma) at or below t and the 40-digit
+    # count of B(sigma) below t. The draws must reach both the reduced
+    # matrix (|G| + mu < n) and the S count.
+    paths = Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(spread_weighted_graphs(min_n=3, max_n=20), SCHUR_POINTS, st.data())
+    def check(g, points, data):
+        spectrum = eigendecompose(laplacian(g))
+        ks = [k for k in range(1, g.n + 1) if select_eigenpair(spectrum, k).nowhere_zero]
+        assume(ks)
+        for k in {data.draw(st.sampled_from(ks)), ks[-1]}:
+            sel = select_eigenpair(spectrum, k)
+            pert = build_perturbation(g, sel)
+            solved = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(vertex_flow, "eigendecompose",
+                              lambda M, **kw: solved.append(len(M)) or eigendecompose(M, **kw))
+                count = ghost_schur_count(pert, sel.psi)
+            reduced = bool(solved)  # only the reduced path solves L first
+            assert reduced == (len(spectrum.group_of(k - 1)) + len(pert.w) < g.n)
+            for x, r in points:
+                sigma, t = 10.0**x, sel.lambda_k + r * (1.0 + sel.lambda_k)
+                B = bilinear_matrix(pert, sigma).matrix
+                values = np.linalg.eigvalsh(B)
+                if np.min(np.abs(values - t)) <= 1e-7 * max(1.0, np.max(np.abs(B))):
+                    continue  # a tie
+                below = int(np.sum(values <= t))
+                assert count(sigma, t) == below == count_below_mp(_ghosts_first(B, g.n), t)
+                paths[reduced] += 1
+
+    check()
+    assert paths[True] and paths[False], paths
 
 
 @settings(max_examples=150, deadline=None)
@@ -533,17 +644,25 @@ def test_schur_count_tracks_like_the_full_count():
         # so S's norm reaches 1e6 and a count on S alone misreads psi's own
         # eigenvalue, lambda_k - t = -7.8e-12.
         (grid(10, 10), 20, 40),
+        # Degenerate flows with brackets past 1e4, read at 40 digits: grid
+        # 10x10 k50's three near sigma = 24839.44, 24839.49 and 24839.53
+        # each hold a fall (17 to 16, 16 to 15, 15 to 14). Grid 8x8 k21's
+        # one bracket, [13142.08943800925, 13142.089438671777], reads 8 at
+        # both ends; the fall is in the cell just above it.
+        (grid(10, 10), 50, 200),
+        pytest.param(grid(8, 8), 21, 40,
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError)),
     ],
     ids=["grid4x3-k5", "grid7x5-k5", "er20-p0.2-s301-k15", "er20-p0.3-s300-k20",
-         "er20-p0.5-s304-k10", "grid10x10-k20"],
+         "er20-p0.5-s304-k10", "grid10x10-k20", "grid10x10-k50", "grid8x8-k21"],
 )
 def test_vertex_flow_brackets_hold_a_fall_of_the_ghost_schur_count(g, k, steps):
     # Matching-free certificate: across every reported bracket, the number
     # of eigenvalues of B(sigma) below track_branches' threshold t, counted
-    # by inertia of the ghost Schur complement, falls by at least the number
-    # of crossings reported in it.
+    # by inertia of the ghost Schur complement (at 40 digits past 1e4),
+    # falls by at least the number of crossings reported in it.
     sel = select(g, k)
-    fr = run_vertex_flow(g, sel, steps=steps)
+    fr = run_vertex_flow(g, sel, steps=steps, allow_degenerate=True)
     assert fr.crossings
     _assert_brackets_hold_a_fall(g, sel, fr)
 
