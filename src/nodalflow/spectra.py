@@ -362,21 +362,57 @@ def _path_order(u: np.ndarray, v: np.ndarray) -> int:
     return int(np.sign(u[far[0]] - v[far[0]])) if far.size else 0
 
 
-def _falls(count, lo, hi, n_lo, n_hi, t):
+def _falls(count, lo, hi, n_lo, n_hi, t, seeds=()):
     """Cells of width <= BRACKET_WIDTH, in sigma order, one per unit fall of
     the number of eigenvalues <= t over [lo, hi], found by bisecting on that
-    count; n_lo and n_hi are the counts at the ends. Each midpoint reads
-    count(mid, t) once: by default one factorization (see track_branches)."""
+    count; n_lo and n_hi are the counts at the ends. Each point reads
+    count(sigma, t) at most once: by default one factorization (see
+    track_branches).
+
+    Each seed in [lo, hi], a sigma where the count may fall, goes down the
+    bisection's own midpoints, with no count, to the cell of width <=
+    BRACKET_WIDTH that holds it, and only that cell's two ends are counted.
+    Where the seeded cells' falls add up to n_lo - n_hi and none rises, they
+    are the cells; otherwise [lo, hi] is bisected, reusing those counts. So
+    wherever the count does not rise in sigma, the cells are the
+    bisection's bit for bit, and seeds only spare counts."""
     if n_lo <= n_hi:
         return []
-    if hi - lo <= BRACKET_WIDTH:
-        return [(lo, hi)] * (n_lo - n_hi)
-    mid = 0.5 * (lo + hi)
-    n_mid = count(mid, t)
-    return _falls(count, lo, mid, n_lo, n_mid, t) + _falls(count, mid, hi, n_mid, n_hi, t)
+    known = {lo: n_lo, hi: n_hi}
+
+    def read(sigma):
+        if sigma not in known:
+            known[sigma] = count(sigma, t)
+        return known[sigma]
+
+    def cell_of(seed):
+        a, b = lo, hi
+        while b - a > BRACKET_WIDTH:
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if seed < mid else (mid, b)
+        return a, b
+
+    cells = sorted({cell_of(s) for s in seeds if lo <= s <= hi})
+    falls = [read(a) - read(b) for a, b in cells]
+    if sum(falls) == n_lo - n_hi and min(falls, default=0) >= 0:
+        return [cell for cell, fall in zip(cells, falls) for _ in range(fall)]
+    # Depth first, lower half first: each midpoint is read as its halves are
+    # reached, and the cells come in sigma order.
+    cells, halves = [], [(lo, hi)]
+    while halves:
+        a, b = halves.pop()
+        fall = read(a) - read(b)
+        if fall > 0 and b - a <= BRACKET_WIDTH:
+            cells += [(a, b)] * fall
+        elif fall > 0:
+            mid = 0.5 * (a + b)
+            halves += [(mid, b), (a, mid)]
+    return cells
 
 
-def track_branches(flow_matrix, sigma_grid, reference_value: float, *, count=None) -> FlowResult:
+def track_branches(
+    flow_matrix, sigma_grid, reference_value: float, *, count=None, seeds=None
+) -> FlowResult:
     """Track all eigenvalue branches of a non-decreasing family
     ``flow_matrix(sigma)`` over a grid.
 
@@ -393,6 +429,12 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float, *, count=Non
         reads; None factors flow_matrix(sigma) once by _count_below, with no
         eigensolve. A flow with its own exact count passes it (the vertex
         flow counts on its ghost Schur complement).
+    seeds : callable t -> the sigmas where an eigenvalue of
+        flow_matrix(sigma) may equal t, read once per grid step whose count
+        falls; each seed costs the bisection two counts in place of a
+        descent, and a step its seeds do not account for is bisected (see
+        _falls). None bisects every step; the vertex flow passes its
+        reduced matrix's pencil roots.
 
     A matched step where some branch value drops, or falls from above
     t = lambda_k + COUNT_TOL_REL * max(1, |lambda_k|, max |eigenvalue at the
@@ -401,18 +443,20 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float, *, count=Non
     like a matching failure. In a step a -> b, the branches that go from
     <= t to > t are the risers. Since the family is monotone, the number
     of eigenvalues <= t falls by exactly one at each rise, so [a, b] is
-    bisected on that count into one BRACKET_WIDTH cell per unit fall, and
-    the cells go to the risers in the order of their linearly interpolated
-    crossings of t (at the refinement floor, where a step may be accepted
-    with a fall, the risers left without a cell are not recorded). Only
-    branches that start below 2 lambda_k - t are recorded as crossings.
+    bisected on that count into one BRACKET_WIDTH cell per unit fall (or
+    only the seeds' cells of that bisection are counted, where they hold
+    every fall), and the cells go to the risers in the order of their
+    linearly interpolated crossings of t (at the refinement floor, where a
+    step may be accepted with a fall, the risers left without a cell are
+    not recorded). Only branches that start below 2 lambda_k - t are
+    recorded as crossings.
 
     The grid is walked once, one eigensolve with eigenvectors per point in
     the calling thread, by the ``evd`` driver; the bisection reads only
-    ``count``, once per midpoint, which needs no eigenvectors. Degenerate
-    clusters at the first point are labelled by value path (see
-    FlowResult), so labels and crossings do not depend on the basis the
-    solver returned.
+    ``count``, at most once per midpoint, or at the two ends of each seeded
+    cell, which needs no eigenvectors. Degenerate clusters at the first
+    point are labelled by value path (see FlowResult), so labels and
+    crossings do not depend on the basis the solver returned.
     Refinement floors out at 1e-6 * max(min(1, span), sigma), so log-spaced
     grids stay refinable near the origin; an interval at the floor that
     still fails sets refinement_exhausted instead.
@@ -456,7 +500,9 @@ def track_branches(flow_matrix, sigma_grid, reference_value: float, *, count=Non
             start_vectors = a.vecs
         risers = np.flatnonzero((va <= t) & (vb > t))
         at = (t - va[risers]) / (vb[risers] - va[risers])
-        cells = _falls(count, a.sigma, b.sigma, np.sum(va <= t), np.sum(vb <= t), t)
+        n_a, n_b = np.sum(va <= t), np.sum(vb <= t)
+        near = seeds(t) if seeds is not None and n_a > n_b else ()
+        cells = _falls(count, a.sigma, b.sigma, n_a, n_b, t, near)
         for br, (lo, hi) in zip(risers[np.argsort(at, kind="stable")], cells):
             if below[br]:
                 crossings.append(BranchCrossing(int(br), float(lo), float(hi)))

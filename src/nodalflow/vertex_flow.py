@@ -17,7 +17,9 @@ edges and G lambda_k's multiplicity group in L's spectrum, where that is
 smaller than n, and otherwise the n x n ghost Schur complement over the
 base vertices, the edge flow's matrix reweighted per edge. Where the
 smaller matrix is not defined it counts B(sigma) by inertia, as
-track_branches does.
+track_branches does. On the reduced matrix it also gives the bisection
+seeds, the roots of one quadratic eigenproblem, so that a crossing costs
+two counts.
 
 Every function here reads the edge flow's record (EdgePerturbation) of the
 sign-change edges as it is: edge p's ghost is vertex n + p, n =
@@ -28,8 +30,10 @@ or check graphs, also take the base graph.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
+from scipy.linalg import LinAlgError, eig
 
 from .edge_flow import EdgePerturbation, build_perturbation, check_steps, flow_matrix
 from .edge_flow import limit_multiplicity, sign_preserving_graph
@@ -113,7 +117,10 @@ def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
     multiplicity group in L's spectrum (read after one solve of L with
     vectors, made only where mu + 1 < n), the count solves the reduced
     matrix M(sigma, t) of size |G| + mu instead (_reduced_count); the S
-    count above runs everywhere else.
+    count above runs everywhere else. The count's attribute seeds is, on
+    the reduced path, the callable t -> the sigmas where M(sigma, t) is
+    singular (_pencil_roots), for track_branches' seeds, and None on the S
+    path.
     """
     n, mu = len(pert.laplacian), len(pert.w)
     psi = np.asarray(psi, dtype=float)
@@ -136,6 +143,7 @@ def ghost_schur_count(pert: EdgePerturbation, psi: np.ndarray):
         below = np.sum(eigendecompose(S, vectors=False).eigenvalues <= 0.0)
         return int(np.sum(d < 0) + below) + 1
 
+    count.seeds = None
     return count
 
 
@@ -160,10 +168,16 @@ def _reduced_count(
         count = 1 + #{lambda_F < t} + #{eigenvalues <= 0 of M} - mu [sigma > t]
         M = [[diag(lambda_G - t) + (1 + |t|) g g^T, Z_G], [Z_G^T, -K_F(t) - diag(1/omega)]]
 
-    K_F(t) = Z_F^T diag(1 / (lambda_F - t)) Z_F, made exactly symmetric, is
-    built once per distinct t. At sigma = 0, within COUNT_TOL_REL * max(1,
-    |t|, sigma) of sigma = t, and at a t within COUNT_TOL_REL * max(1, |t|)
-    of some lambda_F, B(sigma) itself is counted by inertia (_count_below).
+    K_F(t) = Z_F^T diag(1 / (lambda_F - t)) Z_F, made exactly symmetric, and
+    with it M less its sigma term diag(0, 1/omega), is built once per
+    distinct t. At sigma = 0, within COUNT_TOL_REL * max(1, |t|, sigma) of
+    sigma = t, and at a t within COUNT_TOL_REL * max(1, |t|) of some
+    lambda_F, B(sigma) itself is counted by inertia (_count_below).
+
+    count.seeds(t) is the ascending real roots sigma > 0 of det M(sigma, t)
+    = 0 (_pencil_roots), where an eigenvalue of B(sigma) is t: computed on
+    first read per t from the same sigma-free part, and empty where t is
+    near some lambda_F.
     """
     lam, Q = spectrum.eigenvalues, spectrum.eigenvectors
     mu, G = len(pert.w), list(group)
@@ -178,32 +192,73 @@ def _reduced_count(
     g = Q[:, G].T @ psi / np.linalg.norm(psi)
     c2 = np.add(*pert.half_weights)
     on_g, on_edges = np.arange(m), np.arange(m, m + mu)  # M's diagonal, by block
-    at_t = {}  # t -> (K_F(t), #{lambda_F < t}), or None where t is near some lambda_F
 
+    @cache  # once per distinct t
     def reduced_terms(t: float):
+        """(M less its sigma term, #{lambda_F < t}), or None near some lambda_F."""
         if np.any(np.abs(lam_f - t) <= COUNT_TOL_REL * max(1.0, abs(t))):
             return None
         K = (zt_f / (lam_f - t)) @ zt_f.T
-        return 0.5 * (K + K.T), int(np.sum(lam_f < t))
-
-    def count(sigma: float, t: float) -> int:
-        if t not in at_t:
-            at_t[t] = reduced_terms(t)
-        near_t = abs(sigma - t) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)
-        if sigma == 0.0 or near_t or at_t[t] is None:
-            return _count_below(bilinear_matrix(pert, sigma).matrix, t)
-        K, below_f = at_t[t]
         M = np.empty((m + mu, m + mu))
         M[:m, :m] = (1.0 + abs(t)) * np.outer(g, g)
         M[on_g, on_g] += lam_g - t
         M[:m, m:] = zt_g.T
         M[m:, :m] = zt_g
-        M[m:, m:] = -K
+        M[m:, m:] = -0.5 * (K + K.T)
+        return M, int(np.sum(lam_f < t))
+
+    def count(sigma: float, t: float) -> int:
+        near_t = abs(sigma - t) <= COUNT_TOL_REL * max(1.0, abs(t), sigma)
+        if sigma == 0.0 or near_t or reduced_terms(t) is None:
+            return _count_below(bilinear_matrix(pert, sigma).matrix, t)
+        M, below_f = reduced_terms(t)
+        M = M.copy()
         M[on_edges, on_edges] -= 1.0 + 1.0 / sigma + c2 / (sigma - t)
         below = np.sum(eigendecompose(M, vectors=False).eigenvalues <= 0.0)
         return 1 + below_f + int(below) - mu * (sigma > t)
 
+    @cache
+    def seeds(t: float) -> np.ndarray:
+        terms = reduced_terms(t)
+        return np.empty(0) if terms is None else _pencil_roots(terms[0], m, c2, t)
+
+    count.seeds = seeds
     return count
+
+
+def _pencil_roots(M: np.ndarray, m: int, c2: np.ndarray, t: float) -> np.ndarray:
+    """The real sigma > 0, ascending, where the reduced matrix M(sigma, t) =
+    M - diag(0, 1/omega) of _reduced_count is singular, from M its part
+    without sigma (its first m rows the G block): the crossings of t.
+
+    Its edge rows times sigma (sigma - t) are quadratic in sigma, and the G
+    rows do not depend on it, so det M(sigma, t) = 0 is the quadratic
+    eigenproblem (sigma^2 A2 + sigma A1 + A0) v = 0 with, on the edge rows,
+    A2 = M - I, A1 = -t M - diag(1 - t + c^2) and A0 = t I, and on the G
+    rows A2 = A1 = 0 and A0 = M. Where |G| = 1 its edge block is sigma^2 (I
+    + K) + sigma (diag(c^2) + (1 - t) I - t K) - t I, negated, with K =
+    K_F(t). It is solved by one generalized eigensolve of its companion
+    linearization, of size 2 (m + mu); the G rows add infinite eigenvalues.
+    A root is kept where its imaginary part is within 1e-8 of its size.
+    Where the eigensolve fails there are no roots, and every step bisects.
+    """
+    n = len(M)
+    eye, edges = np.eye(n), slice(m, n)
+    A2, A1, A0 = np.zeros((n, n)), np.zeros((n, n)), M.copy()
+    A2[edges] = M[edges] - eye[edges]
+    A1[edges] = -t * M[edges]
+    A1[edges, edges] -= np.diag(1.0 - t + c2)
+    A0[edges] = t * eye[edges]
+    zero = np.zeros((n, n))
+    try:
+        roots = eig(
+            np.block([[zero, eye], [-A0, -A1]]), np.block([[eye, zero], [zero, A2]]), right=False
+        )
+    except LinAlgError:  # QZ did not converge: no seeds, and the steps bisect
+        return np.empty(0)
+    roots = roots[np.isfinite(roots)]
+    real = roots.real[(np.abs(roots.imag) <= 1e-8 * np.abs(roots)) & (roots.real > 0.0)]
+    return np.sort(real)
 
 
 def extension_coefficients(pert: EdgePerturbation) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +362,10 @@ def run_vertex_flow(
     'ghost' or 'spectrum'. The count that picks the end and the crossing
     bisection's are one ghost_schur_count, built once per flow: on the
     reduced matrix where that is smaller than n, after one solve of L, and
-    else on the ghost Schur complement.
+    else on the ghost Schur complement. On the reduced matrix its seeds go
+    to track_branches too: the crossings of t, read once per flow at the
+    first step with a fall, so the bisection counts only the two ends of
+    each crossing cell wherever they hold every fall of a step.
     """
     check_steps(steps)
     warnings = sel.check_assumptions(allow_degenerate)
@@ -317,7 +375,9 @@ def run_vertex_flow(
     top = sel.lambda_k + group_tolerance(sel.lambda_k)
     end = next((s for s in SIGMA_ENDS if count(s, top) <= nu_d), SIGMA_ENDS[-1])
     grid = np.concatenate([[0.0], np.logspace(-3.0, np.log10(end), steps)])
-    fr = track_branches(lambda s: bilinear_matrix(pert, s), grid, sel.lambda_k, count=count)
+    fr = track_branches(
+        lambda s: bilinear_matrix(pert, s), grid, sel.lambda_k, count=count, seeds=count.seeds
+    )
     nu, total = fr.converged_count, fr.converged_count + len(fr.crossings)
     ok = nu == nu_d and total == sel.k + len(pert.w)
     warnings += sel.certify(

@@ -247,8 +247,8 @@ MUTANTS = (
     ),
     Mutant(
         "reduced-count-solves-at-sigma-t", "vertex_flow.py",
-        "if sigma == 0.0 or near_t or at_t[t] is None:",
-        "if sigma == 0.0 or at_t[t] is None:",
+        "if sigma == 0.0 or near_t or reduced_terms(t) is None:",
+        "if sigma == 0.0 or reduced_terms(t) is None:",
         (_VERTEX + "test_reduced_count_solves_through_a_ghost_pivot_and_falls_back_at_sigma_t",),
     ),
     Mutant(
@@ -257,6 +257,37 @@ MUTANTS = (
         "            return None\n",
         "",
         (_VERTEX + "test_reduced_count_solves_through_a_ghost_pivot_and_falls_back_at_sigma_t",),
+    ),
+    # The reduced count's seeds: the pencil's roots at t.
+    Mutant(
+        "pencil-built-at-lambda-k", "vertex_flow.py",
+        "else _pencil_roots(terms[0], m, c2, t)",
+        "else _pencil_roots(terms[0], m, c2, lam_g[0])",
+        (_VERTEX + "test_pencil_seeds_are_the_falls_of_the_reduced_count",),
+    ),
+    # The seeded crossing bisection: a seed's cell is the bisection's, and
+    # its cells are taken only where their falls add up.
+    Mutant(
+        "seeded-cells-accepted-without-summing-their-falls", "spectra.py",
+        "if sum(falls) == n_lo - n_hi and min(falls, default=0) >= 0:",
+        "if falls and min(falls) >= 0:",
+        (_SPECTRA + "test_seeded_falls_are_the_bisections_cells",
+         _SPECTRA + "test_a_wrong_seed_falls_back_to_the_bisection"),
+    ),
+    Mutant(
+        "seed-cell-by-offset-not-by-midpoints", "spectra.py",
+        "        a, b = lo, hi\n"
+        "        while b - a > BRACKET_WIDTH:\n"
+        "            mid = 0.5 * (a + b)\n"
+        "            a, b = (a, mid) if seed < mid else (mid, b)\n"
+        "        return a, b\n",
+        "        h = hi - lo\n"
+        "        while h > BRACKET_WIDTH:\n"
+        "            h *= 0.5\n"
+        "        m = min((seed - lo) // h, (hi - lo) // h - 1)\n"
+        "        return lo + m * h, lo + (m + 1) * h\n",
+        (_SPECTRA + "test_seeded_falls_are_the_bisections_cells",
+         _VERTEX + "test_pencil_seeds_hold_every_crossing_cell"),
     ),
     # The inertia count's pivot reading.
     Mutant(

@@ -574,6 +574,83 @@ def test_refinement_and_crossing_in_one_walk():
     assert np.diff(fr.branch_values, axis=1).min() > -1e-10
 
 
+def _step_count(points, n_hi=0):
+    """A count that falls by one just past each of points (repeats fall
+    together), as the number of eigenvalues <= t does where one passes t;
+    the sigmas it reads are appended to the list returned with it."""
+    reads = []
+
+    def count(sigma, t):
+        reads.append(sigma)
+        return n_hi + sum(p >= sigma for p in points)
+
+    return count, reads
+
+
+def _bisected(points, lo, hi):
+    """The crossing bisection's cells of [lo, hi] for a count falling at points."""
+    count, _ = _step_count(points)
+    return spectra._falls(count, lo, hi, count(lo, 0.0), count(hi, 0.0), 0.0)
+
+
+@st.composite
+def seeded_steps(draw):
+    """A step [lo, hi], the points in it where a count falls (some twice, as
+    symmetric pairs cross together), and seeds: some of the points (the rest
+    missing), spurious sigmas in and around the step, in any order."""
+    lo = draw(st.floats(min_value=0.0, max_value=1e3))
+    hi = lo + 10.0 ** draw(st.floats(min_value=-6.5, max_value=1.0))
+    assume(hi > lo)
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    # Nothing falls, and no seed lies, at hi itself: a fall there is past
+    # the step, and a seed there would hold a cell with no fall in it.
+    points = [lo + f * (hi - lo) for f in draw(st.lists(unit, min_size=1, max_size=6))]
+    points = [p for p in points if p < hi]
+    assume(points)
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    exact = [p for p in points if draw(st.booleans())]
+    spurious = [lo + f * (hi - lo) for f in draw(st.lists(
+        st.floats(min_value=-0.5, max_value=1.5), max_size=4))]
+    seeds = draw(st.permutations(exact + [s for s in spurious if s != hi]))
+    return lo, hi, points, seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeded_steps())
+def test_seeded_falls_are_the_bisections_cells(step):
+    # On a count that never rises, seeded _falls returns plain bisection's
+    # cells bit for bit, whichever seeds are exact, spurious or missing, and
+    # reads no sigma twice. Where the seeds hold every fall it counts only
+    # the two ends of each distinct cell that holds a seed in the step.
+    lo, hi, points, seeds = step
+    plain = _bisected(points, lo, hi)
+    count, reads = _step_count(points)
+    n_lo, n_hi = count(lo, 0.0), count(hi, 0.0)
+    del reads[:]
+    assert spectra._falls(count, lo, hi, n_lo, n_hi, 0.0, np.array(seeds)) == plain
+    assert len(set(reads)) == len(reads)
+    if set(points) <= set(seeds):
+        seeded_cells = set(_bisected([s for s in seeds if lo <= s <= hi], lo, hi))
+        assert len(reads) <= 2 * len(seeded_cells)
+        assert set(reads) <= {end for cell in seeded_cells for end in cell}
+
+
+def test_a_wrong_seed_falls_back_to_the_bisection():
+    # Two falls, at 0.3 and 0.7; the second seed misses its cell, so the
+    # seeded cells account for one fall of two and the step is bisected,
+    # with the same cells as with no seeds, reading no sigma twice.
+    points = [0.3, 0.7]
+    plain = _bisected(points, 0.0, 1.0)
+    assert len(plain) == 2
+    count, reads = _step_count(points)
+    assert spectra._falls(count, 0.0, 1.0, 2, 0, 0.0, np.array([0.3, 0.7 + 1e-5])) == plain
+    assert len(set(reads)) == len(reads) > 4
+    # With both seeds exact, two counts per cell.
+    del reads[:]
+    assert spectra._falls(count, 0.0, 1.0, 2, 0, 0.0, np.array([0.7, 0.3])) == plain
+    assert sorted(reads) == sorted(end for cell in plain for end in cell)
+
+
 @pytest.fixture(scope="module")
 def benchmark_flows():
     """The benchmark's two flow families: the vertex flow of grid 10x10 at

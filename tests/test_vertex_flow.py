@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
-from nodalflow import dirichlet, vertex_flow
+from nodalflow import dirichlet, spectra, vertex_flow
 from nodalflow.errors import AssumptionViolated, DegenerateEigenvalue, FlowConsistencyError
 from nodalflow.edge_flow import build_perturbation, flow_matrix, sign_preserving_graph
 from nodalflow.families import complete, cycle, generate_connected_er, grid, interval, petersen
@@ -607,6 +608,93 @@ def test_ghost_schur_complement_is_the_reweighted_edge_matrix(g, points):
             assert error <= 4.0 * g.n * eps * scale, (sigma, t, error / (g.n * eps * scale))
 
 
+def _assert_same_flow(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.mark.parametrize(
+    "g, k, steps",
+    [(grid(4, 3), 5, 20), (grid(7, 5), 5, 40), (grid(10, 10), 20, 40),
+     (generate_connected_er(20, 0.2, 308).graph, 8, 40)],
+    ids=["grid4x3-k5", "grid7x5-k5", "grid10x10-k20", "er20-p0.2-s308-k8"],
+)
+def test_pencil_seeds_hold_every_crossing_cell(monkeypatch, g, k, steps):
+    # On the reduced path the crossing bisection of each step with a fall
+    # gets the pencil's roots as seeds: every cell it returns holds one, it
+    # counts only the ends of its cells (the step's own ends are known), and
+    # the flow is the one run with the seeds dropped, bit for bit.
+    sel = select(g, k)
+    assert len(build_perturbation(g, sel).w) + 1 < g.n  # |G| = 1: the reduced path
+    falls, steps_seen = spectra._falls, []
+
+    def recorded(count, lo, hi, n_lo, n_hi, t, seeds=()):
+        reads = []
+        cells = falls(lambda s, at: reads.append(s) or count(s, at), lo, hi, n_lo, n_hi, t, seeds)
+        steps_seen.append((np.asarray(seeds), cells, reads))
+        return cells
+
+    monkeypatch.setattr(spectra, "_falls", recorded)
+    seeded = run_vertex_flow(g, sel, steps=steps)
+    assert seeded.crossings
+    cells = [cell for _, step_cells, _ in steps_seen for cell in step_cells]
+    assert len(cells) >= len(seeded.crossings)
+    for seeds, step_cells, reads in steps_seen:
+        for lo, hi in set(step_cells):
+            assert np.any((seeds >= lo) & (seeds <= hi)), (lo, hi)
+        ends = {end for cell in step_cells for end in cell}
+        assert len(set(reads)) == len(reads) and set(reads) <= ends
+    monkeypatch.setattr(spectra, "_falls", lambda *args: falls(*args[:6]))
+    _assert_same_flow(seeded, run_vertex_flow(g, sel, steps=steps))
+
+
+def test_a_failed_pencil_solve_leaves_every_step_to_the_bisection(monkeypatch):
+    g = grid(4, 3)
+    sel = select(g, 5)
+    seeded, failed = run_vertex_flow(g, sel, steps=20), []
+
+    def fail(*args, **kwargs):
+        failed.append(len(args[0]))
+        raise LinAlgError("QZ iteration failed")
+
+    monkeypatch.setattr(vertex_flow, "eig", fail)
+    _assert_same_flow(seeded, run_vertex_flow(g, sel, steps=20))
+    assert failed == [2 * (1 + len(build_perturbation(g, sel).w))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spread_weighted_graphs(min_n=3, max_n=14), st.floats(min_value=0.0, max_value=2.0))
+def test_pencil_seeds_are_the_falls_of_the_reduced_count(g, r):
+    # At t = lambda_k + r (1 + lambda_k), at or above lambda_k, the seeds of
+    # the reduced count in [1e-3, 1e3], each widened by 1e-7 of itself on
+    # both sides, hold all of count(., t)'s fall over [1e-3, 1e3], and no
+    # widened seed holds a rise.
+    spectrum = eigendecompose(laplacian(g))
+    for k in range(1, g.n + 1):
+        sel = select_eigenpair(spectrum, k)
+        if not sel.nowhere_zero:
+            continue
+        count = ghost_schur_count(build_perturbation(g, sel), sel.psi)
+        if count.seeds is None:
+            continue
+        t = sel.lambda_k + r * (1.0 + sel.lambda_k)
+        roots = count.seeds(t)
+        assert np.all(roots > 0.0) and np.all(np.diff(roots) >= 0.0)
+        cells = []
+        for root in roots[(roots > 1e-3) & (roots < 1e3)]:
+            lo, hi = root * (1.0 - 1e-7), root * (1.0 + 1e-7)
+            if cells and lo <= cells[-1][1]:
+                lo = cells.pop()[0]
+            cells.append((lo, hi))
+        falls = [count(lo, t) - count(hi, t) for lo, hi in cells]
+        assert min(falls, default=0) >= 0
+        assert sum(falls) == count(1e-3, t) - count(1e3, t), (k, t, cells, falls)
+
+
 def test_schur_count_tracks_like_the_full_count():
     # Over the vertex flow's matrix, track_branches gives the same result
     # bit for bit whether the bisection counts on B(sigma), by inertia (the
@@ -620,12 +708,7 @@ def test_schur_count_tracks_like_the_full_count():
         for count in (None, ghost_schur_count(pert, sel.psi))
     ]
     assert flows[0].crossings
-    for field in dataclasses.fields(flows[0]):
-        a, b = (getattr(fr, field.name) for fr in flows)
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), field.name
-        else:
-            assert a == b, field.name
+    _assert_same_flow(*flows)
 
 
 @pytest.mark.parametrize(
